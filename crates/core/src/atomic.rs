@@ -109,7 +109,6 @@ use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::filter::{AtomicMiceFilter, FILTER_SEED_SALT};
 use crate::geometry::LayerGeometry;
-use crate::simd;
 use crate::topk::TopKSummary;
 use parking_lot::Mutex;
 use rsk_api::{
@@ -134,18 +133,14 @@ pub const COUNT_MAX: u64 = (1 << COUNT_BITS) - 1;
 /// Mask of the 24-bit candidate fingerprint.
 pub const FP_MASK: u64 = (1 << (64 - ERR_BITS - COUNT_BITS)) - 1;
 
-/// Bit offset of the fingerprint field within the packed word (the
-/// shift the ×4 prescan applies to compare four fingerprints at once).
-pub(crate) const FP_SHIFT: u32 = COUNT_BITS + ERR_BITS;
-
 #[inline]
-pub(crate) fn pack(fp: u64, count: u64, err: u64) -> u64 {
+fn pack(fp: u64, count: u64, err: u64) -> u64 {
     debug_assert!(fp <= FP_MASK && count <= COUNT_MAX && err <= ERR_MAX);
     (fp << (COUNT_BITS + ERR_BITS)) | (count << ERR_BITS) | err
 }
 
 #[inline]
-pub(crate) fn unpack(word: u64) -> (u64, u64, u64) {
+fn unpack(word: u64) -> (u64, u64, u64) {
     (
         word >> (COUNT_BITS + ERR_BITS),
         (word >> ERR_BITS) & COUNT_MAX,
@@ -317,12 +312,8 @@ impl AtomicBucketArray {
     }
 
     /// Apply one layer step for `fingerprint` at `(layer, index)` with a
-    /// CAS loop; returns the leftover value that must descend.
-    ///
-    /// The transition function is `step_word`, or its mask-select
-    /// (branchless) twin when the `simd` feature is on — the two are
-    /// property-tested equal, so the committed word is the same either
-    /// way; only the retry loop's control flow differs.
+    /// CAS loop (the transition is `step_word`); returns the leftover
+    /// value that must descend.
     #[inline]
     pub fn insert_step(&self, layer: usize, index: usize, fingerprint: u64, value: u64) -> u64 {
         let global = self.offsets[layer] + index;
@@ -330,8 +321,7 @@ impl AtomicBucketArray {
         let lambda = self.lambdas[layer];
         let mut current = cell.load(Ordering::Acquire);
         loop {
-            let (next, leftover, saturated) =
-                crate::simd::dispatch_step(current, fingerprint, value, lambda);
+            let (next, leftover, saturated) = step_word(current, fingerprint, value, lambda);
             match cell.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     if saturated {
@@ -346,66 +336,6 @@ impl AtomicBucketArray {
                 }
             }
         }
-    }
-
-    /// The absorb fast path behind the ×4 fingerprint prescan: commit a
-    /// matching-candidate addition at `(layer, index)` if — and only as
-    /// long as — the bucket's fingerprint still equals `fingerprint` at
-    /// CAS time. Returns `false` without touching the bucket when the
-    /// prescan hint went stale (a racing replace), in which case the
-    /// caller runs the full [`Self::insert_step`] walk; the committed
-    /// transition is exactly [`step_word`]'s matching branch, so taking
-    /// this path never changes the resulting word.
-    #[inline]
-    pub(crate) fn try_absorb(
-        &self,
-        layer: usize,
-        index: usize,
-        fingerprint: u64,
-        value: u64,
-    ) -> bool {
-        let global = self.offsets[layer] + index;
-        let cell = &self.words[global];
-        let mut current = cell.load(Ordering::Acquire);
-        loop {
-            if current >> FP_SHIFT != fingerprint {
-                return false;
-            }
-            let (_, yes, no) = unpack(current);
-            let raised = yes.saturating_add(value);
-            let next = pack(fingerprint, raised.min(COUNT_MAX), no);
-            match cell.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    if raised > COUNT_MAX {
-                        self.stats.saturations.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.mark_dirty(global);
-                    return true;
-                }
-                Err(actual) => {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    current = actual;
-                }
-            }
-        }
-    }
-
-    /// Pull the cache line of bucket `(layer, index)` toward L1 ahead of
-    /// its apply step. A relaxed load discarded through `black_box` is
-    /// the `unsafe`-free software prefetch (the crate forbids `unsafe`,
-    /// so `core::arch` prefetch intrinsics are out); it reads shared
-    /// memory but never writes, so it cannot perturb results.
-    #[inline]
-    pub(crate) fn prefetch(&self, layer: usize, index: usize) {
-        core::hint::black_box(self.words[self.offsets[layer] + index].load(Ordering::Relaxed));
-    }
-
-    /// Relaxed load of the packed word at `(layer, index)` — the ×4
-    /// prescan's source. Staleness is safe: hints are re-validated under
-    /// CAS by [`Self::try_absorb`].
-    #[inline]
-    pub(crate) fn word_relaxed(&self, layer: usize, index: usize) -> u64 {
-        self.words[self.offsets[layer] + index].load(Ordering::Relaxed)
     }
 
     /// Flag bucket `global` as touched since the last replication cut.
@@ -594,7 +524,6 @@ pub struct ConcurrentReliable<K: Key> {
     merge_epoch: u64,
     /// Baselines recorded at the last replication cut (see
     /// [`crate::replicate`]); `None` until the sketch first ships a delta.
-    #[cfg(feature = "serde")]
     cut: Option<crate::replicate::ReplicaCut>,
 }
 
@@ -659,7 +588,6 @@ impl<K: Key> ConcurrentReliable<K> {
             topk: None,
             merged: None,
             merge_epoch: 0,
-            #[cfg(feature = "serde")]
             cut: None,
         }
     }
@@ -781,13 +709,6 @@ impl<K: Key> ConcurrentReliable<K> {
     #[inline]
     fn insert_prehashed(&self, key: &K, value: u64, fp: u64, idx0: usize) {
         self.array.note_item();
-        self.insert_filtered(key, value, fp, idx0);
-    }
-
-    /// [`Self::insert_prehashed`] minus the item accounting (the batched
-    /// fast path notes the item before its prescan dispatch).
-    #[inline]
-    fn insert_filtered(&self, key: &K, value: u64, fp: u64, idx0: usize) {
         let mut v = value;
         if let Some(f) = &self.filter {
             v = f.insert(key, v);
@@ -825,67 +746,19 @@ impl<K: Key> ConcurrentReliable<K> {
     /// Insert a batch, amortizing fingerprint and layer-0 hashing over a
     /// tight precompute loop per 64-item chunk. Semantically identical to
     /// calling [`Self::insert_concurrent`] per item in order.
-    ///
-    /// With the `simd` feature on, the prefix hashes four lanes at a
-    /// time, upcoming layer-0 lines are software-prefetched
-    /// [`crate::simd::PREFETCH_DISTANCE`] items ahead, and — on the raw,
-    /// un-monitored configuration — a ×4 packed-word prescan dispatches
-    /// matching-candidate lanes straight to the one-CAS absorb fast path
-    /// (stale hints fall back to the full walk under CAS, so results are
-    /// bit-identical to the scalar path; `tests/simd_parity.rs` pins
-    /// this). Items are always applied in stream order.
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         const CHUNK: usize = 64;
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         let mut fps = [0u64; CHUNK];
-        // The prescan only pays off when every nonzero item walks the
-        // buckets directly; filter/top-K front-ends keep the per-item
-        // path (their hashing still rides the ×4 prefix).
-        let prescan = simd::ENABLED && self.filter.is_none() && self.topk.is_none();
         for chunk in items.chunks(CHUNK) {
-            let n = chunk.len();
-            simd::layer0_prefix(
-                &self.hashes,
-                self.fp_seed,
-                FP_MASK,
-                w0,
-                chunk,
-                &mut idx0[..n],
-                &mut fps[..n],
-            );
-            let mut s = 0;
-            if prescan {
-                while s + simd::LANES <= n {
-                    if s + simd::PREFETCH_DISTANCE + simd::LANES <= n {
-                        for d in 0..simd::LANES {
-                            self.array
-                                .prefetch(0, idx0[s + simd::PREFETCH_DISTANCE + d]);
-                        }
-                    }
-                    let words = core::array::from_fn(|l| self.array.word_relaxed(0, idx0[s + l]));
-                    let lane_fps = core::array::from_fn(|l| fps[s + l]);
-                    let hit = simd::fp_match_x4(words, lane_fps, FP_SHIFT);
-                    // in-order apply: lane l of this group is item s + l
-                    for l in 0..simd::LANES {
-                        let (k, v) = chunk[s + l];
-                        if v == 0 {
-                            continue;
-                        }
-                        self.array.note_item();
-                        if !(hit[l] && self.array.try_absorb(0, idx0[s + l], fps[s + l], v)) {
-                            self.insert_filtered(&k, v, fps[s + l], idx0[s + l]);
-                        }
-                    }
-                    s += simd::LANES;
-                }
+            for (s, (k, _)) in chunk.iter().enumerate() {
+                idx0[s] = self.hashes.index(0, k, w0);
+                fps[s] = self.fingerprint(k);
             }
-            for (i, &(k, v)) in chunk.iter().enumerate().skip(s) {
-                if simd::ENABLED && i + simd::PREFETCH_DISTANCE < n {
-                    self.array.prefetch(0, idx0[i + simd::PREFETCH_DISTANCE]);
-                }
+            for (s, &(k, v)) in chunk.iter().enumerate() {
                 if v > 0 {
-                    self.insert_prehashed(&k, v, fps[i], idx0[i]);
+                    self.insert_prehashed(&k, v, fps[s], idx0[s]);
                 }
             }
         }
@@ -1071,26 +944,22 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Exclusive access to the bucket store (replica restore/apply).
-    #[cfg(feature = "serde")]
     pub(crate) fn array_mut(&mut self) -> &mut AtomicBucketArray {
         &mut self.array
     }
 
     /// Overwrite the failure counter (replica restore/apply).
-    #[cfg(feature = "serde")]
     pub(crate) fn set_failures(&mut self, failures: u64) {
         *self.failures.get_mut() = failures;
     }
 
     /// The baselines recorded at the last replication cut.
-    #[cfg(feature = "serde")]
     pub(crate) fn replica_cut(&self) -> Option<&crate::replicate::ReplicaCut> {
         self.cut.as_ref()
     }
 
     /// Record a replication cut: clear the dirty map and remember the
     /// baselines the next delta diffs against.
-    #[cfg(feature = "serde")]
     pub(crate) fn set_replica_cut(&mut self, cut: crate::replicate::ReplicaCut) {
         self.array.clear_dirty();
         self.cut = Some(cut);
@@ -1169,7 +1038,6 @@ impl<K: Key> Clear for ConcurrentReliable<K> {
         }
         self.merged = None;
         self.merge_epoch = 0;
-        #[cfg(feature = "serde")]
         {
             self.cut = None;
         }

@@ -216,7 +216,6 @@ impl<K: Key> ShardedReliable<K> {
     /// Reassemble a sketch from individually restored shards (the
     /// replication layer's full-snapshot path). Placement hints and the
     /// steal gauge do not travel: a replica starts unplaced.
-    #[cfg(feature = "serde")]
     pub(crate) fn from_restored_shards(
         shards: Vec<ConcurrentReliable<K>>,
         router_seed: u32,
@@ -277,12 +276,11 @@ impl<K: Key> ShardedReliable<K> {
 
     /// Insert a batch from one caller: order-preserving shard partition,
     /// then each shard's sub-stream through
-    /// [`ConcurrentReliable::insert_batch`] (which carries the `simd`
-    /// lane hashing/prefetch/prescan machinery when the feature is on).
-    /// Keys never share a shard across the partition boundary, so this
-    /// is bit-identical to an in-order [`Self::insert_shared`] loop —
-    /// the same argument that makes [`Self::ingest_parallel`]
-    /// deterministic, pinned by `tests/simd_parity.rs`.
+    /// [`ConcurrentReliable::insert_batch`]. Keys never share a shard
+    /// across the partition boundary, so this is bit-identical to an
+    /// in-order [`Self::insert_shared`] loop — the same argument that
+    /// makes [`Self::ingest_parallel`] deterministic, pinned by
+    /// `tests/simd_parity.rs`.
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         let mut per_shard: Vec<Vec<(K, u64)>> = vec![Vec::new(); self.shards.len()];
         for &(k, v) in items {

@@ -15,14 +15,14 @@
 //! on 20 % of memory with 2-bit counters and 2 arrays.
 
 use crate::geometry::LayerGeometry;
+use serde::{Deserialize, Serialize};
 
 /// Modeled size of one Error-Sensible bucket in bytes: 32-bit `YES` +
 /// 16-bit `NO` + 32-bit `ID` (§6.1.1) = 80 bits = 10 bytes.
 pub const BUCKET_BYTES: usize = 10;
 
 /// How the number of layers is chosen.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Depth {
     /// Derive `d` from the width decay: the last layer is the deepest one
     /// whose nominal (un-ceiled) width is still ≥ 1, clamped to `[7, 32]`.
@@ -32,8 +32,7 @@ pub enum Depth {
 }
 
 /// Mice-filter configuration (§3.3 accuracy optimization, §6.1.1 defaults).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MiceFilterConfig {
     /// Fraction of the total memory budget given to the filter
     /// (paper default: 20 %).
@@ -59,8 +58,7 @@ impl Default for MiceFilterConfig {
 
 /// What to do with the value that survives all `d` layers (an *insertion
 /// failure*, §3.3 "Emergency Solution").
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EmergencyPolicy {
     /// Drop the remainder and only count the failure — the paper's
     /// accuracy-evaluation setting ("chose not to include them in our
@@ -74,8 +72,7 @@ pub enum EmergencyPolicy {
 }
 
 /// Full configuration of a [`crate::ReliableSketch`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReliableConfig {
     /// Total memory budget in bytes (filter + bucket layers).
     pub memory_bytes: usize,
@@ -408,7 +405,6 @@ mod tests {
         ReliableConfig::builder().error_tolerance(0).build_config();
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn config_serde_roundtrip() {
         let config = ReliableConfig {

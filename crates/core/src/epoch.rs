@@ -384,7 +384,6 @@ pub struct EpochedConcurrent<K: Key> {
     /// Epoch index at the last replication cut (see
     /// [`crate::replicate`]): `None` until the window first ships a
     /// delta, after which deltas describe "since epoch `cut_epoch`".
-    #[cfg(feature = "serde")]
     cut_epoch: Option<u64>,
 }
 
@@ -409,7 +408,6 @@ impl<K: Key> EpochedConcurrent<K> {
             epoch: 0,
             top_k: None,
             frozen_topk: None,
-            #[cfg(feature = "serde")]
             cut_epoch: None,
         }
     }
@@ -464,13 +462,11 @@ impl<K: Key> EpochedConcurrent<K> {
     // ---- crate-internal access for the replication layer ----
 
     /// Exclusive access to the active generation (replica apply).
-    #[cfg(feature = "serde")]
     pub(crate) fn active_mut(&mut self) -> &mut ConcurrentReliable<K> {
         &mut self.active
     }
 
     /// Exclusive access to the frozen generation (replica apply).
-    #[cfg(feature = "serde")]
     pub(crate) fn frozen_mut(&mut self) -> Option<&mut ConcurrentReliable<K>> {
         self.frozen.as_mut()
     }
@@ -478,7 +474,6 @@ impl<K: Key> EpochedConcurrent<K> {
     /// Replace the whole window state (full-snapshot restore on a
     /// replica). Resets the replication cut: the installed state is a
     /// fresh baseline.
-    #[cfg(feature = "serde")]
     pub(crate) fn install(
         &mut self,
         active: ConcurrentReliable<K>,
@@ -501,7 +496,6 @@ impl<K: Key> EpochedConcurrent<K> {
     /// counters changed without promotion events, so any summary is
     /// stale). The configured capacity survives, so post-rotation
     /// generations resume tracking.
-    #[cfg(feature = "serde")]
     pub(crate) fn invalidate_top_k(&mut self) {
         self.active.invalidate_top_k();
         if let Some(frozen) = self.frozen.as_mut() {
@@ -511,13 +505,11 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 
     /// Epoch index at the last replication cut.
-    #[cfg(feature = "serde")]
     pub(crate) fn cut_epoch(&self) -> Option<u64> {
         self.cut_epoch
     }
 
     /// Record the replication cut at the current epoch.
-    #[cfg(feature = "serde")]
     pub(crate) fn set_cut_epoch(&mut self) {
         self.cut_epoch = Some(self.epoch);
     }
@@ -529,9 +521,8 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 
     /// Batched insert into the active epoch — delegates to
-    /// [`ConcurrentReliable::insert_batch`], so the `simd` lane
-    /// hashing/prefetch machinery applies per window generation and the
-    /// result is bit-identical to an [`Self::insert_shared`] item loop.
+    /// [`ConcurrentReliable::insert_batch`], so the result is
+    /// bit-identical to an [`Self::insert_shared`] item loop.
     #[inline]
     pub fn insert_batch(&self, items: &[(K, u64)]) {
         self.active.insert_batch(items);
@@ -715,7 +706,6 @@ impl<K: Key> Clear for EpochedConcurrent<K> {
         self.frozen = None;
         self.frozen_topk = None;
         self.epoch = 0;
-        #[cfg(feature = "serde")]
         {
             self.cut_epoch = None;
         }

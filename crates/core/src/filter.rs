@@ -201,7 +201,6 @@ impl MiceFilter {
     }
 
     /// Overwrite counter rows from persisted state (the snapshot module).
-    #[cfg(feature = "serde")]
     pub(crate) fn restore_rows(&mut self, rows: Vec<Vec<u64>>) -> Result<(), String> {
         if rows.len() != self.counters.len() || rows.iter().any(|r| r.len() != self.width) {
             return Err("snapshot filter shape mismatch".into());
@@ -500,7 +499,6 @@ impl AtomicMiceFilter {
     /// # Errors
     /// Describes the problem when `rows` does not match this filter's
     /// logical shape.
-    #[cfg(feature = "serde")]
     pub(crate) fn restore_rows(&mut self, rows: &[Vec<u64>]) -> Result<(), String> {
         if rows.len() != self.arrays || rows.iter().any(|r| r.len() != self.width) {
             return Err("snapshot filter shape mismatch".into());
@@ -517,7 +515,6 @@ impl AtomicMiceFilter {
     /// Describes the offending triple (out-of-range coordinates, or a
     /// value too wide for the physical lanes — deltas never carry merged
     /// counter sums, those paths ship full snapshots).
-    #[cfg(feature = "serde")]
     pub(crate) fn overwrite_counters(&mut self, diffs: &[(u32, u32, u64)]) -> Result<(), String> {
         let mask = self.lane_mask();
         for &(row, idx, v) in diffs {

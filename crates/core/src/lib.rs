@@ -43,14 +43,10 @@
 //!   key subset with a sound [`rsk_api::CertifiedWeight`] interval summed
 //!   from the per-key certified bounds, behind the object-safe
 //!   [`rsk_api::SubpopulationWeight`] trait on every sketch flavour;
-//! * [`simd`] — the vectorized single-core ingest machinery (`simd`
-//!   feature): multi-lane batch hashing, ×4 packed-word prescan,
-//!   software prefetch and the branchless CAS step, bit-identical to the
-//!   scalar fallback by construction and by differential test;
 //! * [`merge`] — distributed aggregation: [`rsk_api::Merge`] for the
 //!   sequential sketch, both concurrent types, and mixed
 //!   sequential→concurrent folds;
-//! * [`replicate`] (`serde` feature) — the replication layer: a compact
+//! * [`replicate`] — the replication layer: a compact
 //!   binary codec with versioned headers, full snapshots for every
 //!   sketch type, dirty-bitmap deltas that ship only the buckets touched
 //!   since the last cut, and [`replicate::SlimSummary`] query-only
@@ -90,10 +86,8 @@ pub mod epoch;
 pub mod filter;
 pub mod geometry;
 pub mod merge;
-#[cfg(feature = "serde")]
 pub mod replicate;
 pub mod schedule;
-pub mod simd;
 pub mod sketch;
 pub mod stats;
 pub mod subpop;
@@ -111,7 +105,6 @@ pub use epoch::{EpochedConcurrent, EpochedReliable};
 pub use filter::{AtomicMiceFilter, MiceFilter};
 pub use geometry::LayerGeometry;
 pub use merge::merge_all;
-#[cfg(feature = "serde")]
 pub use replicate::{SketchSnapshot, SlimShards, SlimSummary};
 pub use schedule::ShardPlacement;
 pub use sketch::ReliableSketch;

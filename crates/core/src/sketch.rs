@@ -302,12 +302,8 @@ impl<K: Key> ReliableSketch<K> {
     /// batched and item-at-a-time paths are interchangeable. With a mice
     /// filter configured, the filter hashes first and absorbs most items,
     /// so the batch path degrades gracefully to the plain loop there.
-    ///
-    /// With the `simd` feature on, the layer-0 prefix hashes four lanes
-    /// at a time and upcoming bucket lines are software-prefetched
-    /// [`crate::simd::PREFETCH_DISTANCE`] items ahead; items are still
-    /// applied in stream order, so results stay bit-identical to the
-    /// scalar fallback (pinned by `tests/simd_parity.rs`).
+    /// `tests/simd_parity.rs` pins the batched path bit-identical to the
+    /// item loop.
     ///
     /// Returns the number of insertion failures within the batch.
     pub fn insert_batch(&mut self, items: &[(K, u64)]) -> u64 {
@@ -324,17 +320,10 @@ impl<K: Key> ReliableSketch<K> {
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         for chunk in items.chunks(CHUNK) {
-            let n = chunk.len();
-            crate::simd::layer0_indexes(&self.hashes, chunk, w0, &mut idx0[..n]);
+            for (slot, (k, _)) in idx0.iter_mut().zip(chunk) {
+                *slot = self.hashes.index(0, k, w0);
+            }
             for (s, &(k, v)) in chunk.iter().enumerate() {
-                if crate::simd::ENABLED && s + crate::simd::PREFETCH_DISTANCE < n {
-                    // safe software prefetch: a discarded read of the
-                    // upcoming bucket line (never a write, so results
-                    // cannot change)
-                    core::hint::black_box(
-                        self.layers[0][idx0[s + crate::simd::PREFETCH_DISTANCE]].yes(),
-                    );
-                }
                 if v > 0 && self.insert_traced_at(&k, v, Some(idx0[s])).stop == StopLayer::Failed {
                     failed += 1;
                 }

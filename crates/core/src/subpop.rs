@@ -309,7 +309,6 @@ impl SubpopulationWeight for EpochedConcurrent<u64> {
 /// sets are *enumeration-limited*: the digest holds fingerprints, not
 /// keys, so no tracked inventory exists and the answer is vacuous
 /// (`hi = u64::MAX` — sound, excludes nothing).
-#[cfg(feature = "serde")]
 impl SubpopulationWeight for crate::replicate::SlimSummary {
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
@@ -553,7 +552,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn slim_digest_answers_dense_queries() {
         use crate::replicate::SlimSummary;

@@ -162,8 +162,9 @@ pub trait ContenderInstance {
     fn ingest(&mut self, stream: &[Item<u64>]);
 
     /// Feed a whole stream through the contender's *single-core batched*
-    /// hot path (the SIMD/cache-conscious `insert_batch` machinery),
-    /// `batch` items at a time. Returns `false` when the contender has
+    /// hot path (`insert_batch`: a scalar layer-0 hash prefix per
+    /// 64-item chunk, then the in-order item walk), `batch` items at a
+    /// time. Returns `false` when the contender has
     /// no batched surface (baselines, the Tofino model) — callers report
     /// the throughput column as unsupported. Probing with an empty
     /// stream is side-effect-free.

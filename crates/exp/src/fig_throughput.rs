@@ -18,8 +18,7 @@ use rsk_metrics::throughput::time_mpps;
 use rsk_metrics::Table;
 use rsk_stream::Dataset;
 
-/// Batch size of the single-core batched-ingest column (matches the
-/// `simd_ingest` bench's largest lane).
+/// Batch size of the single-core batched-ingest column.
 const BATCH: usize = 1024;
 
 /// Figure 10: throughput of all contenders.
@@ -71,10 +70,10 @@ pub fn fig10(ctx: &ExpContext) -> Vec<Table> {
         if sink == u64::MAX {
             eprintln!("improbable checksum {sink}");
         }
-        // the single-core batched hot path (SIMD lane hashing + prescan +
-        // prefetch when built with `--features simd`), on a fresh twin so
-        // neither measurement pollutes the other; "—" where the
-        // contender has no batched surface
+        // the single-core batched hot path (the layer-0 hash prefix per
+        // chunk, then the in-order walk), on a fresh twin so neither
+        // measurement pollutes the other; "—" where the contender has no
+        // batched surface
         let mut twin = c.build(mem, ctx.seed);
         let batched = if twin.ingest_batched(&[], BATCH) {
             let mpps = time_mpps(sc.stream.len(), || {

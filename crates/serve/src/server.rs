@@ -105,7 +105,8 @@ impl ServerStats {
         self.rejected_batches.load(Ordering::Relaxed)
     }
 
-    /// Connections refused at the connection ceiling.
+    /// Connections refused: at the connection ceiling, or because no
+    /// handler thread could be spawned for them.
     pub fn rejected_connections(&self) -> u64 {
         self.rejected_connections.load(Ordering::Relaxed)
     }
@@ -129,6 +130,9 @@ struct Shared {
     live_connections: AtomicUsize,
     max_connections: usize,
     max_batch: usize,
+    /// Handles of connection threads not yet seen finished; each accept
+    /// reaps the finished ones, so this tracks the live connections
+    /// rather than every connection ever served.
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -159,21 +163,28 @@ impl ServerHandle {
             conn_handles: Mutex::new(Vec::new()),
         });
         let listener = Arc::new(listener);
-        let accept_handles = (0..threads.max(1))
-            .map(|i| {
-                let listener = Arc::clone(&listener);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("rsk-serve-accept-{i}"))
-                    .spawn(move || accept_loop(&listener, &shared, addr))
-                    .expect("spawn accept thread")
-            })
-            .collect();
-        Ok(Self {
+        let mut server = Self {
             addr,
             shared,
-            accept_handles,
-        })
+            accept_handles: Vec::new(),
+        };
+        for i in 0..threads.max(1) {
+            let listener = Arc::clone(&listener);
+            let shared = Arc::clone(&server.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("rsk-serve-accept-{i}"))
+                .spawn(move || accept_loop(&listener, &shared, addr));
+            match spawned {
+                Ok(handle) => server.accept_handles.push(handle),
+                Err(e) => {
+                    // stop the accept threads already running, so a
+                    // failed start leaves no thread or bound port behind
+                    server.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The address the server actually bound (resolves port 0).
@@ -264,14 +275,30 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, addr: SocketAddr) {
         }
         shared.live_connections.fetch_add(1, Ordering::SeqCst);
         let shared2 = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("rsk-serve-conn".into())
             .spawn(move || {
                 let _ = handle_connection(stream, &shared2, addr);
                 shared2.live_connections.fetch_sub(1, Ordering::SeqCst);
-            })
-            .expect("spawn connection thread");
-        shared.conn_handles.lock().push(handle);
+            });
+        match spawned {
+            Ok(handle) => {
+                let mut handles = shared.conn_handles.lock();
+                for done in handles.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
+                handles.push(handle);
+            }
+            Err(_) => {
+                // the unspawned closure dropped the stream, closing the
+                // connection: give its slot back and keep accepting
+                shared.live_connections.fetch_sub(1, Ordering::SeqCst);
+                shared
+                    .stats
+                    .rejected_connections
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -628,6 +655,28 @@ mod tests {
         drop((src, dst));
         primary.shutdown();
         replica.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let server = ServerHandle::start(tiny()).unwrap();
+        let shared = Arc::clone(&server.shared);
+        for i in 0..200u64 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            assert_eq!(client.ingest(1, &[(i, 1)]).unwrap(), 1);
+            drop(client);
+            // the handler sees the hang-up before the next accept
+            while shared.live_connections.load(Ordering::SeqCst) > 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let retained = shared.conn_handles.lock().len();
+        let live = shared.live_connections.load(Ordering::SeqCst);
+        assert!(
+            retained <= live + 8,
+            "{retained} connection handles kept for {live} live connections"
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! SIMD ≡ scalar, bit-for-bit (ISSUE 9).
+//! Batched ingest ≡ item loop, bit-for-bit.
 //!
-//! The `simd` feature vectorizes the batched ingest prefix (×4 lane
-//! hashing, packed-word prescan, software prefetch, branchless CAS
-//! step). Its non-negotiable contract is that results are **bit-identical
-//! to the scalar item loop** — same answers, same certified intervals,
-//! same filter state, same emergency entries, same stats accounting.
-//! This suite pins exactly that, with the same discipline as
-//! `tests/work_stealing.rs`: every batched flavour is compared against a
-//! sequential one-item-at-a-time oracle over the same stream.
-//!
-//! The suite is meaningful in *both* feature configurations — with
-//! `--features simd` it proves the vectorized path equals the item loop;
-//! without, it proves the scalar fallback (the same call graph, scalar
-//! branches) cannot rot away from the item loop. CI runs both legs.
+//! Every sketch flavour has a batched ingest path (`insert_batch` /
+//! `ingest_batched`) that hashes the layer-0 prefix of each 64-item
+//! chunk in one tight loop before applying the items. Its contract is
+//! that results are **bit-identical to the scalar item loop** — same
+//! answers, same certified intervals, same filter state, same emergency
+//! entries, same stats accounting. This suite pins exactly that, with
+//! the same discipline as `tests/work_stealing.rs`: every batched
+//! flavour is compared against a sequential one-item-at-a-time oracle
+//! over the same stream. (The file name predates the removal of the
+//! vectorized variant of the batch prefix; the contract is unchanged.)
 //! Property-test depth honors `PROPTEST_CASES` (the suites below use the
 //! default proptest config, which reads it).
 
 use proptest::prelude::*;
-use reliablesketch::core::simd;
 use reliablesketch::core::{ConcurrentReliable, EpochedConcurrent, MiceFilterConfig};
 use reliablesketch::hash::HashFamily;
 use reliablesketch::prelude::*;
@@ -101,8 +97,7 @@ proptest! {
     }
 
     /// `ConcurrentReliable`: batched ingest ≡ `insert_concurrent` loop,
-    /// including the top-K layer (whose presence must disable the
-    /// prescan fast path without changing anything observable).
+    /// with and without the mice filter and the top-K layer.
     #[test]
     fn prop_concurrent_batched_equals_item_loop(
         ops in proptest::collection::vec((0u64..300, 0u64..6), 1..1200),
@@ -262,7 +257,7 @@ fn colliding_keys(seed: u64, width: usize, n: usize) -> Vec<u64> {
 /// Adversarial near-collision stream: heavy values concentrated on one
 /// layer-0 bucket. Saturation ordering, lock diversions and emergency
 /// entries must all match the item loop exactly — this is the stream
-/// where an out-of-order or stale-prescan bug would surface.
+/// where an out-of-order apply bug would surface.
 #[test]
 fn adversarial_near_collisions_stay_bit_identical() {
     let cfg = config(16 * 1024, 23, true);
@@ -339,16 +334,4 @@ fn ingest_batched_partial_flush_on_concurrent_flavours() {
             n
         );
     }
-}
-
-/// The backend the build compiled in matches the cargo feature, so the
-/// CI matrix legs actually exercise both configurations.
-#[test]
-fn backend_matches_feature_flag() {
-    assert_eq!(simd::ENABLED, cfg!(feature = "simd"));
-    assert_eq!(
-        simd::backend(),
-        if simd::ENABLED { "lanes-x4" } else { "scalar" }
-    );
-    const { assert!(simd::LANES >= 2 && simd::PREFETCH_DISTANCE >= simd::LANES) };
 }
