@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rsk_api::{ErrorSensing, StreamSummary};
 use rsk_core::epoch::EpochedReliable;
-use rsk_core::{EmergencyPolicy, ReliableSketch};
+use rsk_core::{EmergencyPolicy, ReliableSketch, SketchSnapshot};
 use rsk_stream::Dataset;
 
 const SEED: u64 = 9090;
@@ -94,17 +94,17 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     for it in &stream {
         sk.insert(&it.key, it.value);
     }
-    let json = serde_json::to_string(&sk.snapshot()).unwrap();
+    let bytes = sk.snapshot().to_bytes();
 
     let mut group = c.benchmark_group("extensions/snapshot");
-    group.throughput(Throughput::Bytes(json.len() as u64));
-    group.bench_function("capture_and_serialize", |bench| {
-        bench.iter(|| serde_json::to_string(&sk.snapshot()).unwrap().len())
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("capture_and_encode", |bench| {
+        bench.iter(|| sk.snapshot().to_bytes().len())
     });
-    group.bench_function("parse_and_restore", |bench| {
+    group.bench_function("decode_and_restore", |bench| {
         bench.iter(|| {
-            let parsed = serde_json::from_str(&json).unwrap();
-            ReliableSketch::<u64>::restore(parsed).unwrap()
+            let decoded = SketchSnapshot::<u64>::from_bytes(&bytes).unwrap();
+            ReliableSketch::<u64>::restore(decoded).unwrap()
         })
     });
     group.finish();

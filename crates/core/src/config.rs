@@ -15,14 +15,13 @@
 //! on 20 % of memory with 2-bit counters and 2 arrays.
 
 use crate::geometry::LayerGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Modeled size of one Error-Sensible bucket in bytes: 32-bit `YES` +
 /// 16-bit `NO` + 32-bit `ID` (§6.1.1) = 80 bits = 10 bytes.
 pub const BUCKET_BYTES: usize = 10;
 
 /// How the number of layers is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Depth {
     /// Derive `d` from the width decay: the last layer is the deepest one
     /// whose nominal (un-ceiled) width is still ≥ 1, clamped to `[7, 32]`.
@@ -32,7 +31,7 @@ pub enum Depth {
 }
 
 /// Mice-filter configuration (§3.3 accuracy optimization, §6.1.1 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MiceFilterConfig {
     /// Fraction of the total memory budget given to the filter
     /// (paper default: 20 %).
@@ -58,7 +57,7 @@ impl Default for MiceFilterConfig {
 
 /// What to do with the value that survives all `d` layers (an *insertion
 /// failure*, §3.3 "Emergency Solution").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmergencyPolicy {
     /// Drop the remainder and only count the failure — the paper's
     /// accuracy-evaluation setting ("chose not to include them in our
@@ -72,7 +71,7 @@ pub enum EmergencyPolicy {
 }
 
 /// Full configuration of a [`crate::ReliableSketch`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliableConfig {
     /// Total memory budget in bytes (filter + bucket layers).
     pub memory_bytes: usize,
@@ -403,20 +402,6 @@ mod tests {
     #[should_panic(expected = "invalid ReliableConfig")]
     fn build_config_panics_on_invalid() {
         ReliableConfig::builder().error_tolerance(0).build_config();
-    }
-
-    #[test]
-    fn config_serde_roundtrip() {
-        let config = ReliableConfig {
-            memory_bytes: 123_456,
-            lambda: 42,
-            depth: Depth::Fixed(9),
-            emergency: EmergencyPolicy::SpaceSaving(77),
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&config).unwrap();
-        let back: ReliableConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config, back);
     }
 
     #[test]

@@ -1,42 +1,38 @@
-//! The replication layer's binary codec: a compact, self-describing
-//! encoding of the serde shim's [`Value`] tree.
+//! The replication layer's binary codec: framed, typed, positional.
 //!
 //! Frame layout: 4-byte magic `RSKB`, format version (`u8`), payload
-//! kind (`u8`), then one tagged value. Tags are one byte; integers use
-//! LEB128 (zigzag for signed), floats their IEEE-754 bits little-endian,
-//! strings and containers a LEB128 length/count prefix. The encoding is
-//! 3–6× smaller than the JSON the checkpoint path historically shipped
-//! and — unlike JSON — names what it carries, so the apply side can
-//! dispatch snapshot vs. delta vs. slim without out-of-band signaling.
+//! kind (`u8`), then the payload's fields in declaration order. Nothing
+//! in the body is tagged or named — the kind byte fixes the payload
+//! type, and the type fixes the layout:
+//!
+//! * integers are minimal LEB128;
+//! * an `f64` is its IEEE-754 bits, little-endian;
+//! * a `bool` or an `Option`'s presence flag is one byte, 0 or 1 —
+//!   except the optional fingerprint of a sparse bucket row
+//!   ([`super::SparseBucketRows`]), one varint: 0 for none, otherwise
+//!   the fingerprint plus one;
+//! * an enum is one tag byte, then its variant's fields;
+//! * a sequence is a LEB128 count, then its elements;
+//! * a key is its fixed-width little-endian byte form
+//!   ([`rsk_hash::HashKey::put_le`]), the bytes its hash digests.
 //!
 //! Decoding is **total**: truncation maps to
 //! [`ReplicateError::Truncated`], a foreign version byte to
 //! [`ReplicateError::UnsupportedFormat`], and anything else malformed
-//! (bad magic, unknown tags, overlong varints, invalid UTF-8, trailing
-//! bytes, absurd nesting) to [`ReplicateError::Corrupt`]. No input of
-//! any shape panics.
+//! (bad magic, an unknown kind or enum tag, a flag byte other than 0 or
+//! 1, an overlong or overflowing varint, an integer too large for its
+//! field, trailing bytes) to [`ReplicateError::Corrupt`]. No input of
+//! any shape panics. Every value has exactly one encoding, so a payload
+//! that decodes re-encodes bit-identically.
 
-use rsk_api::ReplicateError;
-use serde::value::Value;
-use serde::{de::DeserializeOwned, Serialize};
+use crate::config::{Depth, EmergencyPolicy, MiceFilterConfig, ReliableConfig};
+use rsk_api::{Key, ReplicateError};
 
 /// Leading magic of every replication payload.
 const MAGIC: [u8; 4] = *b"RSKB";
-/// Current format version.
-const VERSION: u8 = 1;
-/// Nesting ceiling for decoding — far above any real payload (which
-/// nests < 10 deep), low enough that hostile input cannot blow the
-/// stack.
-const MAX_DEPTH: u32 = 128;
-
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_UINT: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_F64: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_SEQ: u8 = 6;
-const TAG_MAP: u8 = 7;
+/// Current format version. Version 1 encoded a tagged value tree with
+/// field names; the two versions refuse each other's payloads.
+const VERSION: u8 = 2;
 
 /// What a replication payload carries — byte 6 of the frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,50 +131,78 @@ pub fn payload_kind(bytes: &[u8]) -> Result<PayloadKind, ReplicateError> {
     PayloadKind::from_byte(bytes[5])
 }
 
-/// Serialize `value` into a framed binary payload of the given kind.
-pub(crate) fn to_bytes<T: Serialize + ?Sized>(kind: PayloadKind, value: &T) -> Vec<u8> {
+/// Encode `value` into a framed binary payload of the given kind.
+pub(crate) fn to_bytes<T: Wire>(kind: PayloadKind, value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind.as_byte());
-    encode_value(&value.to_value(), &mut out);
+    value.put(&mut out);
     out
 }
 
 /// Decode a framed payload that must carry `expected`, rejecting any
-/// other kind as [`ReplicateError::Incompatible`].
-pub(crate) fn from_bytes<T: DeserializeOwned>(
+/// other kind as [`ReplicateError::Incompatible`] and any byte left
+/// over as [`ReplicateError::Corrupt`].
+pub(crate) fn from_bytes<T: Wire>(
     expected: PayloadKind,
     bytes: &[u8],
 ) -> Result<T, ReplicateError> {
-    let (kind, value) = decode(bytes)?;
+    let kind = payload_kind(bytes)?;
     if kind != expected {
         return Err(ReplicateError::Incompatible(format!(
             "expected a {expected} payload, got a {kind}"
         )));
     }
-    T::from_value(&value).map_err(|e| ReplicateError::Corrupt(e.0))
-}
-
-/// Decode a framed payload into its kind and value tree, enforcing that
-/// every byte is consumed.
-pub(crate) fn decode(bytes: &[u8]) -> Result<(PayloadKind, Value), ReplicateError> {
-    let kind = payload_kind(bytes)?;
     let mut r = Reader {
         bytes: &bytes[6..],
         pos: 0,
     };
-    let value = r.value(0)?;
+    let value = T::get(&mut r)?;
     if r.pos != r.bytes.len() {
         return Err(ReplicateError::Corrupt(format!(
             "{} trailing bytes after the payload",
             r.bytes.len() - r.pos
         )));
     }
-    Ok((kind, value))
+    Ok(value)
 }
 
-// ------------------------------------------------------------- encoding
+/// A value with a positional RSKB encoding.
+pub(crate) trait Wire: Sized {
+    /// Append the encoding to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Decode one value, consuming exactly the bytes [`Wire::put`] wrote.
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError>;
+}
+
+/// Implement [`Wire`] for a struct as its fields, in the order listed —
+/// by convention, declaration order.
+macro_rules! wire_struct {
+    ($name:ident $(<$k:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$k: rsk_api::Key>)? $crate::replicate::codec::Wire for $name$(<$k>)? {
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::replicate::codec::Wire::put(&self.$field, out);)+
+            }
+            fn get(
+                r: &mut $crate::replicate::codec::Reader<'_>,
+            ) -> Result<Self, rsk_api::ReplicateError> {
+                Ok(Self {
+                    $($field: $crate::replicate::codec::Wire::get(r)?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+/// Append a sequence: its count, then each element through `item`.
+pub(crate) fn put_seq<T>(items: &[T], out: &mut Vec<u8>, mut item: impl FnMut(&T, &mut Vec<u8>)) {
+    put_uleb(items.len() as u64, out);
+    for x in items {
+        item(x, out);
+    }
+}
 
 fn put_uleb(mut n: u64, out: &mut Vec<u8>) {
     loop {
@@ -192,68 +216,199 @@ fn put_uleb(mut n: u64, out: &mut Vec<u8>) {
     }
 }
 
-#[inline]
-fn zigzag(n: i64) -> u64 {
-    ((n << 1) ^ (n >> 63)) as u64
+impl Wire for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_uleb(*self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        r.uleb()
+    }
 }
 
-#[inline]
-fn unzigzag(n: u64) -> i64 {
-    ((n >> 1) as i64) ^ -((n & 1) as i64)
+impl Wire for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_uleb(u64::from(*self), out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        u32::try_from(r.uleb()?)
+            .map_err(|_| ReplicateError::Corrupt("integer overflows u32".into()))
+    }
 }
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::UInt(n) => {
-            out.push(TAG_UINT);
-            put_uleb(*n, out);
-        }
-        Value::Int(n) => {
-            out.push(TAG_INT);
-            put_uleb(zigzag(*n), out);
-        }
-        Value::Float(f) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_uleb(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            put_uleb(items.len() as u64, out);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            put_uleb(entries.len() as u64, out);
-            for (k, item) in entries {
-                put_uleb(k.len() as u64, out);
-                out.extend_from_slice(k.as_bytes());
-                encode_value(item, out);
-            }
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_uleb(*self as u64, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        usize::try_from(r.uleb()?)
+            .map_err(|_| ReplicateError::Corrupt("integer overflows usize".into()))
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        let mut bits = [0u8; 8];
+        bits.copy_from_slice(r.take(8)?);
+        Ok(f64::from_bits(u64::from_le_bytes(bits)))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        match r.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ReplicateError::Corrupt(format!(
+                "invalid flag byte {other}"
+            ))),
         }
     }
 }
 
-// ------------------------------------------------------------- decoding
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(x) = self {
+            x.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+}
 
-struct Reader<'a> {
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self, out, T::put);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        r.seq(T::get)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$i.put(out);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A 0, B 1, C 2);
+
+/// A live word row: `(index, fingerprint, yes, no)`.
+impl Wire for (u32, u64, u64, u64) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+        self.3.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        Ok((Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?))
+    }
+}
+
+/// A sparse bucket row: `(index, fingerprint, yes, no)` with the
+/// fingerprint folded into one varint, 0 for none and otherwise the
+/// fingerprint plus one, so a row costs no more than a live word's.
+/// Fingerprints are 24-bit, so the shift never wraps for a real bucket.
+impl Wire for (u32, Option<u64>, u64, u64) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.map_or(0, |fp| fp.wrapping_add(1)).put(out);
+        self.2.put(out);
+        self.3.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        let index = Wire::get(r)?;
+        let id = u64::get(r)?.checked_sub(1);
+        Ok((index, id, Wire::get(r)?, Wire::get(r)?))
+    }
+}
+
+impl Wire for Depth {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Depth::Auto => out.push(0),
+            Depth::Fixed(d) => {
+                out.push(1);
+                d.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        match r.byte()? {
+            0 => Ok(Depth::Auto),
+            1 => Ok(Depth::Fixed(Wire::get(r)?)),
+            other => Err(bad_tag("depth", other)),
+        }
+    }
+}
+
+impl Wire for EmergencyPolicy {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            EmergencyPolicy::Disabled => out.push(0),
+            EmergencyPolicy::ExactTable => out.push(1),
+            EmergencyPolicy::SpaceSaving(slots) => {
+                out.push(2);
+                slots.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        match r.byte()? {
+            0 => Ok(EmergencyPolicy::Disabled),
+            1 => Ok(EmergencyPolicy::ExactTable),
+            2 => Ok(EmergencyPolicy::SpaceSaving(Wire::get(r)?)),
+            other => Err(bad_tag("emergency policy", other)),
+        }
+    }
+}
+
+wire_struct!(MiceFilterConfig {
+    memory_fraction,
+    counter_bits,
+    arrays,
+});
+
+wire_struct!(ReliableConfig {
+    memory_bytes,
+    lambda,
+    r_w,
+    r_lambda,
+    depth,
+    mice_filter,
+    emergency,
+    lambda_floor_one,
+    seed,
+});
+
+/// The error for an enum tag byte no variant claims.
+pub(crate) fn bad_tag(what: &str, tag: u8) -> ReplicateError {
+    ReplicateError::Corrupt(format!("invalid {what} tag {tag}"))
+}
+
+/// Cursor over a payload body.
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn byte(&mut self) -> Result<u8, ReplicateError> {
+    pub(crate) fn byte(&mut self) -> Result<u8, ReplicateError> {
         let b = *self.bytes.get(self.pos).ok_or(ReplicateError::Truncated)?;
         self.pos += 1;
         Ok(b)
@@ -270,9 +425,9 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// LEB128 `u64`, rejecting encodings longer than 10 bytes or with
-    /// overflowing high bits (each valid value has exactly one encoding
-    /// length we accept, plus padded-zero forms we reject as corrupt).
+    /// Minimal LEB128 `u64`: rejects encodings longer than 10 bytes,
+    /// overflowing high bits and padded forms (a final zero group), so
+    /// each value has exactly one accepted encoding.
     fn uleb(&mut self) -> Result<u64, ReplicateError> {
         let mut n = 0u64;
         for i in 0..10 {
@@ -283,6 +438,11 @@ impl<'a> Reader<'a> {
             }
             n |= bits << (7 * i);
             if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(ReplicateError::Corrupt(
+                        "varint is not in its shortest form".into(),
+                    ));
+                }
                 return Ok(n);
             }
         }
@@ -291,9 +451,8 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// A length/count prefix: additionally bounded by the bytes that
-    /// remain, since every counted element occupies at least one byte —
-    /// a hostile count can never trigger an oversized allocation.
+    /// A count prefix: additionally bounded by the bytes that remain,
+    /// since every element occupies at least one byte.
     fn count(&mut self) -> Result<usize, ReplicateError> {
         let n = self.uleb()?;
         let remaining = (self.bytes.len() - self.pos) as u64;
@@ -303,116 +462,76 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn string(&mut self) -> Result<String, ReplicateError> {
-        let len = self.count()?;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| ReplicateError::Corrupt("invalid UTF-8 in string".into()))
+    /// A counted sequence, each element decoded by `item`. The up-front
+    /// reservation never exceeds the bytes that remain: an element in
+    /// memory can be far larger than its one-byte minimum on the wire,
+    /// so a hostile count in a short body must not size the allocation.
+    pub(crate) fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ReplicateError>,
+    ) -> Result<Vec<T>, ReplicateError> {
+        let n = self.count()?;
+        let remaining = self.bytes.len() - self.pos;
+        let mut out = Vec::with_capacity(n.min(remaining / std::mem::size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
-    fn value(&mut self, depth: u32) -> Result<Value, ReplicateError> {
-        if depth > MAX_DEPTH {
-            return Err(ReplicateError::Corrupt("payload nests too deeply".into()));
-        }
-        Ok(match self.byte()? {
-            TAG_NULL => Value::Null,
-            TAG_BOOL => match self.byte()? {
-                0 => Value::Bool(false),
-                1 => Value::Bool(true),
-                other => {
-                    return Err(ReplicateError::Corrupt(format!(
-                        "invalid bool byte {other}"
-                    )))
-                }
-            },
-            TAG_UINT => Value::UInt(self.uleb()?),
-            TAG_INT => Value::Int(unzigzag(self.uleb()?)),
-            TAG_F64 => {
-                let raw = self.take(8)?;
-                let mut bits = [0u8; 8];
-                bits.copy_from_slice(raw);
-                Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
-            }
-            TAG_STR => Value::Str(self.string()?),
-            TAG_SEQ => {
-                let n = self.count()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(self.value(depth + 1)?);
-                }
-                Value::Seq(items)
-            }
-            TAG_MAP => {
-                let n = self.count()?;
-                let mut entries = Vec::new();
-                for _ in 0..n {
-                    let k = self.string()?;
-                    let v = self.value(depth + 1)?;
-                    entries.push((k, v));
-                }
-                Value::Map(entries)
-            }
-            other => {
-                return Err(ReplicateError::Corrupt(format!(
-                    "unknown value tag {other}"
-                )))
-            }
-        })
+    /// A key in its fixed-width byte form.
+    pub(crate) fn key<K: Key>(&mut self) -> Result<K, ReplicateError> {
+        K::from_le(self.take(K::BYTES)?)
+            .ok_or_else(|| ReplicateError::Corrupt("malformed key bytes".into()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replicate::{
+        ConcurrentDelta, ConcurrentSnapshot, EpochedDelta, EpochedSnapshot, ShardedDelta,
+        ShardedSnapshot, SketchSnapshot, SlimShards, SlimSummary,
+    };
+    use crate::ReliableSketch;
     use proptest::prelude::*;
+    use rsk_api::StreamSummary;
 
-    fn roundtrip(v: Value) {
-        let bytes = to_bytes(PayloadKind::SlimSummary, &Shim(v.clone()));
-        let (kind, back) = decode(&bytes).unwrap();
-        assert_eq!(kind, PayloadKind::SlimSummary);
-        assert_eq!(back, v);
-    }
-
-    /// Serialize an already-built value tree verbatim.
-    struct Shim(Value);
-    impl Serialize for Shim {
-        fn to_value(&self) -> Value {
-            self.0.clone()
+    /// A small but fully populated typed payload.
+    fn snapshot_bytes() -> Vec<u8> {
+        let mut sk = ReliableSketch::<u64>::builder()
+            .memory_bytes(2 * 1024)
+            .error_tolerance(25)
+            .seed(3)
+            .build::<u64>();
+        for i in 0..600u64 {
+            sk.insert(&(i % 90), 1 + i % 4);
         }
+        sk.snapshot().to_bytes()
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
-        roundtrip(Value::Null);
-        roundtrip(Value::Bool(true));
-        roundtrip(Value::Bool(false));
-        roundtrip(Value::UInt(0));
-        roundtrip(Value::UInt(u64::MAX));
-        roundtrip(Value::Int(-1));
-        roundtrip(Value::Int(i64::MIN));
-        roundtrip(Value::Float(2.5));
-        roundtrip(Value::Str("héllo\nworld".into()));
-        roundtrip(Value::Seq(vec![Value::UInt(1), Value::Null]));
-        roundtrip(Value::Map(vec![
-            ("a".into(), Value::Seq(vec![])),
-            ("b".into(), Value::Map(vec![("c".into(), Value::Int(-3))])),
-        ]));
-    }
-
-    #[test]
-    fn nan_bits_survive() {
-        let bytes = to_bytes(PayloadKind::SlimSummary, &Shim(Value::Float(f64::NAN)));
-        match decode(&bytes).unwrap().1 {
-            Value::Float(f) => assert!(f.is_nan()),
-            other => panic!("expected a float, got {other:?}"),
-        }
+    /// Decode `bytes` as every payload type (each must be total).
+    fn decode_as_every_payload(bytes: &[u8]) {
+        let _ = payload_kind(bytes);
+        let _ = from_bytes::<SketchSnapshot<u64>>(PayloadKind::SequentialSnapshot, bytes);
+        let _ = from_bytes::<SketchSnapshot<[u8; 13]>>(PayloadKind::SequentialSnapshot, bytes);
+        let _ = from_bytes::<ConcurrentSnapshot<u64>>(PayloadKind::ConcurrentSnapshot, bytes);
+        let _ = from_bytes::<EpochedSnapshot<u64>>(PayloadKind::EpochedSnapshot, bytes);
+        let _ = from_bytes::<ShardedSnapshot<u32>>(PayloadKind::ShardedSnapshot, bytes);
+        let _ = from_bytes::<SlimSummary>(PayloadKind::SlimSummary, bytes);
+        let _ = from_bytes::<ConcurrentDelta<u64>>(PayloadKind::ConcurrentDelta, bytes);
+        let _ = from_bytes::<EpochedDelta<u128>>(PayloadKind::EpochedDelta, bytes);
+        let _ = from_bytes::<ShardedDelta<u64>>(PayloadKind::ShardedDelta, bytes);
+        let _ = from_bytes::<SlimShards>(PayloadKind::ShardedSlim, bytes);
     }
 
     #[test]
     fn header_is_checked() {
-        let good = to_bytes(PayloadKind::ConcurrentDelta, &Shim(Value::Null));
-        assert_eq!(payload_kind(&good).unwrap(), PayloadKind::ConcurrentDelta);
+        let good = snapshot_bytes();
+        assert_eq!(
+            payload_kind(&good).unwrap(),
+            PayloadKind::SequentialSnapshot
+        );
 
         assert_eq!(payload_kind(&good[..5]), Err(ReplicateError::Truncated));
         let mut bad_magic = good.clone();
@@ -421,12 +540,18 @@ mod tests {
             payload_kind(&bad_magic),
             Err(ReplicateError::Corrupt(_))
         ));
-        let mut future = good.clone();
-        future[4] = 9;
-        assert_eq!(
-            payload_kind(&future),
-            Err(ReplicateError::UnsupportedFormat { version: 9 })
-        );
+        for version in [1, 9] {
+            let mut foreign = good.clone();
+            foreign[4] = version;
+            assert_eq!(
+                payload_kind(&foreign),
+                Err(ReplicateError::UnsupportedFormat { version })
+            );
+            assert_eq!(
+                SketchSnapshot::<u64>::from_bytes(&foreign).unwrap_err(),
+                ReplicateError::UnsupportedFormat { version }
+            );
+        }
         let mut alien_kind = good;
         alien_kind[5] = 200;
         assert!(matches!(
@@ -437,73 +562,141 @@ mod tests {
 
     #[test]
     fn every_truncation_is_rejected() {
-        let bytes = to_bytes(
-            PayloadKind::SlimSummary,
-            &Shim(Value::Map(vec![
-                (
-                    "xs".into(),
-                    Value::Seq(vec![Value::UInt(300), Value::Str("s".into())]),
-                ),
-                ("f".into(), Value::Float(1.25)),
-            ])),
-        );
+        let bytes = snapshot_bytes();
         for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+            assert!(
+                SketchSnapshot::<u64>::from_bytes(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes"
+            );
         }
         // and trailing garbage after a valid payload
         let mut padded = bytes;
         padded.push(0);
-        assert!(matches!(decode(&padded), Err(ReplicateError::Corrupt(_))));
+        assert!(matches!(
+            SketchSnapshot::<u64>::from_bytes(&padded),
+            Err(ReplicateError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn hostile_counts_and_varints_are_rejected() {
-        // a sequence claiming 2^40 elements in a 3-byte body
-        let mut bytes = to_bytes(PayloadKind::SlimSummary, &Shim(Value::Null));
-        bytes.truncate(6);
-        bytes.push(TAG_SEQ);
-        bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]);
-        assert!(decode(&bytes).is_err());
+        let header = &snapshot_bytes()[..6];
+        // a width list claiming 2^40 entries in a short body; the
+        // config in front of it is valid
+        let mut bytes = header.to_vec();
+        ReliableConfig::default().put(&mut bytes);
+        bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+        bytes.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            SketchSnapshot::<u64>::from_bytes(&bytes).unwrap_err(),
+            ReplicateError::Truncated
+        );
 
-        // an 11-byte varint
-        let mut long = to_bytes(PayloadKind::SlimSummary, &Shim(Value::Null));
-        long.truncate(6);
-        long.push(TAG_UINT);
+        // an 11-byte varint where the config's first integer belongs
+        let mut long = header.to_vec();
         long.extend_from_slice(&[0xff; 11]);
-        assert!(matches!(decode(&long), Err(ReplicateError::Corrupt(_))));
+        assert!(matches!(
+            SketchSnapshot::<u64>::from_bytes(&long),
+            Err(ReplicateError::Corrupt(_))
+        ));
+    }
 
-        // deep nesting: 200 nested single-element sequences
-        let mut deep = to_bytes(PayloadKind::SlimSummary, &Shim(Value::Null));
-        deep.truncate(6);
-        for _ in 0..200 {
-            deep.push(TAG_SEQ);
-            deep.push(1);
+    #[test]
+    fn padded_varints_are_rejected() {
+        let bytes = snapshot_bytes();
+        // The body opens with the config's `memory_bytes` varint;
+        // rewrite it in a padded (non-minimal) form.
+        let end = 6 + bytes[6..].iter().position(|b| b & 0x80 == 0).unwrap();
+        let mut padded = bytes[..end].to_vec();
+        padded.push(bytes[end] | 0x80);
+        padded.push(0);
+        padded.extend_from_slice(&bytes[end + 1..]);
+        assert!(SketchSnapshot::<u64>::from_bytes(&bytes).is_ok());
+        assert!(matches!(
+            SketchSnapshot::<u64>::from_bytes(&padded),
+            Err(ReplicateError::Corrupt(_))
+        ));
+
+        let mut r = Reader {
+            bytes: &[0x81, 0x00],
+            pos: 0,
+        };
+        assert!(matches!(r.uleb(), Err(ReplicateError::Corrupt(_))));
+    }
+
+    #[test]
+    fn flags_and_tags_are_checked() {
+        let mut r = Reader {
+            bytes: &[2],
+            pos: 0,
+        };
+        assert!(matches!(bool::get(&mut r), Err(ReplicateError::Corrupt(_))));
+        let mut r = Reader {
+            bytes: &[7],
+            pos: 0,
+        };
+        assert!(matches!(
+            Depth::get(&mut r),
+            Err(ReplicateError::Corrupt(_))
+        ));
+        // 2^32 does not fit a u32 field
+        let mut wide = Vec::new();
+        (1u64 << 32).put(&mut wide);
+        let mut r = Reader {
+            bytes: &wide,
+            pos: 0,
+        };
+        assert!(matches!(u32::get(&mut r), Err(ReplicateError::Corrupt(_))));
+    }
+
+    #[test]
+    fn sparse_row_ids_take_one_varint() {
+        let rows: [(u32, Option<u64>, u64, u64); 3] = [
+            (3, None, 1, 2),
+            (3, Some(0), 1, 2),
+            (300, Some(0xff_ffff), 0, 9),
+        ];
+        let wire: [&[u8]; 3] = [
+            &[3, 0, 1, 2],
+            &[3, 1, 1, 2],
+            &[0xac, 0x02, 0x80, 0x80, 0x80, 0x08, 0, 9],
+        ];
+        for (row, want) in rows.iter().zip(wire) {
+            let mut out = Vec::new();
+            row.put(&mut out);
+            assert_eq!(out, want, "{row:?}");
+            let mut r = Reader {
+                bytes: &out,
+                pos: 0,
+            };
+            assert_eq!(<(u32, Option<u64>, u64, u64)>::get(&mut r).unwrap(), *row);
+            assert_eq!(r.pos, out.len());
         }
-        deep.push(TAG_NULL);
-        assert!(matches!(decode(&deep), Err(ReplicateError::Corrupt(_))));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Totality: arbitrary bytes never panic the decoder — they decode
-        /// or they error.
+        /// or they error, whatever payload type is asked for.
         #[test]
         fn prop_decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = decode(&bytes);
-            let _ = payload_kind(&bytes);
+            decode_as_every_payload(&bytes);
         }
 
-        /// Same, but past a valid header so the value decoder itself is
-        /// exercised rather than the magic check.
+        /// Same, but past a valid header of every kind so the body
+        /// decoders themselves are exercised rather than the magic check.
         #[test]
-        fn prop_decode_body_is_total(body in proptest::collection::vec(any::<u8>(), 0..300)) {
+        fn prop_decode_body_is_total(
+            kind in 1u8..10,
+            body in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
             let mut bytes = Vec::with_capacity(body.len() + 6);
-            bytes.extend_from_slice(b"RSKB");
-            bytes.push(1);
-            bytes.push(2);
+            bytes.extend_from_slice(&MAGIC);
+            bytes.push(VERSION);
+            bytes.push(kind);
             bytes.extend_from_slice(&body);
-            let _ = decode(&bytes);
+            decode_as_every_payload(&bytes);
         }
 
         /// Unsigned varints roundtrip at every magnitude.
@@ -514,12 +707,6 @@ mod tests {
             let mut r = Reader { bytes: &out, pos: 0 };
             prop_assert_eq!(r.uleb().unwrap(), n);
             prop_assert_eq!(r.pos, out.len());
-        }
-
-        /// Zigzag is a bijection.
-        #[test]
-        fn prop_zigzag_roundtrips(n in any::<i64>()) {
-            prop_assert_eq!(unzigzag(zigzag(n)), n);
         }
     }
 }

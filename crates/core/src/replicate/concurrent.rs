@@ -11,9 +11,9 @@
 //! sealed overlay (`merge_epoch` mismatch), or more than one window
 //! rotation since the cut.
 
-use super::codec::{self, PayloadKind};
+use super::codec::{self, bad_tag, wire_struct, PayloadKind, Reader, Wire};
 use super::sequential::EmergencyState;
-use super::ReplicaCut;
+use super::{check_shape, ReplicaCut};
 use crate::atomic::{ConcurrentReliable, MergedOverlay, COUNT_MAX, ERR_MAX, FP_MASK};
 use crate::bucket::EsBucket;
 use crate::concurrent::ShardedReliable;
@@ -21,13 +21,12 @@ use crate::config::ReliableConfig;
 use crate::epoch::EpochedConcurrent;
 use crate::geometry::LayerGeometry;
 use rsk_api::{Key, Replicate, ReplicateError};
-use serde::{Deserialize, Serialize};
 
 /// Occupied packed words, layer by layer: `(index, fingerprint, yes, no)`.
 type WordEntries = Vec<Vec<(u32, u64, u64, u64)>>;
 
 /// The sealed merge overlay of a merged sketch, sparsely encoded.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverlayState {
     /// Occupied overlay buckets, layer by layer:
     /// `(index, fingerprint, yes, no)` — the fingerprint is `None` for a
@@ -36,6 +35,8 @@ pub struct OverlayState {
     /// Indices of merge-flagged (divert-hinted) buckets, layer by layer.
     pub hints: Vec<Vec<u32>>,
 }
+
+wire_struct!(OverlayState { layers, hints });
 
 impl OverlayState {
     pub(crate) fn capture(overlay: &MergedOverlay) -> Self {
@@ -109,7 +110,7 @@ impl OverlayState {
 }
 
 /// A complete mirror of a [`ConcurrentReliable`]'s logical state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConcurrentSnapshot<K> {
     /// The configuration the sketch was built from.
     pub config: ReliableConfig,
@@ -130,10 +131,21 @@ pub struct ConcurrentSnapshot<K> {
     pub failures: u64,
 }
 
+wire_struct!(ConcurrentSnapshot<K> {
+    config,
+    widths,
+    lambdas,
+    words,
+    overlay,
+    filter_rows,
+    emergency,
+    failures,
+});
+
 /// Buckets touched since the last replication cut, plus the
 /// off-bucket state that cannot be diffed cheaply (emergency store,
 /// failure gauge) shipped whole.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConcurrentDelta<K> {
     /// The configuration of the sketch that cut the delta (the replica
     /// must match it exactly).
@@ -151,9 +163,17 @@ pub struct ConcurrentDelta<K> {
     pub failures: u64,
 }
 
+wire_struct!(ConcurrentDelta<K> {
+    config,
+    words,
+    filter_diff,
+    emergency,
+    failures,
+});
+
 /// What one generation ships at a cut: a delta when the dirty map tells
 /// the whole story since the previous cut, otherwise a full snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum GenPayload<K> {
     /// The generation's complete state.
     Full(ConcurrentSnapshot<K>),
@@ -161,8 +181,30 @@ pub enum GenPayload<K> {
     Delta(ConcurrentDelta<K>),
 }
 
+impl<K: Key> Wire for GenPayload<K> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            GenPayload::Full(s) => {
+                out.push(0);
+                s.put(out);
+            }
+            GenPayload::Delta(d) => {
+                out.push(1);
+                d.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        match r.byte()? {
+            0 => Ok(GenPayload::Full(Wire::get(r)?)),
+            1 => Ok(GenPayload::Delta(Wire::get(r)?)),
+            other => Err(bad_tag("generation payload", other)),
+        }
+    }
+}
+
 /// A complete mirror of an [`EpochedConcurrent`] window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochedSnapshot<K> {
     /// The window's epoch index at capture.
     pub epoch: u64,
@@ -172,10 +214,16 @@ pub struct EpochedSnapshot<K> {
     pub frozen: Option<ConcurrentSnapshot<K>>,
 }
 
+wire_struct!(EpochedSnapshot<K> {
+    epoch,
+    active,
+    frozen,
+});
+
 /// What changed in a window since the last cut, spanning at most one
 /// rotation (two or more rotations discard state a delta cannot
 /// describe, so capture falls back to an [`EpochedSnapshot`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochedDelta<K> {
     /// The epoch the replica must be at for this delta to apply.
     pub base_epoch: u64,
@@ -191,9 +239,16 @@ pub struct EpochedDelta<K> {
     pub active: GenPayload<K>,
 }
 
+wire_struct!(EpochedDelta<K> {
+    base_epoch,
+    epoch,
+    frozen,
+    active,
+});
+
 /// A complete mirror of a [`ShardedReliable`] (per-shard snapshots plus
 /// the routing seed the replica needs to agree on key placement).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedSnapshot<K> {
     /// The routing-hash seed.
     pub router_seed: u32,
@@ -201,15 +256,25 @@ pub struct ShardedSnapshot<K> {
     pub shards: Vec<ConcurrentSnapshot<K>>,
 }
 
+wire_struct!(ShardedSnapshot<K> {
+    router_seed,
+    shards,
+});
+
 /// Per-shard cut payloads (each shard independently ships a delta or
 /// falls back to a full snapshot).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedDelta<K> {
     /// The routing-hash seed (must match the replica's).
     pub router_seed: u32,
     /// One payload per shard, in shard order.
     pub shards: Vec<GenPayload<K>>,
 }
+
+wire_struct!(ShardedDelta<K> {
+    router_seed,
+    shards,
+});
 
 /// Reject word entries that do not fit the schedule or the packed
 /// bucket word, before anything is mutated.
@@ -459,25 +524,33 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Apply either arm of a [`GenPayload`]: a delta in place, or a full
-    /// snapshot as wholesale replacement (the configurations must match —
-    /// a generation payload targets a specific slot).
+    /// snapshot as wholesale replacement (configuration and layer
+    /// schedule must match — a generation payload targets a specific
+    /// slot).
     pub fn apply(&mut self, payload: GenPayload<K>) -> Result<(), ReplicateError> {
         match payload {
             GenPayload::Full(s) => {
-                if s.config != *self.config() {
-                    return Err(ReplicateError::Incompatible(
-                        "snapshot configuration does not match the replica".into(),
-                    ));
-                }
+                self.check_snapshot_shape(&s)?;
                 *self = ConcurrentReliable::restore(s)?;
                 Ok(())
             }
             GenPayload::Delta(d) => self.apply_delta(d),
         }
     }
+
+    /// [`check_shape`] of a full snapshot against this sketch.
+    fn check_snapshot_shape(&self, s: &ConcurrentSnapshot<K>) -> Result<(), ReplicateError> {
+        check_shape(
+            self.config(),
+            self.geometry(),
+            &s.config,
+            &s.widths,
+            &s.lambdas,
+        )
+    }
 }
 
-impl<K: Key + Serialize + Deserialize> Replicate for ConcurrentReliable<K> {
+impl<K: Key> Replicate for ConcurrentReliable<K> {
     fn snapshot_bytes(&self) -> Result<Vec<u8>, ReplicateError> {
         Ok(codec::to_bytes(
             PayloadKind::ConcurrentSnapshot,
@@ -498,11 +571,10 @@ impl<K: Key + Serialize + Deserialize> Replicate for ConcurrentReliable<K> {
 
     fn apply_bytes(&mut self, payload: &[u8]) -> Result<(), ReplicateError> {
         match codec::payload_kind(payload)? {
-            PayloadKind::ConcurrentSnapshot => {
-                let s = codec::from_bytes(PayloadKind::ConcurrentSnapshot, payload)?;
-                *self = Self::restore(s)?;
-                Ok(())
-            }
+            PayloadKind::ConcurrentSnapshot => self.apply(GenPayload::Full(codec::from_bytes(
+                PayloadKind::ConcurrentSnapshot,
+                payload,
+            )?)),
             PayloadKind::ConcurrentDelta => {
                 self.apply_delta(codec::from_bytes(PayloadKind::ConcurrentDelta, payload)?)
             }
@@ -626,11 +698,7 @@ impl<K: Key> EpochedConcurrent<K> {
             Some(1) => {
                 let new_active = match delta.active {
                     GenPayload::Full(s) => {
-                        if s.config != *self.config() {
-                            return Err(ReplicateError::Incompatible(
-                                "rotated generation configuration does not match the window".into(),
-                            ));
-                        }
+                        self.active().check_snapshot_shape(&s)?;
                         ConcurrentReliable::restore(s)?
                     }
                     GenPayload::Delta(_) => {
@@ -656,7 +724,7 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 }
 
-impl<K: Key + Serialize + Deserialize> Replicate for EpochedConcurrent<K> {
+impl<K: Key> Replicate for EpochedConcurrent<K> {
     fn snapshot_bytes(&self) -> Result<Vec<u8>, ReplicateError> {
         Ok(codec::to_bytes(
             PayloadKind::EpochedSnapshot,
@@ -678,7 +746,11 @@ impl<K: Key + Serialize + Deserialize> Replicate for EpochedConcurrent<K> {
     fn apply_bytes(&mut self, payload: &[u8]) -> Result<(), ReplicateError> {
         match codec::payload_kind(payload)? {
             PayloadKind::EpochedSnapshot => {
-                let s = codec::from_bytes(PayloadKind::EpochedSnapshot, payload)?;
+                let s: EpochedSnapshot<K> =
+                    codec::from_bytes(PayloadKind::EpochedSnapshot, payload)?;
+                for generation in std::iter::once(&s.active).chain(&s.frozen) {
+                    self.active().check_snapshot_shape(generation)?;
+                }
                 *self = Self::restore(s)?;
                 Ok(())
             }
@@ -750,26 +822,31 @@ impl<K: Key> ShardedReliable<K> {
     /// [`ReplicateError::Incompatible`] on routing-seed or shard-count
     /// mismatch, plus shard-level errors.
     pub fn apply_delta(&mut self, delta: ShardedDelta<K>) -> Result<(), ReplicateError> {
-        if delta.router_seed != self.router_seed() {
-            return Err(ReplicateError::Incompatible(
-                "sharded delta routing seed does not match the replica".into(),
-            ));
-        }
-        if delta.shards.len() != self.shards() {
-            return Err(ReplicateError::Incompatible(format!(
-                "sharded delta carries {} shards, replica has {}",
-                delta.shards.len(),
-                self.shards()
-            )));
-        }
+        self.check_routing(delta.router_seed, delta.shards.len())?;
         for (i, payload) in delta.shards.into_iter().enumerate() {
             self.shard_mut(i).apply(payload)?;
         }
         Ok(())
     }
+
+    /// Refuse a payload routed with another seed or shard count.
+    fn check_routing(&self, router_seed: u32, shards: usize) -> Result<(), ReplicateError> {
+        if router_seed != self.router_seed() {
+            return Err(ReplicateError::Incompatible(
+                "sharded payload routing seed does not match the replica".into(),
+            ));
+        }
+        if shards != self.shards() {
+            return Err(ReplicateError::Incompatible(format!(
+                "sharded payload carries {shards} shards, replica has {}",
+                self.shards()
+            )));
+        }
+        Ok(())
+    }
 }
 
-impl<K: Key + Serialize + Deserialize> Replicate for ShardedReliable<K> {
+impl<K: Key> Replicate for ShardedReliable<K> {
     fn snapshot_bytes(&self) -> Result<Vec<u8>, ReplicateError> {
         Ok(codec::to_bytes(
             PayloadKind::ShardedSnapshot,
@@ -788,7 +865,12 @@ impl<K: Key + Serialize + Deserialize> Replicate for ShardedReliable<K> {
     fn apply_bytes(&mut self, payload: &[u8]) -> Result<(), ReplicateError> {
         match codec::payload_kind(payload)? {
             PayloadKind::ShardedSnapshot => {
-                let s = codec::from_bytes(PayloadKind::ShardedSnapshot, payload)?;
+                let s: ShardedSnapshot<K> =
+                    codec::from_bytes(PayloadKind::ShardedSnapshot, payload)?;
+                self.check_routing(s.router_seed, s.shards.len())?;
+                for (i, shard) in s.shards.iter().enumerate() {
+                    self.shard(i).check_snapshot_shape(shard)?;
+                }
                 *self = Self::restore(s)?;
                 Ok(())
             }
@@ -1053,6 +1135,75 @@ mod tests {
             replica.apply_bytes(&delta),
             Err(ReplicateError::Incompatible(_))
         ));
+    }
+
+    #[test]
+    fn foreign_schedules_are_refused_before_allocation() {
+        let cfg = ReliableConfig {
+            memory_bytes: 64 * 1024,
+            ..config(20)
+        };
+        let mut window = EpochedConcurrent::<u64>::new(cfg.clone());
+        for i in 0..2_000u64 {
+            window.insert_shared(&(i % 50), 1);
+        }
+        let before: Vec<_> = (0..50u64).map(|k| window.query_with_error(&k)).collect();
+
+        // The window's own configuration, but a one-layer schedule of
+        // 2^33 buckets: restoring it would allocate 64 GiB.
+        let mut huge = window.active().snapshot();
+        huge.widths = vec![1 << 33];
+        huge.lambdas = vec![1];
+        huge.words = vec![Vec::new()];
+        let crafted = codec::to_bytes(
+            PayloadKind::EpochedSnapshot,
+            &EpochedSnapshot {
+                epoch: 0,
+                active: huge.clone(),
+                frozen: None,
+            },
+        );
+        assert!(matches!(
+            window.apply_bytes(&crafted),
+            Err(ReplicateError::Incompatible(_))
+        ));
+
+        // The same schedule through a rotation delta, a generation
+        // payload and a sharded snapshot.
+        let rotation = codec::to_bytes(
+            PayloadKind::EpochedDelta,
+            &EpochedDelta {
+                base_epoch: 0,
+                epoch: 1,
+                frozen: None,
+                active: GenPayload::Full(huge.clone()),
+            },
+        );
+        assert!(matches!(
+            window.apply_bytes(&rotation),
+            Err(ReplicateError::Incompatible(_))
+        ));
+        let mut generation = ConcurrentReliable::<u64>::new(cfg.clone());
+        assert!(matches!(
+            generation.apply(GenPayload::Full(huge.clone())),
+            Err(ReplicateError::Incompatible(_))
+        ));
+        let mut sharded = ShardedReliable::<u64>::new(cfg, 1);
+        let crafted = codec::to_bytes(
+            PayloadKind::ShardedSnapshot,
+            &ShardedSnapshot {
+                router_seed: sharded.router_seed(),
+                shards: vec![huge],
+            },
+        );
+        assert!(matches!(
+            sharded.apply_bytes(&crafted),
+            Err(ReplicateError::Incompatible(_))
+        ));
+
+        for (k, exp) in before.iter().enumerate() {
+            assert_eq!(window.query_with_error(&(k as u64)), *exp);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Replication (`serde` feature) — checkpoint, ship and mirror sketches.
+//! Replication — checkpoint, ship and mirror sketches.
 //!
 //! This module generalizes the original checkpoint/restore path into a
 //! full replication layer, the software analogue of the paper's
@@ -31,19 +31,25 @@
 //!   [`query_with_error`](SlimSummary::query_with_error) standalone from
 //!   nothing but the payload, with certified intervals widened by at
 //!   most a documented [`slack`](SlimSummary::slack).
-//! * **Binary codec** — every payload serializes through a compact
-//!   self-describing binary format (magic + version + payload kind, then
-//!   a tagged value tree with LEB128 integers); see [`payload_kind`] for
-//!   sniffing and the `to_bytes`/`from_bytes` pairs on each payload
-//!   type. Decoding is *total*: truncated, corrupt or alien input
-//!   returns a typed [`rsk_api::ReplicateError`], never a panic.
+//! * **Binary codec** — every payload travels in one compact format: a
+//!   self-describing header (magic + version + payload kind), then the
+//!   payload's fields in declaration order, untagged, with minimal
+//!   LEB128 integers and keys in their fixed-width byte form; see
+//!   [`payload_kind`] for sniffing and the `to_bytes`/`from_bytes` pairs
+//!   on each payload type. Decoding is *total*: truncated, corrupt or
+//!   alien input returns a typed [`rsk_api::ReplicateError`], never a
+//!   panic.
 //!
 //! The uniform entry point is the [`rsk_api::Replicate`] trait
 //! (`snapshot_bytes` / `delta_bytes` / `slim_bytes` / `apply_bytes`),
 //! implemented here for [`crate::ReliableSketch`],
 //! [`crate::atomic::ConcurrentReliable`],
 //! [`crate::epoch::EpochedConcurrent`] and
-//! [`crate::concurrent::ShardedReliable`].
+//! [`crate::concurrent::ShardedReliable`]. A full snapshot applied
+//! through it replaces a sketch of the *same* shape: a payload naming
+//! another configuration or layer schedule is refused as
+//! [`rsk_api::ReplicateError::Incompatible`] before anything is
+//! allocated for it.
 //!
 //! ```
 //! use rsk_core::atomic::ConcurrentReliable;
@@ -79,6 +85,10 @@ pub use concurrent::{
 pub use sequential::{BucketState, EmergencyState, SketchSnapshot};
 pub use slim::{SlimShards, SlimSummary};
 
+use crate::config::ReliableConfig;
+use crate::geometry::LayerGeometry;
+use rsk_api::ReplicateError;
+
 /// Sparse occupied-bucket rows, layer by layer:
 /// `(index, fingerprint, yes, no)` — the fingerprint is `None` for a
 /// bucket holding pure collision volume.
@@ -93,4 +103,23 @@ pub type SparseBucketRows = Vec<Vec<(u32, Option<u64>, u64, u64)>>;
 pub(crate) struct ReplicaCut {
     pub(crate) filter_rows: Option<Vec<Vec<u64>>>,
     pub(crate) merge_epoch: u64,
+}
+
+/// The check every full-payload apply runs first: a payload whose
+/// configuration, layer widths or lock thresholds differ from the
+/// receiver's is refused before anything is allocated for it (its
+/// schedule could name any size at all).
+pub(crate) fn check_shape(
+    receiver: &ReliableConfig,
+    geometry: &LayerGeometry,
+    config: &ReliableConfig,
+    widths: &[usize],
+    lambdas: &[u64],
+) -> Result<(), ReplicateError> {
+    if config != receiver || widths != geometry.widths() || lambdas != geometry.lambdas() {
+        return Err(ReplicateError::Incompatible(
+            "snapshot configuration or layer schedule does not match the replica".into(),
+        ));
+    }
+    Ok(())
 }

@@ -4,8 +4,7 @@
 //! layer schedule, bucket fields, mice-filter counters, emergency
 //! remainders and merge hints — independent of the in-memory
 //! representation, so it is stable across versions of this crate that
-//! keep the same logical structure. Snapshots still serialize to JSON
-//! through `serde_json` for human-readable checkpoints, and to the
+//! keep the same logical structure. Snapshots persist and ship as the
 //! replication layer's framed binary via [`SketchSnapshot::to_bytes`].
 //!
 //! Operation statistics ([`crate::SketchStats`]) are *not* persisted;
@@ -31,17 +30,16 @@
 //! assert_eq!(restored.query_with_error(&7u64), sk.query_with_error(&7u64));
 //! ```
 
-use super::codec::{self, PayloadKind};
+use super::codec::{self, bad_tag, put_seq, wire_struct, PayloadKind, Reader, Wire};
 use crate::bucket::EsBucket;
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::geometry::LayerGeometry;
 use crate::sketch::ReliableSketch;
 use rsk_api::{Key, Replicate, ReplicateError};
-use serde::{Deserialize, Serialize};
 
 /// Persisted bucket: `(ID, YES, NO)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BucketState<K> {
     /// Candidate key, if the bucket is occupied.
     pub id: Option<K>,
@@ -51,8 +49,26 @@ pub struct BucketState<K> {
     pub no: u64,
 }
 
+impl<K: Key> Wire for BucketState<K> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.id.is_some().put(out);
+        if let Some(k) = &self.id {
+            k.put_le(out);
+        }
+        self.yes.put(out);
+        self.no.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        Ok(BucketState {
+            id: bool::get(r)?.then(|| r.key()).transpose()?,
+            yes: Wire::get(r)?,
+            no: Wire::get(r)?,
+        })
+    }
+}
+
 /// Persisted emergency-store contents (policy-shaped).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum EmergencyState<K> {
     /// Counters of the `Disabled` policy.
     Disabled {
@@ -75,6 +91,55 @@ pub enum EmergencyState<K> {
         /// Failed insert operations.
         failures: u64,
     },
+}
+
+impl<K: Key> Wire for EmergencyState<K> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            EmergencyState::Disabled {
+                failures,
+                dropped_value,
+            } => {
+                out.push(0);
+                failures.put(out);
+                dropped_value.put(out);
+            }
+            EmergencyState::Exact { entries, failures } => {
+                out.push(1);
+                put_seq(entries, out, |(k, v), out| {
+                    k.put_le(out);
+                    v.put(out);
+                });
+                failures.put(out);
+            }
+            EmergencyState::SpaceSaving { slots, failures } => {
+                out.push(2);
+                put_seq(slots, out, |(k, count, over), out| {
+                    k.put_le(out);
+                    count.put(out);
+                    over.put(out);
+                });
+                failures.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
+        Ok(match r.byte()? {
+            0 => EmergencyState::Disabled {
+                failures: Wire::get(r)?,
+                dropped_value: Wire::get(r)?,
+            },
+            1 => EmergencyState::Exact {
+                entries: r.seq(|r| Ok((r.key()?, Wire::get(r)?)))?,
+                failures: Wire::get(r)?,
+            },
+            2 => EmergencyState::SpaceSaving {
+                slots: r.seq(|r| Ok((r.key()?, Wire::get(r)?, Wire::get(r)?)))?,
+                failures: Wire::get(r)?,
+            },
+            other => return Err(bad_tag("emergency state", other)),
+        })
+    }
 }
 
 impl<K: Key> EmergencyState<K> {
@@ -160,7 +225,7 @@ impl<K: Key> EmergencyState<K> {
 }
 
 /// A complete, self-describing checkpoint of a [`ReliableSketch`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SketchSnapshot<K> {
     /// The configuration the sketch was built from.
     pub config: ReliableConfig,
@@ -179,7 +244,17 @@ pub struct SketchSnapshot<K> {
     pub divert_hints: Vec<Vec<bool>>,
 }
 
-impl<K: Key + Serialize + Deserialize> SketchSnapshot<K> {
+wire_struct!(SketchSnapshot<K> {
+    config,
+    widths,
+    lambdas,
+    layers,
+    filter_rows,
+    emergency,
+    divert_hints,
+});
+
+impl<K: Key> SketchSnapshot<K> {
     /// Encode with the replication layer's framed binary codec
     /// ([`PayloadKind::SequentialSnapshot`]).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -294,7 +369,7 @@ impl<K: Key> ReliableSketch<K> {
     }
 }
 
-impl<K: Key + Serialize + Deserialize> Replicate for ReliableSketch<K> {
+impl<K: Key> Replicate for ReliableSketch<K> {
     fn snapshot_bytes(&self) -> Result<Vec<u8>, ReplicateError> {
         Ok(self.snapshot().to_bytes())
     }
@@ -312,6 +387,13 @@ impl<K: Key + Serialize + Deserialize> Replicate for ReliableSketch<K> {
 
     fn apply_bytes(&mut self, payload: &[u8]) -> Result<(), ReplicateError> {
         let snapshot = SketchSnapshot::from_bytes(payload)?;
+        super::check_shape(
+            self.config(),
+            self.geometry(),
+            &snapshot.config,
+            &snapshot.widths,
+            &snapshot.lambdas,
+        )?;
         *self = ReliableSketch::restore(snapshot)?;
         Ok(())
     }
@@ -343,15 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_every_answer() {
-        let sk = loaded(1);
-        let json = serde_json::to_string(&sk.snapshot()).unwrap();
-        let restored = ReliableSketch::restore(serde_json::from_str(&json).unwrap()).unwrap();
-        answers_match(&sk, &restored, 500);
-        assert_eq!(restored.insertion_failures(), sk.insertion_failures());
-    }
-
-    #[test]
     fn binary_roundtrip_preserves_every_answer() {
         let sk = loaded(8);
         let bytes = sk.snapshot().to_bytes();
@@ -359,21 +432,6 @@ mod tests {
             ReliableSketch::restore(SketchSnapshot::from_bytes(&bytes).unwrap()).unwrap();
         answers_match(&sk, &restored, 500);
         assert_eq!(restored.insertion_failures(), sk.insertion_failures());
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        let sk = loaded(9);
-        let bytes = sk.snapshot().to_bytes();
-        let json = serde_json::to_string(&sk.snapshot()).unwrap();
-        // mostly small LEB128 integers vs short decimal literals, so the
-        // win is real but modest — pin direction and a 10% floor
-        assert!(
-            bytes.len() * 10 < json.len() * 9,
-            "binary {} vs json {}",
-            bytes.len(),
-            json.len()
-        );
     }
 
     #[test]
@@ -457,6 +515,75 @@ mod tests {
         let restored = ReliableSketch::restore(sk.snapshot()).unwrap();
         answers_match(&sk, &restored, 10);
         assert_eq!(restored.insertion_failures(), sk.insertion_failures());
+    }
+
+    #[test]
+    fn every_config_shape_roundtrips_through_bytes() {
+        use crate::config::{Depth, MiceFilterConfig, ReliableConfig, BUCKET_BYTES};
+        let configs = [
+            ReliableConfig {
+                memory_bytes: 64 * BUCKET_BYTES,
+                lambda: 9,
+                depth: Depth::Fixed(3),
+                mice_filter: None,
+                emergency: EmergencyPolicy::ExactTable,
+                lambda_floor_one: true,
+                seed: 11,
+                ..Default::default()
+            },
+            ReliableConfig {
+                memory_bytes: 48 * BUCKET_BYTES,
+                lambda: 4,
+                r_w: 3.5,
+                r_lambda: 2.25,
+                depth: Depth::Fixed(2),
+                mice_filter: None,
+                emergency: EmergencyPolicy::SpaceSaving(6),
+                lambda_floor_one: true,
+                seed: u64::MAX,
+            },
+            ReliableConfig {
+                memory_bytes: 8 * 1024,
+                mice_filter: Some(MiceFilterConfig {
+                    memory_fraction: 0.3,
+                    counter_bits: 8,
+                    arrays: 3,
+                }),
+                emergency: EmergencyPolicy::SpaceSaving(40),
+                ..Default::default()
+            },
+        ];
+        for config in configs {
+            let mut sk = ReliableSketch::<u64>::new(config.clone());
+            for i in 0..3_000u64 {
+                sk.insert(&(i % 61), 1 + i % 3);
+            }
+            let bytes = sk.snapshot().to_bytes();
+            let back = SketchSnapshot::<u64>::from_bytes(&bytes).unwrap();
+            assert_eq!(back.config, config);
+            assert_eq!(back.to_bytes(), bytes);
+            let restored = ReliableSketch::restore(back).unwrap();
+            answers_match(&sk, &restored, 61);
+            assert_eq!(restored.insertion_failures(), sk.insertion_failures());
+        }
+    }
+
+    #[test]
+    fn apply_refuses_a_snapshot_of_another_shape() {
+        let primary = loaded(12);
+        let mut replica = ReliableSketch::<u64>::builder()
+            .memory_bytes(8 * 1024)
+            .error_tolerance(25)
+            .emergency(EmergencyPolicy::ExactTable)
+            .seed(12)
+            .build::<u64>();
+        replica.insert(&3, 4);
+        let before = replica.query_with_error(&3);
+        assert!(matches!(
+            replica.apply_bytes(&primary.snapshot_bytes().unwrap()),
+            Err(ReplicateError::Incompatible(_))
+        ));
+        assert_eq!(replica.query_with_error(&3), before);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! fingerprint-aliasing caveat carried by merged concurrent sketches,
 //! which also operate in fingerprint space).
 
-use super::codec::{self, PayloadKind};
+use super::codec::{self, wire_struct, PayloadKind};
 use crate::atomic::{fp_seed_for, ConcurrentReliable, FP_MASK};
 use crate::bucket::EsBucket;
 use crate::concurrent::ShardedReliable;
@@ -23,7 +23,6 @@ use crate::epoch::EpochedConcurrent;
 use crate::sketch::ReliableSketch;
 use rsk_api::{Estimate, Key, ReplicateError};
 use rsk_hash::HashFamily;
-use serde::{Deserialize, Serialize};
 
 /// A standalone query-only digest of one sketch (or one unioned window).
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// [`rsk_api::Replicate::slim_bytes`], and queried with
 /// [`Self::query_with_error`] from nothing but the payload — the
 /// receiving side needs no sketch of its own.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlimSummary {
     /// The source sketch's configuration (hash seeds travel here).
     pub config: ReliableConfig,
@@ -62,6 +61,18 @@ pub struct SlimSummary {
     /// Documented worst-case widening vs the source's certified answer.
     slack: u64,
 }
+
+wire_struct!(SlimSummary {
+    config,
+    widths,
+    lambdas,
+    layers,
+    hints,
+    extras,
+    filter_slack,
+    dropped,
+    slack,
+});
 
 impl SlimSummary {
     /// Distill a sequential [`ReliableSketch`] (keys map to the same
@@ -236,16 +247,8 @@ impl SlimSummary {
     /// # Errors
     /// Total over arbitrary input — see [`ReplicateError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ReplicateError> {
-        let mut slim: SlimSummary = codec::from_bytes(PayloadKind::SlimSummary, bytes)?;
+        let slim: SlimSummary = codec::from_bytes(PayloadKind::SlimSummary, bytes)?;
         slim.validate()?;
-        // queries binary-search these — normalize hostile orderings
-        // instead of trusting the wire
-        for layer in &mut slim.layers {
-            layer.sort_unstable_by_key(|e| e.0);
-        }
-        for layer in &mut slim.hints {
-            layer.sort_unstable();
-        }
         Ok(slim)
     }
 
@@ -259,17 +262,17 @@ impl SlimSummary {
                 "slim summary row counts disagree with the schedule".into(),
             ));
         }
-        for (i, layer) in self.layers.iter().enumerate() {
-            if layer.iter().any(|&(j, ..)| j as usize >= self.widths[i]) {
+        // Queries binary-search both rows, and `distill` emits them
+        // strictly ascending: any other order is corrupt.
+        for (i, (layer, hints)) in self.layers.iter().zip(&self.hints).enumerate() {
+            let w = self.widths[i];
+            let ascending =
+                layer.windows(2).all(|p| p[0].0 < p[1].0) && hints.windows(2).all(|p| p[0] < p[1]);
+            let in_range = layer.last().is_none_or(|e| (e.0 as usize) < w)
+                && hints.last().is_none_or(|&j| (j as usize) < w);
+            if !(ascending && in_range) {
                 return Err(ReplicateError::Corrupt(format!(
-                    "slim bucket index out of range in layer {i}"
-                )));
-            }
-        }
-        for (i, layer) in self.hints.iter().enumerate() {
-            if layer.iter().any(|&j| j as usize >= self.widths[i]) {
-                return Err(ReplicateError::Corrupt(format!(
-                    "slim hint index out of range in layer {i}"
+                    "slim layer {i} indices are out of range or not strictly ascending"
                 )));
             }
         }
@@ -280,13 +283,18 @@ impl SlimSummary {
 /// Per-shard slim digests plus the routing seed, so a collector answers
 /// for a [`ShardedReliable`] by routing each query exactly like the
 /// source did.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlimShards {
     /// The routing-hash seed.
     pub router_seed: u32,
     /// One digest per shard, in shard order.
     pub shards: Vec<SlimSummary>,
 }
+
+wire_struct!(SlimShards {
+    router_seed,
+    shards,
+});
 
 impl SlimShards {
     /// Distill every shard of a [`ShardedReliable`].
@@ -438,22 +446,10 @@ fn distill(
 }
 
 #[cfg(test)]
-impl<K: Key> ConcurrentReliable<K> {
-    /// Snapshot bytes without the `Serialize` bound `Replicate` needs
-    /// (test convenience for size/kind comparisons with `u64` keys).
-    fn snapshot_bytes_for_test(&self) -> Vec<u8>
-    where
-        K: Serialize + Deserialize,
-    {
-        codec::to_bytes(PayloadKind::ConcurrentSnapshot, &self.snapshot())
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;
-    use rsk_api::{ErrorSensing, Merge, StreamSummary};
+    use rsk_api::{ErrorSensing, Merge, Replicate, StreamSummary};
     use rsk_stream::zipf::ZipfSampler;
 
     fn config(seed: u64) -> ReliableConfig {
@@ -657,8 +653,15 @@ mod tests {
 
         assert!(SlimSummary::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(SlimSummary::from_bytes(b"not a payload").is_err());
+        // rows out of order would mislead the binary searches
+        let mut shuffled = slim.clone();
+        shuffled.layers[0].swap(0, 1);
+        assert!(matches!(
+            SlimSummary::from_bytes(&shuffled.to_bytes()),
+            Err(ReplicateError::Corrupt(_))
+        ));
         // a snapshot payload is not a slim summary
-        let snap = sk.snapshot_bytes_for_test();
+        let snap = sk.snapshot_bytes().unwrap();
         assert!(matches!(
             SlimSummary::from_bytes(&snap),
             Err(ReplicateError::Incompatible(_))
@@ -676,7 +679,7 @@ mod tests {
             sk.insert_concurrent(&(i % 500), 1);
         }
         let slim = SlimSummary::from_concurrent(&sk).to_bytes();
-        let snap = sk.snapshot_bytes_for_test();
+        let snap = sk.snapshot_bytes().unwrap();
         assert!(
             slim.len() * 3 < snap.len(),
             "slim {} bytes vs snapshot {} bytes",

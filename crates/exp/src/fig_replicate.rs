@@ -1,17 +1,16 @@
 //! Replication bytes-on-wire — what each payload of the replication
 //! layer costs to ship (beyond-paper; SF-sketch-style slim summaries).
 //!
-//! Three payload families leave a sketch through `rsk_api::Replicate`:
-//! **full snapshots** (every bucket, filter row, and emergency entry —
-//! measured both as human-readable JSON and through the framed binary
-//! codec), **slim digests** (query-only: occupied buckets and the
-//! filter ceiling, enough to answer `query_with_error` standalone), and
-//! **dirty-bitmap deltas** (only buckets touched since the last cut).
+//! Three payload families leave a sketch through `rsk_api::Replicate`,
+//! all in the framed binary codec: **full snapshots** (every occupied
+//! bucket, filter row, and emergency entry), **slim digests**
+//! (query-only: occupied buckets and the filter ceiling, enough to
+//! answer `query_with_error` standalone), and **dirty-bitmap deltas**
+//! (only buckets touched since the last cut).
 //!
-//! Expected shape: binary ≪ JSON, slim ≪ binary full, and delta bytes
-//! scaling with the dirty fraction — at low fractions a delta is a tiny
-//! sliver of the full snapshot, which is the whole case for delta
-//! shipping between seals.
+//! Expected shape: slim ≪ full, and delta bytes scaling with the dirty
+//! fraction — at low fractions a delta is a tiny sliver of the full
+//! snapshot, which is the whole case for delta shipping between seals.
 
 use crate::ExpContext;
 use rsk_api::Replicate;
@@ -44,9 +43,6 @@ pub fn replicate(ctx: &ExpContext) -> Vec<Table> {
         sk.insert_concurrent(&it.key, it.value);
     }
 
-    let json = serde_json::to_string(&sk.snapshot())
-        .expect("snapshot serializes")
-        .len();
     let full = sk.snapshot_bytes().expect("same-process snapshot").len();
     let slim = sk.slim_bytes().expect("same-process digest").len();
 
@@ -58,22 +54,17 @@ pub fn replicate(ctx: &ExpContext) -> Vec<Table> {
             fmt_bytes(mem),
             ctx.items
         ),
-        &["payload", "bytes", "vs JSON full"],
+        &["payload", "bytes", "vs full snapshot"],
     );
     t1.row(vec![
-        "full snapshot (JSON)".into(),
-        json.to_string(),
-        "100.0%".into(),
-    ]);
-    t1.row(vec![
-        "full snapshot (binary)".into(),
+        "full snapshot".into(),
         full.to_string(),
-        pct(full, json),
+        pct(full, full),
     ]);
     t1.row(vec![
-        "slim digest (binary)".into(),
+        "slim digest".into(),
         slim.to_string(),
-        pct(slim, json),
+        pct(slim, full),
     ]);
 
     // Delta sweep: establish the dirty-bitmap baseline, then for each
@@ -88,7 +79,7 @@ pub fn replicate(ctx: &ExpContext) -> Vec<Table> {
     let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     let mut t2 = Table::new(
         format!(
-            "Delta ship size by dirty fraction ({} distinct keys; full binary snapshot = {full} B)",
+            "Delta ship size by dirty fraction ({} distinct keys; full snapshot = {full} B)",
             keys.len()
         ),
         &headers_ref,
@@ -127,7 +118,7 @@ mod tests {
     }
 
     #[test]
-    fn payload_catalogue_orders_json_binary_slim() {
+    fn payload_catalogue_orders_full_then_slim() {
         let ts = replicate(&tiny_ctx());
         assert_eq!(ts.len(), 2);
         let csv = ts[0].to_csv();
@@ -136,12 +127,11 @@ mod tests {
             .skip(1)
             .map(|l| l.split(',').nth(1).unwrap().parse().unwrap())
             .collect();
-        let (json, full, slim) = (bytes[0], bytes[1], bytes[2]);
-        assert!(full < json, "binary codec must undercut JSON");
-        // At CI's saturated mini-budgets the digest is ~45% of a full
+        let (full, slim) = (bytes[0], bytes[1]);
+        // At CI's saturated mini-budgets the digest is ~48% of a full
         // snapshot (dropping the filter rows and empty buckets); the
-        // factor widens with budget — see OursSlim's 3× bound at 256 KB
-        // in the contender tests.
+        // factor widens with budget — see the 3× bound at 256 KB in
+        // `slim_is_much_smaller_than_a_snapshot`.
         assert!(
             slim * 2 < full,
             "slim digest ({slim} B) must be under half a full snapshot ({full} B)"

@@ -42,18 +42,33 @@ pub use splitmix::{splitmix64, SplitMix64};
 /// Implementations exist for the unsigned integer types used as flow
 /// identifiers throughout the workspace (`u32`, `u64`, `u128`) and for the
 /// 13-byte network 5-tuple. Integer keys are hashed over their little-endian
-/// byte encoding so that results are identical across platforms.
+/// byte encoding so that results are identical across platforms; that same
+/// fixed-width byte form ([`HashKey::put_le`] / [`HashKey::from_le`]) is how
+/// keys travel in replication payloads.
 pub trait HashKey: Copy + Eq + core::hash::Hash + core::fmt::Debug {
+    /// Length of the key's byte form, in bytes.
+    const BYTES: usize;
+
     /// 32-bit digest of the key under `seed`.
     fn hash32(&self, seed: u32) -> u32;
 
     /// 64-bit digest of the key under `seed`.
     fn hash64(&self, seed: u32) -> u64;
+
+    /// Append the key's byte form — the [`Self::BYTES`] little-endian
+    /// bytes the hash functions digest — to `out`.
+    fn put_le(&self, out: &mut Vec<u8>);
+
+    /// Rebuild a key from its byte form; `None` unless `bytes` is exactly
+    /// [`Self::BYTES`] long.
+    fn from_le(bytes: &[u8]) -> Option<Self>;
 }
 
 macro_rules! impl_hashkey_int {
     ($($t:ty),*) => {$(
         impl HashKey for $t {
+            const BYTES: usize = core::mem::size_of::<$t>();
+
             #[inline]
             fn hash32(&self, seed: u32) -> u32 {
                 murmur3_x86_32(&self.to_le_bytes(), seed)
@@ -61,6 +76,12 @@ macro_rules! impl_hashkey_int {
             #[inline]
             fn hash64(&self, seed: u32) -> u64 {
                 murmur3_x64_128(&self.to_le_bytes(), seed) as u64
+            }
+            fn put_le(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn from_le(bytes: &[u8]) -> Option<Self> {
+                bytes.try_into().ok().map(<$t>::from_le_bytes)
             }
         }
     )*};
@@ -71,6 +92,8 @@ impl_hashkey_int!(u32, u64, u128);
 impl HashKey for [u8; 13] {
     // 13-byte keys are the classic network 5-tuple (src, dst, sport, dport,
     // proto); traces that key on the full 5-tuple use this implementation.
+    const BYTES: usize = 13;
+
     #[inline]
     fn hash32(&self, seed: u32) -> u32 {
         murmur3_x86_32(self, seed)
@@ -78,6 +101,12 @@ impl HashKey for [u8; 13] {
     #[inline]
     fn hash64(&self, seed: u32) -> u64 {
         murmur3_x64_128(self, seed) as u64
+    }
+    fn put_le(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn from_le(bytes: &[u8]) -> Option<Self> {
+        bytes.try_into().ok()
     }
 }
 
@@ -226,6 +255,22 @@ mod tests {
         assert_eq!(k.hash32(9), murmur3_x86_32(&k.to_le_bytes(), 9));
         let k32: u32 = 0xcafe_babe;
         assert_eq!(k32.hash32(9), murmur3_x86_32(&k32.to_le_bytes(), 9));
+    }
+
+    #[test]
+    fn byte_form_roundtrips_and_is_what_gets_hashed() {
+        fn check<K: HashKey>(k: K) {
+            let mut out = Vec::new();
+            k.put_le(&mut out);
+            assert_eq!(out.len(), K::BYTES);
+            assert_eq!(K::from_le(&out), Some(k));
+            assert_eq!(k.hash32(5), murmur3_x86_32(&out, 5));
+            assert_eq!(K::from_le(&out[1..]), None);
+        }
+        check(0xdead_beef_u32);
+        check(0x0102_0304_0506_0708_u64);
+        check(u128::MAX - 7);
+        check([9u8; 13]);
     }
 
     #[test]

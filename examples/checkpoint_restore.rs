@@ -35,12 +35,12 @@ fn main() {
 
     // --- the daemon: ingest, checkpoint every interval, crash ---------
     let mut daemon = build();
-    let mut last_checkpoint: Option<(usize, String)> = None;
+    let mut last_checkpoint: Option<(usize, Vec<u8>)> = None;
     for (i, it) in stream.iter().enumerate().take(crash_at) {
         if i > 0 && i % CHECKPOINT_EVERY == 0 {
-            let json = serde_json::to_string(&daemon.snapshot()).expect("serialize");
-            println!("checkpoint at item {i}: {} KB of JSON", json.len() / 1024);
-            last_checkpoint = Some((i, json));
+            let bytes = daemon.snapshot().to_bytes();
+            println!("checkpoint at item {i}: {} KB", bytes.len() / 1024);
+            last_checkpoint = Some((i, bytes));
         }
         daemon.insert(&it.key, it.value);
     }
@@ -48,8 +48,8 @@ fn main() {
     println!("daemon crashed at item {crash_at}");
 
     // --- recovery: restore the checkpoint, replay the logged tail -----
-    let (from, json) = last_checkpoint.expect("at least one checkpoint");
-    let snapshot: SketchSnapshot<u64> = serde_json::from_str(&json).expect("parse");
+    let (from, bytes) = last_checkpoint.expect("at least one checkpoint");
+    let snapshot = SketchSnapshot::<u64>::from_bytes(&bytes).expect("decode");
     let mut recovered = ReliableSketch::restore(snapshot).expect("restore");
     println!("restored checkpoint from item {from}, replaying the tail");
     for it in &stream[from..] {

@@ -45,8 +45,8 @@ fn merge_then_snapshot_then_resume() {
     }
     a.merge(&b).unwrap();
 
-    let json = serde_json::to_string(&a.snapshot()).unwrap();
-    let parsed: SketchSnapshot<u64> = serde_json::from_str(&json).unwrap();
+    let bytes = a.snapshot().to_bytes();
+    let parsed = SketchSnapshot::<u64>::from_bytes(&bytes).unwrap();
     let mut restored = ReliableSketch::restore(parsed).unwrap();
     assert!(restored.is_merged(), "merge hints must survive persistence");
 
@@ -140,12 +140,12 @@ fn epoched_window_snapshots_per_generation() {
     }
 
     // persist both generations independently, restore, and reassemble
-    let active_json = serde_json::to_string(&w.active().snapshot()).unwrap();
-    let frozen_json = serde_json::to_string(&w.frozen().unwrap().snapshot()).unwrap();
+    let active_bytes = w.active().snapshot().to_bytes();
+    let frozen_bytes = w.frozen().unwrap().snapshot().to_bytes();
     let active =
-        ReliableSketch::<u64>::restore(serde_json::from_str(&active_json).unwrap()).unwrap();
+        ReliableSketch::<u64>::restore(SketchSnapshot::from_bytes(&active_bytes).unwrap()).unwrap();
     let frozen =
-        ReliableSketch::<u64>::restore(serde_json::from_str(&frozen_json).unwrap()).unwrap();
+        ReliableSketch::<u64>::restore(SketchSnapshot::from_bytes(&frozen_bytes).unwrap()).unwrap();
 
     let truth = GroundTruth::from_items(&stream);
     for (k, f) in truth.iter().take(3_000) {

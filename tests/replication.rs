@@ -172,6 +172,95 @@ proptest! {
     }
 }
 
+/// A full snapshot costs a small multiple of the sketch's memory, for
+/// a sequential sketch and for a rotated two-generation window: buckets
+/// travel as positional fields, never as named, tagged values.
+#[test]
+fn full_snapshots_stay_within_a_small_multiple_of_memory() {
+    let stream = Dataset::IpTrace.generate(400_000, 7);
+    let mut seq = ReliableSketch::<u64>::new(config(7));
+    for it in &stream {
+        seq.insert(&it.key, it.value);
+    }
+    let mut window = EpochedConcurrent::<u64>::new(config(7));
+    let (first, second) = stream.split_at(stream.len() / 2);
+    for it in first {
+        window.insert_shared(&it.key, it.value);
+    }
+    window.rotate();
+    for it in second {
+        window.insert_shared(&it.key, it.value);
+    }
+    assert!(window.frozen().is_some());
+
+    for (name, bytes, memory) in [
+        (
+            "sequential",
+            seq.snapshot_bytes().unwrap().len(),
+            seq.memory_bytes(),
+        ),
+        (
+            "window",
+            window.snapshot_bytes().unwrap().len(),
+            window.memory_bytes(),
+        ),
+    ] {
+        assert!(
+            bytes * 4 <= memory * 9,
+            "{name}: a {bytes} B snapshot of a {memory} B sketch exceeds 2.25x"
+        );
+    }
+}
+
+/// A full snapshot from a server built with another `SketchSpec` is
+/// refused on the wire — it would resize the tenant's window — and the
+/// connection keeps serving.
+#[test]
+fn wire_refuses_a_snapshot_of_a_foreign_spec() {
+    use rsk_serve::Client;
+    use rsk_serve::{ClientError, ErrorCode, ServeConfig, ServerHandle, SketchSpec, SnapshotKind};
+
+    let start = |memory_bytes| {
+        ServerHandle::start(ServeConfig {
+            accept_threads: 1,
+            spec: SketchSpec {
+                memory_bytes,
+                error_tolerance: LAMBDA,
+                seed: 0xfeed,
+            },
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    };
+    let (small, large) = (start(64 * 1024), start(128 * 1024));
+    let mut src = Client::connect(small.local_addr()).unwrap();
+    let mut dst = Client::connect(large.local_addr()).unwrap();
+
+    let tenant = 4;
+    src.ingest(tenant, &[(42, 10), (7, 3)]).unwrap();
+    dst.ingest(tenant, &[(42, 5)]).unwrap();
+    let before = dst.query_certified(tenant, 42).unwrap();
+
+    let foreign = src.snapshot(tenant, SnapshotKind::Full).unwrap();
+    let err = dst.push_delta(tenant, &foreign).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::ReplicateRefused,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(dst.query_certified(tenant, 42).unwrap(), before);
+    assert_eq!(dst.ingest(tenant, &[(42, 1)]).unwrap(), 1);
+
+    drop((src, dst));
+    small.shutdown();
+    large.shutdown();
+}
+
 /// The acceptance pin: a tenant window replicated over real loopback
 /// TCP — one full snapshot, then two delta ships straddling an epoch
 /// seal — answers every probed key within its certified bound on the
