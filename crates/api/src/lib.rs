@@ -537,78 +537,6 @@ pub trait Clear {
     fn clear(&mut self);
 }
 
-/// How a parallel ingestion distributes its per-shard work units over
-/// worker threads.
-///
-/// Both policies preserve the determinism contract of sharded parallel
-/// ingestion: a work unit is one *whole shard's* sub-stream in stream
-/// order, applied by exactly one worker, so the resulting sketch is
-/// bit-identical under either policy and any worker count. The policies
-/// differ only in *which* worker applies a unit and therefore in
-/// wall-clock behaviour under skew:
-///
-/// * [`Static`](IngestPolicy::Static) claims shards from a shared ticket
-///   in shard-index order. Simple and cheap, but when one shard carries
-///   most of the stream (a skewed key distribution routes the hot key's
-///   whole mass to a single shard), whichever worker draws the hot
-///   ticket becomes the critical path while the others idle.
-/// * [`WorkStealing`](IngestPolicy::WorkStealing) seeds per-worker
-///   queues (heaviest unit first, honoring any placement hint), and idle
-///   workers steal *whole* pending units from busy owners — never
-///   splitting a shard, so determinism survives. `steal_threshold` is
-///   the minimum number of items a queued unit must carry to be worth
-///   migrating off its preferred owner; `0` steals anything.
-///
-/// # Examples
-///
-/// ```
-/// use rsk_api::IngestPolicy;
-///
-/// assert_eq!(IngestPolicy::default(), IngestPolicy::Static);
-/// let ws = IngestPolicy::work_stealing();
-/// assert!(matches!(ws, IngestPolicy::WorkStealing { .. }));
-/// // any queued unit is worth stealing once it meets the threshold
-/// let picky = IngestPolicy::WorkStealing { steal_threshold: 4096 };
-/// assert_ne!(ws, picky);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IngestPolicy {
-    /// Workers claim whole shards from a shared ticket counter in shard
-    /// order (the original two-phase schedule).
-    #[default]
-    Static,
-    /// Per-worker queues with whole-unit stealing for skewed shard loads.
-    WorkStealing {
-        /// Minimum item count a queued unit must carry before an idle
-        /// worker may steal it (`0` = steal anything pending).
-        steal_threshold: usize,
-    },
-}
-
-impl IngestPolicy {
-    /// Items a stolen unit must carry under [`Self::work_stealing`]:
-    /// small enough that real skew always triggers migration, large
-    /// enough that thieves don't bounce cache lines over trivial tails.
-    pub const DEFAULT_STEAL_THRESHOLD: usize = 256;
-
-    /// Work stealing at the default threshold
-    /// ([`Self::DEFAULT_STEAL_THRESHOLD`]).
-    #[inline]
-    pub fn work_stealing() -> Self {
-        IngestPolicy::WorkStealing {
-            steal_threshold: Self::DEFAULT_STEAL_THRESHOLD,
-        }
-    }
-
-    /// Short display form for tables (`static` / `steal:256`).
-    pub fn describe(&self) -> String {
-        match self {
-            IngestPolicy::Static => "static".into(),
-            IngestPolicy::WorkStealing { steal_threshold } => format!("steal:{steal_threshold}"),
-        }
-    }
-}
-
 /// A sketch that supports lock-free ingestion through a shared reference,
 /// so any number of producer threads can feed it concurrently.
 ///
@@ -673,21 +601,6 @@ pub trait ConcurrentSummary<K: Key>: Sync {
             self.insert_concurrent(k, *v);
         }
         items.len()
-    }
-
-    /// Ingest a stream with `n_workers` threads under an explicit
-    /// [`IngestPolicy`]. Implementations with a scheduled parallel path
-    /// (e.g. a sharded sketch) honor the policy; the default falls back
-    /// to [`Self::ingest_parallel`], which treats every policy as
-    /// [`IngestPolicy::Static`].
-    fn ingest_parallel_policy(
-        &self,
-        items: &[(K, u64)],
-        n_workers: usize,
-        policy: IngestPolicy,
-    ) -> usize {
-        let _ = policy;
-        self.ingest_parallel(items, n_workers)
     }
 }
 

@@ -6,18 +6,15 @@
 //! sequential path, and `ShardedReliable::ingest_parallel` at 1/2/4/8
 //! workers over 8 lock-free shards — in both the filtered (atomic CU
 //! mice filter) and "Raw" variants, so the filter's cost/benefit on the
-//! lock-free hot path is visible, and under both phase-2 scheduling
-//! policies (`sharded` = static ticket, `sharded_ws` = work stealing).
-//! A second group (`hot_shard`) repeats the policy race on a skew-3.0
-//! stream whose rank-1 key heats a single shard — the regime the
-//! work-stealing scheduler exists for. Mops/s = elements / time. On a
+//! lock-free hot path is visible. A second group (`hot_shard`) runs a
+//! skew-3.0 stream whose rank-1 key heats a single shard — the regime
+//! heaviest-first claiming exists for. Mops/s = elements / time. On a
 //! multi-core box the 8-worker row should clear 3× the single-thread
 //! baseline; on fewer cores it degrades gracefully to the batching gain.
 //! On the Zipf mouse tail, the filtered rows trade two extra hashes per
 //! item for far fewer bucket CAS walks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use rsk_api::IngestPolicy;
 use rsk_bench::{concurrent_config, sharded, sharded_raw, BENCH_ITEMS};
 use rsk_core::ReliableSketch;
 use rsk_stream::Dataset;
@@ -84,26 +81,13 @@ fn bench_concurrent_ingest(c: &mut Criterion) {
                 )
             },
         );
-        g.bench_function(
-            BenchmarkId::new("sharded_ws", format!("{workers}workers")),
-            |b| {
-                b.iter_batched(
-                    || sharded(SEED, SHARDS),
-                    |sh| {
-                        sh.ingest_parallel_with(&items, workers, IngestPolicy::work_stealing());
-                        sh
-                    },
-                    BatchSize::LargeInput,
-                )
-            },
-        );
     }
     g.finish();
 }
 
 /// The skewed regime: Zipf 3.0 routes the rank-1 key's mass to one
-/// shard, so the static ticket convoys behind the hot unit while the
-/// stealing schedule keeps the remaining workers busy on the tail.
+/// shard. Phase 2 claims that shard first, so the remaining workers
+/// drain the light tail while it runs instead of after.
 fn bench_hot_shard(c: &mut Criterion) {
     let stream = Dataset::Zipf { skew: 3.0 }.generate(BENCH_ITEMS, SEED);
     let items: Vec<(u64, u64)> = stream.iter().map(|it| (it.key, it.value)).collect();
@@ -112,24 +96,22 @@ fn bench_hot_shard(c: &mut Criterion) {
     g.throughput(Throughput::Elements(BENCH_ITEMS as u64));
     g.sample_size(10);
     const WORKERS: usize = 4;
-    // more shards than workers, so the static claim order can strand
-    // light shards behind the hot one — the case stealing repairs
+    // more shards than workers, so the claim order decides whether light
+    // shards queue behind the hot one
     const HOT_SHARDS: usize = 16;
-    for (name, policy) in [
-        ("static", IngestPolicy::Static),
-        ("work_stealing", IngestPolicy::work_stealing()),
-    ] {
-        g.bench_function(BenchmarkId::new(name, format!("{WORKERS}workers")), |b| {
+    g.bench_function(
+        BenchmarkId::new("ingest_parallel", format!("{WORKERS}workers")),
+        |b| {
             b.iter_batched(
                 || sharded(SEED, HOT_SHARDS),
                 |sh| {
-                    sh.ingest_parallel_with(&items, WORKERS, policy);
+                    sh.ingest_parallel(&items, WORKERS);
                     sh
                 },
                 BatchSize::LargeInput,
             )
-        });
-    }
+        },
+    );
     g.finish();
 }
 

@@ -62,8 +62,12 @@
 //! * Fingerprinting adds a `2⁻²⁴` per-colliding-pair chance of two keys
 //!   aliasing inside one bucket (the paper's own 32-bit `ID` field makes
 //!   the same trade against `u64` keys, at `2⁻³²`).
-//! * `count` saturates at `2²⁸ − 1` per bucket; saturation events are
-//!   counted in [`AtomicStats::saturations`].
+//! * `count` saturates at `2²⁸ − 1` per bucket. The step
+//!   `step_word → (word′, leftover, clipped)` returns the excess it
+//!   clipped, and the walk sends it down the failure path with any
+//!   leftover past the last layer: an insertion failure, kept by the
+//!   emergency store or counted in `dropped_value()`. Saturation events
+//!   are also counted in [`AtomicStats::saturations`].
 //! * With a mice filter configured, racing inserts of one key may read
 //!   the CU minimum across lanes mid-update; the per-key estimate can
 //!   then trail the truth by at most
@@ -150,9 +154,13 @@ fn unpack(word: u64) -> (u64, u64, u64) {
 
 /// One Algorithm-1 layer step as a pure function on the packed word.
 ///
-/// Returns `(new_word, leftover, saturated)`: the committed bucket state,
-/// the value that must descend to the next layer, and whether the `count`
-/// field clipped at [`COUNT_MAX`].
+/// Returns `(new_word, leftover, clipped)`: the committed bucket state,
+/// the value that must descend to the next layer, and the excess the
+/// `count` field could not hold past [`COUNT_MAX`]. Value is conserved:
+/// `YES + NO` grows by `value − leftover − clipped`. A step that clips
+/// leaves no leftover, so the caller hands the clipped amount straight
+/// to the failure path instead of a lower layer (the query stops at the
+/// matching bucket and would never read it there).
 ///
 /// The three branches mirror [`crate::ReliableSketch::insert_traced`]:
 /// matching candidates absorb fully (even when locked); a triggered lock
@@ -161,23 +169,24 @@ fn unpack(word: u64) -> (u64, u64, u64) {
 /// An empty bucket needs no special case — the replacement branch turns
 /// `(0, 0, 0)` into `(fp, v, 0)` exactly like a first insertion.
 #[inline]
-pub(crate) fn step_word(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u64, bool) {
+pub(crate) fn step_word(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u64, u64) {
     let (bfp, yes, no) = unpack(word);
     if bfp == fp {
-        let raised = yes.saturating_add(value);
-        return (pack(fp, raised.min(COUNT_MAX), no), 0, raised > COUNT_MAX);
+        let absorbed = value.min(COUNT_MAX - yes);
+        return (pack(fp, yes + absorbed, no), 0, value - absorbed);
     }
     if no.saturating_add(value) > lambda && yes > lambda {
         let room = lambda.saturating_sub(no);
-        return (pack(bfp, yes, no + room), value - room, false);
+        return (pack(bfp, yes, no + room), value - room, 0);
     }
     let votes = no.saturating_add(value);
     if votes >= yes {
         // replacement + swap: the old YES becomes the new NO; both
         // branches reaching here imply old YES ≤ λ ≤ ERR_MAX
-        (pack(fp, votes.min(COUNT_MAX), yes), 0, votes > COUNT_MAX)
+        let kept = votes.min(COUNT_MAX);
+        (pack(fp, kept, yes), 0, votes - kept)
     } else {
-        (pack(bfp, yes, votes), 0, false)
+        (pack(bfp, yes, votes), 0, 0)
     }
 }
 
@@ -200,8 +209,9 @@ impl AtomicStats {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Bucket-count saturation events (estimates may undershoot past
-    /// [`COUNT_MAX`] per bucket once this is nonzero).
+    /// Bucket-count saturation events: steps whose `count` clipped at
+    /// [`COUNT_MAX`]. Each clipped excess is an insertion failure, kept
+    /// by the emergency store or counted as dropped value.
     pub fn saturations(&self) -> u64 {
         self.saturations.load(Ordering::Relaxed)
     }
@@ -312,23 +322,30 @@ impl AtomicBucketArray {
     }
 
     /// Apply one layer step for `fingerprint` at `(layer, index)` with a
-    /// CAS loop (the transition is `step_word`); returns the leftover
-    /// value that must descend.
+    /// CAS loop (the transition is `step_word`); returns
+    /// `(leftover, clipped)`: the value that must descend, and the excess
+    /// a saturated count could not hold, which must not.
     #[inline]
-    pub fn insert_step(&self, layer: usize, index: usize, fingerprint: u64, value: u64) -> u64 {
+    pub fn insert_step(
+        &self,
+        layer: usize,
+        index: usize,
+        fingerprint: u64,
+        value: u64,
+    ) -> (u64, u64) {
         let global = self.offsets[layer] + index;
         let cell = &self.words[global];
         let lambda = self.lambdas[layer];
         let mut current = cell.load(Ordering::Acquire);
         loop {
-            let (next, leftover, saturated) = step_word(current, fingerprint, value, lambda);
+            let (next, leftover, clipped) = step_word(current, fingerprint, value, lambda);
             match cell.compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    if saturated {
+                    if clipped > 0 {
                         self.stats.saturations.fetch_add(1, Ordering::Relaxed);
                     }
                     self.mark_dirty(global);
-                    return leftover;
+                    return (leftover, clipped);
                 }
                 Err(actual) => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -727,19 +744,22 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// The bucket-layer walk proper: descend from layer 0 until the value
-    /// is absorbed, recording an emergency entry when every layer locks.
+    /// is absorbed, recording an emergency entry when every layer locks
+    /// or a saturated count clips. A clipping step leaves no leftover, so
+    /// only the last step's clipped amount can be nonzero.
     #[inline]
     fn descend(&self, key: &K, value: u64, fp: u64, idx0: usize) {
-        let mut v = self.array.insert_step(0, idx0, fp, value);
+        let (mut v, mut clipped) = self.array.insert_step(0, idx0, fp, value);
         let mut layer = 1;
         while v > 0 && layer < self.geometry.depth() {
             let j = self.hashes.index(layer, key, self.geometry.width(layer));
-            v = self.array.insert_step(layer, j, fp, v);
+            (v, clipped) = self.array.insert_step(layer, j, fp, v);
             layer += 1;
         }
-        if v > 0 {
+        let lost = v + clipped;
+        if lost > 0 {
             self.failures.fetch_add(1, Ordering::Relaxed);
-            self.emergency.lock().record(key, v);
+            self.emergency.lock().record(key, lost);
         }
     }
 
@@ -1093,10 +1113,30 @@ mod tests {
     #[test]
     fn step_word_count_saturates() {
         let w = pack(3, COUNT_MAX - 1, 0);
-        let (next, left, sat) = step_word(w, 3, 10, ERR_MAX);
+        let (next, left, clipped) = step_word(w, 3, 10, ERR_MAX);
         assert_eq!(unpack(next), (3, COUNT_MAX, 0));
         assert_eq!(left, 0);
-        assert!(sat);
+        assert_eq!(clipped, 9);
+    }
+
+    #[test]
+    fn clipped_count_is_an_accounted_failure() {
+        let sk = ConcurrentReliable::<u64>::new(ReliableConfig {
+            memory_bytes: 64 * 1024,
+            seed: 5,
+            emergency: EmergencyPolicy::Disabled,
+            ..Default::default()
+        });
+        let truth = 1u64 << 30;
+        sk.insert_concurrent(&7, truth);
+        assert_eq!(sk.insertion_failures(), 1);
+        assert_eq!(sk.array().stats().saturations(), 1);
+        let est = sk.query_with_error(&7);
+        assert!(
+            est.value + sk.dropped_value() >= truth,
+            "{est:?} + dropped {} < {truth}",
+            sk.dropped_value()
+        );
     }
 
     #[test]
@@ -1363,22 +1403,28 @@ mod tests {
         }
 
         /// The packed-word lock invariant: NO never exceeds λ after any
-        /// step, and value is conserved (absorbed + leftover = inserted).
+        /// step, and value is conserved on every step, saturating ones
+        /// included (absorbed + leftover + clipped = inserted). Weights
+        /// scaled by 2²⁴ reach the 2²⁸ count ceiling within a few steps.
         #[test]
         fn prop_step_word_invariants(
-            ops in proptest::collection::vec((0u64..6, 1u64..40), 1..200),
+            ops in proptest::collection::vec((0u64..6, 1u64..40, proptest::bool::ANY), 1..200),
             lambda in 1u64..64,
         ) {
             let mut w = 0u64;
-            for (fp, v) in ops {
+            for (fp, v, heavy) in ops {
+                let v = if heavy { v << 24 } else { v };
                 let (yes0, no0) = { let (_, y, n) = unpack(w); (y, n) };
-                let (next, left, sat) = step_word(w, fp, v, lambda);
+                let (next, left, clipped) = step_word(w, fp, v, lambda);
                 let (_, yes1, no1) = unpack(next);
                 prop_assert!(no1 <= lambda.max(no0), "NO {} above λ {}", no1, lambda);
                 prop_assert!(yes1 >= no1 || no1 <= lambda);
-                if !sat {
-                    prop_assert_eq!(yes1 + no1 + left, yes0 + no0 + v, "value not conserved");
-                }
+                prop_assert!(clipped == 0 || left == 0, "a clipping step diverted value");
+                prop_assert_eq!(
+                    yes1 + no1 + left + clipped,
+                    yes0 + no0 + v,
+                    "value not conserved"
+                );
                 w = next;
             }
         }

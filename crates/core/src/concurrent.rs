@@ -31,22 +31,14 @@
 //!
 //! ### Phase-2 scheduling
 //!
-//! *Which* worker applies which shard is a pluggable
-//! [`IngestPolicy`], exercised through
-//! [`ShardedReliable::ingest_parallel_with`]:
-//!
-//! * `Static` — shards are claimed off a shared ticket in index order
-//!   (the historical behaviour, and the default of `ingest_parallel`);
-//! * `WorkStealing` — shard batches become weighted work units in
-//!   per-worker queues (heaviest first; a [`ShardPlacement`] hint seeds
-//!   owners inside NUMA-ish group bands) and idle workers steal whole
-//!   pending units, so a skew-heated hot shard no longer convoys the
-//!   batch tail. See [`crate::schedule`] for the scheduler and
-//!   `docs/CONCURRENCY.md` for the performance model.
-//!
-//! Because a unit is never split, both policies produce bit-identical
-//! sketches — the root `work_stealing` suite property-tests this across
-//! policies, worker counts, and filtered/raw configurations.
+//! Phase 1 tells exactly how many items each shard received, so phase 2
+//! sorts the shards heaviest first (ties by index) and workers claim
+//! them off one shared atomic ticket in that order. This is Graham's LPT
+//! list schedule: a skew-heated hot shard starts at once instead of
+//! convoying the batch tail, and the makespan stays within
+//! `4/3 − 1/(3w)` of the best whole-shard schedule for `w` workers (see
+//! `docs/CONCURRENCY.md`). A shard is never split, so the claim order
+//! moves only the wall clock, never an answer.
 //!
 //! ### Seeds and memory
 //!
@@ -91,21 +83,19 @@
 
 use crate::atomic::ConcurrentReliable;
 use crate::config::ReliableConfig;
-use crate::schedule::{run_work_stealing, ShardPlacement, WorkUnit};
 use rsk_api::{
-    Algorithm, ConcurrentErrorSensing, ConcurrentSummary, ErrorSensing, Estimate, IngestPolicy,
-    Key, MemoryFootprint, StreamSummary,
+    Algorithm, ConcurrentErrorSensing, ConcurrentSummary, ErrorSensing, Estimate, Key,
+    MemoryFootprint, StreamSummary,
 };
 use rsk_hash::SplitMix64;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Key-partitioned lock-free ReliableSketch for shared (`&self`)
 /// ingestion from many threads.
 pub struct ShardedReliable<K: Key> {
     shards: Vec<ConcurrentReliable<K>>,
     router_seed: u32,
-    placement: Option<ShardPlacement>,
-    steals: AtomicU64,
 }
 
 impl<K: Key> ShardedReliable<K> {
@@ -132,90 +122,34 @@ impl<K: Key> ShardedReliable<K> {
     /// stores the error in 12 bits, unlike the unbounded `u64` fields of
     /// [`crate::ReliableSketch`].
     pub fn new(config: ReliableConfig, n_shards: usize) -> Self {
-        let (configs, router_seed) = shard_configs(&config, n_shards);
-        Self {
-            shards: configs.into_iter().map(ConcurrentReliable::new).collect(),
-            router_seed,
-            placement: None,
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Like [`Self::new`], but with a [`ShardPlacement`] topology hint:
-    /// the shard count is `placement.shards()`, each group's shard memory
-    /// is constructed from a dedicated thread of that group (best-effort
-    /// first-touch NUMA locality — no hard pinning, the crate forbids
-    /// `unsafe`), and [`Self::ingest_parallel_with`] seeds each shard's
-    /// phase-2 owner inside the group's worker band.
-    ///
-    /// Per-shard budgets and seeds are derived exactly as in
-    /// [`Self::new`] *before* any thread spawns, so a placed sketch is
-    /// bit-identical to an unplaced one with the same configuration —
-    /// placement only moves memory and work, never answers.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rsk_core::concurrent::ShardedReliable;
-    /// use rsk_core::schedule::ShardPlacement;
-    /// use rsk_core::ReliableConfig;
-    ///
-    /// let config = ReliableConfig { memory_bytes: 128 * 1024, seed: 5, ..Default::default() };
-    /// let placed = ShardedReliable::<u64>::with_placement(
-    ///     config.clone(),
-    ///     ShardPlacement::contiguous(8, 2), // or ShardPlacement::detect(8)
-    /// );
-    /// let plain = ShardedReliable::<u64>::new(config, 8);
-    /// placed.insert_shared(&7, 3);
-    /// plain.insert_shared(&7, 3);
-    /// assert_eq!(placed.query_shared(&7), plain.query_shared(&7));
-    /// ```
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`Self::new`].
-    pub fn with_placement(config: ReliableConfig, placement: ShardPlacement) -> Self
-    where
-        K: Send + Sync,
-    {
-        let (configs, router_seed) = shard_configs(&config, placement.shards());
-        // Construct each group's shards from one thread of that group:
-        // with the OS's default local-allocation policy this first-touch
-        // biases a group's bucket pages toward wherever its thread runs.
-        let mut built: Vec<(usize, ConcurrentReliable<K>)> = std::thread::scope(|scope| {
-            let placement = &placement;
-            let handles: Vec<_> = (0..placement.groups())
-                .map(|g| {
-                    let group_configs: Vec<(usize, ReliableConfig)> = configs
-                        .iter()
-                        .enumerate()
-                        .filter(|(s, _)| placement.group_of(*s) == g)
-                        .map(|(s, c)| (s, c.clone()))
-                        .collect();
-                    scope.spawn(move || {
-                        group_configs
-                            .into_iter()
-                            .map(|(s, c)| (s, ConcurrentReliable::new(c)))
-                            .collect::<Vec<_>>()
-                    })
+        assert!(n_shards > 0, "need at least one shard");
+        let base = config.memory_bytes / n_shards;
+        let remainder = config.memory_bytes % n_shards;
+        let mut seeds = SplitMix64::new(config.seed);
+        let mut allotted = 0usize;
+        let shards = (0..n_shards)
+            .map(|i| {
+                let budget = base + usize::from(i < remainder);
+                allotted += budget;
+                ConcurrentReliable::new(ReliableConfig {
+                    memory_bytes: budget,
+                    seed: seeds.next_u64(),
+                    ..config.clone()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard construction panicked"))
-                .collect()
-        });
-        built.sort_by_key(|(s, _)| *s);
+            })
+            .collect();
+        assert_eq!(
+            allotted, config.memory_bytes,
+            "shard budgets must sum to the configured total"
+        );
         Self {
-            shards: built.into_iter().map(|(_, sh)| sh).collect(),
-            router_seed,
-            placement: Some(placement),
-            steals: AtomicU64::new(0),
+            shards,
+            router_seed: seeds.next_u64() as u32 ^ SHARD_SALT,
         }
     }
 
     /// Reassemble a sketch from individually restored shards (the
-    /// replication layer's full-snapshot path). Placement hints and the
-    /// steal gauge do not travel: a replica starts unplaced.
+    /// replication layer's full-snapshot path).
     pub(crate) fn from_restored_shards(
         shards: Vec<ConcurrentReliable<K>>,
         router_seed: u32,
@@ -224,22 +158,7 @@ impl<K: Key> ShardedReliable<K> {
         Self {
             shards,
             router_seed,
-            placement: None,
-            steals: AtomicU64::new(0),
         }
-    }
-
-    /// The topology hint this sketch was built with, if any.
-    pub fn placement(&self) -> Option<&ShardPlacement> {
-        self.placement.as_ref()
-    }
-
-    /// Work units stolen across all [`Self::ingest_parallel_with`] calls
-    /// under [`IngestPolicy::WorkStealing`] — shards applied by a worker
-    /// other than their seeded owner (load-balance gauge; 0 for the
-    /// static policy and for perfectly balanced runs).
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 
     /// Number of shards.
@@ -337,10 +256,9 @@ impl<K: Key> ShardedReliable<K> {
 
     /// Ingest `items` with `n_workers` threads in two barrier-free
     /// phases: parallel shard-affine partitioning, then shard-owned batch
-    /// application in stream order (see the module docs), claiming shards
-    /// under [`IngestPolicy::Static`]. Deterministic: the result is
-    /// identical to a sequential [`Self::insert_shared`] replay for every
-    /// worker count.
+    /// application in stream order, heaviest shard first (see the module
+    /// docs). Deterministic: the result is identical to a sequential
+    /// [`Self::insert_shared`] replay for every worker count.
     ///
     /// Returns the number of items processed.
     ///
@@ -362,59 +280,6 @@ impl<K: Key> ShardedReliable<K> {
     /// assert_eq!(parallel.query_shared(&7), replay.query_shared(&7));
     /// ```
     pub fn ingest_parallel(&self, items: &[(K, u64)], n_workers: usize) -> usize
-    where
-        K: Send + Sync,
-    {
-        self.ingest_parallel_with(items, n_workers, IngestPolicy::Static)
-    }
-
-    /// [`Self::ingest_parallel`] under an explicit scheduling policy.
-    ///
-    /// Both policies apply each shard's sub-stream from exactly one
-    /// worker in stream order, so **the resulting sketch is bit-identical
-    /// across policies and worker counts** — the policy only decides
-    /// which worker applies which shard, i.e. the wall clock:
-    ///
-    /// * [`IngestPolicy::Static`] — workers pull shard indexes off a
-    ///   shared ticket in shard order (the historical behaviour);
-    /// * [`IngestPolicy::WorkStealing`] — shard batches become weighted
-    ///   [work units](crate::schedule::WorkUnit) in per-worker queues
-    ///   (seeded by the [`ShardPlacement`] hint when the sketch has one,
-    ///   heaviest first), and idle workers steal whole pending units of
-    ///   at least `steal_threshold` items. Under skewed shard loads this
-    ///   removes the hot-shard convoy; see [`crate::schedule`] for the
-    ///   makespan model. Steals are counted on [`Self::steals`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rsk_api::IngestPolicy;
-    /// use rsk_core::concurrent::ShardedReliable;
-    /// use rsk_core::ReliableConfig;
-    ///
-    /// // a heavily skewed stream: one key (= one shard) carries half the items
-    /// let items: Vec<(u64, u64)> = (0..30_000u64)
-    ///     .map(|i| (if i % 2 == 0 { 42 } else { i % 701 }, 1))
-    ///     .collect();
-    /// let config = ReliableConfig { memory_bytes: 256 * 1024, seed: 11, ..Default::default() };
-    ///
-    /// let stealing = ShardedReliable::<u64>::new(config.clone(), 8);
-    /// stealing.ingest_parallel_with(&items, 4, IngestPolicy::work_stealing());
-    ///
-    /// let static_ = ShardedReliable::<u64>::new(config, 8);
-    /// static_.ingest_parallel_with(&items, 4, IngestPolicy::Static);
-    ///
-    /// // scheduling freedom never changes answers
-    /// for k in 0..701u64 {
-    ///     assert_eq!(stealing.query_shared(&k), static_.query_shared(&k));
-    /// }
-    /// ```
-    pub fn ingest_parallel_with(
-        &self,
-        items: &[(K, u64)],
-        n_workers: usize,
-        policy: IngestPolicy,
-    ) -> usize
     where
         K: Send + Sync,
     {
@@ -449,48 +314,26 @@ impl<K: Key> ShardedReliable<K> {
 
         // Phase 2: apply each shard's batches from exactly one worker in
         // chunk (= stream) order; flushes on distinct shards proceed in
-        // parallel with no synchronization beyond the bucket CAS. Which
-        // worker applies a shard is the policy's (and only the policy's)
-        // business.
-        let apply_shard = |shard: usize| {
-            for chunk in &partitions {
-                self.shards[shard].insert_batch(&chunk[shard]);
-            }
-        };
-        match policy {
-            IngestPolicy::Static => {
-                let ticket = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..n_workers.min(n_shards) {
-                        scope.spawn(|| loop {
-                            let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                            if shard >= n_shards {
-                                break;
-                            }
-                            apply_shard(shard);
-                        });
+        // parallel with no synchronization beyond the bucket CAS. Workers
+        // claim shards heaviest first; the sort is stable, so ties keep
+        // index order.
+        let loads: Vec<usize> = (0..n_shards)
+            .map(|shard| partitions.iter().map(|chunk| chunk[shard].len()).sum())
+            .collect();
+        let mut order: Vec<usize> = (0..n_shards).collect();
+        order.sort_by_key(|&shard| Reverse(loads[shard]));
+        let ticket = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..n_workers.min(n_shards) {
+                scope.spawn(|| {
+                    while let Some(&shard) = order.get(ticket.fetch_add(1, Ordering::Relaxed)) {
+                        for chunk in &partitions {
+                            self.shards[shard].insert_batch(&chunk[shard]);
+                        }
                     }
                 });
             }
-            IngestPolicy::WorkStealing { steal_threshold } => {
-                let units: Vec<WorkUnit> = (0..n_shards)
-                    .map(|shard| WorkUnit {
-                        shard,
-                        weight: partitions.iter().map(|chunk| chunk[shard].len()).sum(),
-                    })
-                    .collect();
-                let owners: Vec<usize> = (0..n_shards)
-                    .map(|shard| match &self.placement {
-                        Some(p) => p.preferred_worker(shard, n_workers),
-                        None => shard % n_workers,
-                    })
-                    .collect();
-                let stats = run_work_stealing(&units, &owners, n_workers, steal_threshold, |u| {
-                    apply_shard(units[u].shard)
-                });
-                self.steals.fetch_add(stats.steals, Ordering::Relaxed);
-            }
-        }
+        });
         items.len()
     }
 }
@@ -538,15 +381,6 @@ impl<K: Key + Send + Sync> ConcurrentSummary<K> for ShardedReliable<K> {
 
     fn ingest_parallel(&self, items: &[(K, u64)], n_workers: usize) -> usize {
         ShardedReliable::ingest_parallel(self, items, n_workers)
-    }
-
-    fn ingest_parallel_policy(
-        &self,
-        items: &[(K, u64)],
-        n_workers: usize,
-        policy: IngestPolicy,
-    ) -> usize {
-        ShardedReliable::ingest_parallel_with(self, items, n_workers, policy)
     }
 }
 
@@ -625,35 +459,6 @@ impl crate::config::ReliableConfigBuilder {
 
 /// Salt separating the shard-routing hash from the per-layer families.
 const SHARD_SALT: u32 = 0x05aa_bbcd;
-
-/// Derive the per-shard configurations (budget split with the remainder
-/// spread over leading shards, SplitMix64 seed stream) and the routing
-/// seed — shared by [`ShardedReliable::new`] and
-/// [`ShardedReliable::with_placement`] so placement can never perturb
-/// the shard parameters.
-fn shard_configs(config: &ReliableConfig, n_shards: usize) -> (Vec<ReliableConfig>, u32) {
-    assert!(n_shards > 0, "need at least one shard");
-    let base = config.memory_bytes / n_shards;
-    let remainder = config.memory_bytes % n_shards;
-    let mut seeds = SplitMix64::new(config.seed);
-    let mut allotted = 0usize;
-    let configs: Vec<_> = (0..n_shards)
-        .map(|i| {
-            let budget = base + usize::from(i < remainder);
-            allotted += budget;
-            ReliableConfig {
-                memory_bytes: budget,
-                seed: seeds.next_u64(),
-                ..config.clone()
-            }
-        })
-        .collect();
-    assert_eq!(
-        allotted, config.memory_bytes,
-        "shard budgets must sum to the configured total"
-    );
-    (configs, seeds.next_u64() as u32 ^ SHARD_SALT)
-}
 
 #[cfg(test)]
 mod tests {

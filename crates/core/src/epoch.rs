@@ -706,9 +706,7 @@ impl<K: Key> Clear for EpochedConcurrent<K> {
         self.frozen = None;
         self.frozen_topk = None;
         self.epoch = 0;
-        {
-            self.cut_epoch = None;
-        }
+        self.cut_epoch = None;
     }
 }
 

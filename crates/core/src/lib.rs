@@ -87,7 +87,6 @@ pub mod filter;
 pub mod geometry;
 pub mod merge;
 pub mod replicate;
-pub mod schedule;
 pub mod sketch;
 pub mod stats;
 pub mod subpop;
@@ -106,7 +105,6 @@ pub use filter::{AtomicMiceFilter, MiceFilter};
 pub use geometry::LayerGeometry;
 pub use merge::merge_all;
 pub use replicate::{SketchSnapshot, SlimShards, SlimSummary};
-pub use schedule::ShardPlacement;
 pub use sketch::ReliableSketch;
 pub use stats::{InsertTrace, QueryTrace, SketchStats, StopLayer};
 pub use subpop::DENSE_ENUMERATION_LIMIT;

@@ -338,8 +338,8 @@ fn contenders(flags: &Flags) -> Result<(), String> {
         ctx.contenders = Some(p.split(',').map(str::to_string).collect());
     }
     println!(
-        "{:<20} {:<7} {:<10} {:>6} {:>7} {:>8} {:>8} {:>9} {:>6}",
-        "label", "mode", "policy", "shards", "filter", "sensing", "determ.", "baseline", "plane"
+        "{:<20} {:<7} {:>6} {:>7} {:>8} {:>8} {:>9} {:>6}",
+        "label", "mode", "shards", "filter", "sensing", "determ.", "baseline", "plane"
     );
     // CPU registry first, then the read-only dataplane models (whose Λ
     // is byte-domain in the testbed figure; the listing reuses --lambda)
@@ -348,10 +348,9 @@ fn contenders(flags: &Flags) -> Result<(), String> {
     for c in registry {
         let m = c.meta();
         println!(
-            "{:<20} {:<7} {:<10} {:>6} {:>7} {:>8} {:>8} {:>9} {:>6}",
+            "{:<20} {:<7} {:>6} {:>7} {:>8} {:>8} {:>9} {:>6}",
             c.label(),
             m.mode.describe(),
-            m.policy.describe(),
             m.shards,
             if m.filtered { "mice" } else { "raw" },
             m.sensing,

@@ -54,8 +54,8 @@
 
 use crate::ExpContext;
 use rsk_api::{
-    CertifiedTopK, CertifiedWeight, ConcurrentSummary, ErrorSensing, Estimate, IngestPolicy,
-    KeySet, Merge, Sketch, StreamSummary, SubpopulationWeight, TopK,
+    CertifiedTopK, CertifiedWeight, ConcurrentSummary, ErrorSensing, Estimate, KeySet, Merge,
+    Sketch, StreamSummary, SubpopulationWeight, TopK,
 };
 use rsk_baselines::factory::Baseline;
 use rsk_baselines::SpaceSaving;
@@ -112,9 +112,6 @@ impl IngestMode {
 pub struct ContenderMeta {
     /// Ingest strategy.
     pub mode: IngestMode,
-    /// Phase-2 scheduling policy for parallel contenders (`Static` for
-    /// everything that doesn't schedule shards).
-    pub policy: IngestPolicy,
     /// Mice filter on (the paper's default) vs the Raw variant.
     pub filtered: bool,
     /// Shard count (1 = unsharded).
@@ -138,7 +135,6 @@ impl ContenderMeta {
     fn ours_sequential() -> Self {
         Self {
             mode: IngestMode::Sequential,
-            policy: IngestPolicy::Static,
             filtered: true,
             shards: 1,
             deterministic: true,
@@ -212,8 +208,7 @@ pub trait ContenderInstance {
         None
     }
 
-    /// Scheduler / dataplane diagnostic counters as `(label, count)`
-    /// pairs — e.g. `("steals", n)` for a work-stealing sharded ingest,
+    /// Diagnostic counters as `(label, count)` pairs — e.g.
     /// `("recirculations", n)` for the Tofino model. Empty for contenders
     /// without such machinery.
     fn diagnostics(&self) -> Vec<(&'static str, u64)> {
@@ -356,12 +351,10 @@ impl ContenderInstance for AtomicInstance {
     }
 }
 
-/// Key-partitioned shards, deterministic two-phase parallel ingestion
-/// under the registered scheduling policy.
+/// Key-partitioned shards, deterministic two-phase parallel ingestion.
 struct ShardedInstance {
     sk: ShardedReliable<u64>,
     workers: usize,
-    policy: IngestPolicy,
 }
 
 impl ContenderInstance for ShardedInstance {
@@ -370,7 +363,7 @@ impl ContenderInstance for ShardedInstance {
     }
     fn ingest(&mut self, stream: &[Item<u64>]) {
         let pairs = to_pairs(stream);
-        ShardedReliable::ingest_parallel_with(&self.sk, &pairs, self.workers, self.policy);
+        self.sk.ingest_parallel(&pairs, self.workers);
     }
     fn ingest_batched(&mut self, stream: &[Item<u64>], batch: usize) -> bool {
         self.sk
@@ -391,9 +384,6 @@ impl ContenderInstance for ShardedInstance {
     }
     fn subpopulation_weight(&self, set: &KeySet) -> Option<CertifiedWeight> {
         Some(SubpopulationWeight::subpopulation_weight(&self.sk, set))
-    }
-    fn diagnostics(&self) -> Vec<(&'static str, u64)> {
-        vec![("steals", self.sk.steals())]
     }
 }
 
@@ -760,31 +750,13 @@ impl Contender {
     }
 
     /// `shards` lock-free shards splitting the budget, ingested by
-    /// `workers` threads under the static ticket schedule. Deterministic
-    /// at every worker count.
+    /// `workers` threads, heaviest shard first. Deterministic at every
+    /// worker count.
     pub fn sharded(lambda: u64, shards: usize, workers: usize) -> Self {
-        Self::sharded_policy(lambda, shards, workers, IngestPolicy::Static)
-    }
-
-    /// [`Self::sharded`] under an explicit phase-2 scheduling policy.
-    /// Work-stealing labels carry a `+ws` suffix (`Ours(x8)@4w+ws`).
-    /// Still deterministic at every worker count — whole-shard units are
-    /// never split, so the policy only moves wall-clock, never answers.
-    pub fn sharded_policy(
-        lambda: u64,
-        shards: usize,
-        workers: usize,
-        policy: IngestPolicy,
-    ) -> Self {
-        let suffix = match policy {
-            IngestPolicy::Static => "",
-            IngestPolicy::WorkStealing { .. } => "+ws",
-        };
         Self {
-            label: format!("Ours(x{shards})@{workers}w{suffix}"),
+            label: format!("Ours(x{shards})@{workers}w"),
             meta: ContenderMeta {
                 mode: IngestMode::Parallel { workers },
-                policy,
                 shards,
                 ..ContenderMeta::ours_sequential()
             },
@@ -792,7 +764,6 @@ impl Contender {
                 Box::new(ShardedInstance {
                     sk: ShardedReliable::new(reliable_config(mem, lambda, false, seed), shards),
                     workers,
-                    policy,
                 })
             }),
         }
@@ -1051,36 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_contender_is_bitwise_static() {
-        let s = stream();
-        let st = Contender::sharded_policy(25, 8, 4, IngestPolicy::Static).run(256 * 1024, 3, &s);
-        let ws =
-            Contender::sharded_policy(25, 8, 4, IngestPolicy::WorkStealing { steal_threshold: 0 })
-                .run(256 * 1024, 3, &s);
-        for it in &s {
-            assert_eq!(st.query(&it.key), ws.query(&it.key));
-        }
-        // the scheduler surfaces its steal counter through diagnostics
-        assert!(ws.diagnostics().iter().any(|(k, _)| *k == "steals"));
-    }
-
-    #[test]
     fn policy_and_dataplane_metadata() {
-        let ws = Contender::sharded_policy(25, 8, 4, IngestPolicy::work_stealing());
-        assert_eq!(ws.label(), "Ours(x8)@4w+ws");
-        assert!(
-            ws.meta().deterministic,
-            "whole-unit stealing stays deterministic"
-        );
-        assert!(matches!(
-            ws.meta().policy,
-            IngestPolicy::WorkStealing { .. }
-        ));
-        assert_eq!(
-            Contender::sharded(25, 4, 2).meta().policy,
-            IngestPolicy::Static
-        );
-
         let hw = Contender::tofino(1_000);
         assert_eq!(hw.label(), "Ours(Tofino)");
         assert!(hw.meta().dataplane && !hw.meta().baseline);

@@ -1,6 +1,5 @@
 //! `fig_serve`: the multi-tenant service driven end-to-end over real
-//! loopback TCP — the serving-layer counterpart of the `scaling`
-//! ingest-speedup curves.
+//! loopback TCP.
 //!
 //! The target boots an in-process `rsk-serve` server (ephemeral port,
 //! thread-per-core accept loop), drives it with the `rsk-load`

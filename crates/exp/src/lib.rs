@@ -45,7 +45,6 @@ pub mod fig_layers;
 pub mod fig_outliers;
 pub mod fig_params;
 pub mod fig_replicate;
-pub mod fig_scaling;
 pub mod fig_sensing;
 pub mod fig_serve;
 pub mod fig_subpop;

@@ -35,14 +35,13 @@
 
 use crate::{
     fig_ablation, fig_concurrent, fig_delta, fig_elephant, fig_error, fig_hash_calls, fig_intro,
-    fig_layers, fig_outliers, fig_params, fig_replicate, fig_scaling, fig_sensing, fig_serve,
-    fig_subpop, fig_testbed, fig_throughput, fig_workloads, fig_zero_mem, tables, ExpContext,
-    Table,
+    fig_layers, fig_outliers, fig_params, fig_replicate, fig_sensing, fig_serve, fig_subpop,
+    fig_testbed, fig_throughput, fig_workloads, fig_zero_mem, tables, ExpContext, Table,
 };
 use std::path::PathBuf;
 
 /// Every concrete target, in report order.
-pub const ALL_TARGETS: [&str; 30] = [
+pub const ALL_TARGETS: [&str; 29] = [
     "table1",
     "table3",
     "table4",
@@ -70,7 +69,6 @@ pub const ALL_TARGETS: [&str; 30] = [
     "delta",
     "concurrent",
     "workloads",
-    "scaling",
     "serve",
     "replicate",
 ];
@@ -82,7 +80,7 @@ pub fn expand(target: &str) -> Vec<&'static str> {
         "accuracy" => vec![
             "fig4", "fig5", "fig6", "fig7", "topk", "subpop", "fig8", "fig9",
         ],
-        "speed" => vec!["fig10", "fig16", "scaling", "serve"],
+        "speed" => vec!["fig10", "fig16", "serve"],
         "params" => vec!["fig11", "fig12", "fig13", "fig14", "fig15"],
         "hardware" => vec!["table3", "table4", "fig20"],
         "beyond" => vec![
@@ -91,7 +89,6 @@ pub fn expand(target: &str) -> Vec<&'static str> {
             "delta",
             "concurrent",
             "workloads",
-            "scaling",
             "replicate",
         ],
         t => ALL_TARGETS.iter().copied().filter(|&x| x == t).collect(),
@@ -128,7 +125,6 @@ pub fn run_target(name: &str, ctx: &ExpContext) -> Vec<Table> {
         "delta" => fig_delta::delta(ctx),
         "concurrent" => fig_concurrent::concurrent(ctx),
         "workloads" => fig_workloads::workloads(ctx),
-        "scaling" => fig_scaling::scaling(ctx),
         "serve" => fig_serve::serve(ctx),
         "replicate" => fig_replicate::replicate(ctx),
         _ => unreachable!("expand() filtered targets"),

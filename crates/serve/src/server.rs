@@ -35,8 +35,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::protocol::{
-    read_frame, send_response, ErrorCode, ProtocolError, Request, Response, StatsReply, MAX_BATCH,
-    MAX_FRAME_LEN,
+    read_frame, send_response, ErrorCode, ProtocolError, Request, Response, SnapshotKind,
+    StatsReply, MAX_BATCH, MAX_FRAME_LEN,
 };
 use crate::tenant::{SketchSpec, TenantMap};
 
@@ -382,12 +382,12 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         Request::Query { tenant, key } => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
             Response::Value {
-                value: shared.tenants.get_or_create(tenant).query(key),
+                value: shared.tenants.get_or_empty(tenant).query(key),
             }
         }
         Request::QueryCertified { tenant, key } => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let ans = shared.tenants.get_or_create(tenant).certified(key);
+            let ans = shared.tenants.get_or_empty(tenant).certified(key);
             Response::Certified {
                 value: ans.value,
                 max_possible_error: ans.max_possible_error,
@@ -412,7 +412,13 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
             },
         },
         Request::Snapshot { tenant, kind } => {
-            match shared.tenants.get_or_create(tenant).replicate_payload(kind) {
+            // a delta cut moves the tenant's replication baseline, so it
+            // is a write; full and slim captures only read
+            let source = match kind {
+                SnapshotKind::Delta => shared.tenants.get_or_create(tenant),
+                SnapshotKind::Full | SnapshotKind::Slim => shared.tenants.get_or_empty(tenant),
+            };
+            match source.replicate_payload(kind) {
                 Ok(payload) => {
                     // +2 for the version and opcode bytes, +4 for the
                     // blob length field.
@@ -449,7 +455,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         }
         Request::SlimQuery { tenant, key } => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let ans = shared.tenants.get_or_create(tenant).slim_certified(key);
+            let ans = shared.tenants.get_or_empty(tenant).slim_certified(key);
             Response::Certified {
                 value: ans.value,
                 max_possible_error: ans.max_possible_error,
@@ -459,7 +465,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         }
         Request::TopK { tenant, k } => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let (top, slack, epoch) = shared.tenants.get_or_create(tenant).top_k(k as usize);
+            let (top, slack, epoch) = shared.tenants.get_or_empty(tenant).top_k(k as usize);
             Response::TopK {
                 epoch,
                 slack,
@@ -473,7 +479,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
         }
         Request::Subpop { tenant, set } => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let (w, epoch) = shared.tenants.get_or_create(tenant).subpop(&set);
+            let (w, epoch) = shared.tenants.get_or_empty(tenant).subpop(&set);
             Response::Subpop {
                 estimate: w.estimate,
                 lo: w.lo,
@@ -608,8 +614,6 @@ mod tests {
 
     #[test]
     fn replication_ships_a_tenant_across_servers() {
-        use crate::protocol::SnapshotKind;
-
         let primary = ServerHandle::start(tiny()).unwrap();
         let replica = ServerHandle::start(tiny()).unwrap();
         let mut src = Client::connect(primary.local_addr()).unwrap();

@@ -21,7 +21,7 @@
 //! `Merge {a→b}` / `Merge {b→a}` requests cannot deadlock.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use rsk_api::{
@@ -221,6 +221,11 @@ impl Tenant {
 pub struct TenantMap {
     stripes: Vec<RwLock<HashMap<u32, Arc<Tenant>>>>,
     spec: SketchSpec,
+    /// The never-written window that reads of unknown tenants answer
+    /// from (see [`Self::get_or_empty`]), built from `spec` on the first
+    /// such read. It stands in for every unknown id, so its own `id()`
+    /// (0) names none of them.
+    empty: OnceLock<Arc<Tenant>>,
 }
 
 impl TenantMap {
@@ -230,7 +235,15 @@ impl TenantMap {
         Self {
             stripes: (0..stripes).map(|_| RwLock::new(HashMap::new())).collect(),
             spec,
+            empty: OnceLock::new(),
         }
+    }
+
+    fn fresh(&self, tenant: u32) -> Arc<Tenant> {
+        Arc::new(Tenant {
+            id: tenant,
+            window: RwLock::new(self.spec.build()),
+        })
     }
 
     fn stripe(&self, tenant: u32) -> &RwLock<HashMap<u32, Arc<Tenant>>> {
@@ -247,17 +260,21 @@ impl TenantMap {
             return Arc::clone(t);
         }
         let mut map = stripe.write();
-        Arc::clone(map.entry(tenant).or_insert_with(|| {
-            Arc::new(Tenant {
-                id: tenant,
-                window: RwLock::new(self.spec.build()),
-            })
-        }))
+        Arc::clone(map.entry(tenant).or_insert_with(|| self.fresh(tenant)))
     }
 
     /// Fetch `tenant`'s window only if it already exists.
     pub fn get(&self, tenant: u32) -> Option<Arc<Tenant>> {
         self.stripe(tenant).read().get(&tenant).cloned()
+    }
+
+    /// Fetch `tenant`'s window for a read without materialising it. A
+    /// tenant nobody wrote to has truth 0 for every key, so one shared
+    /// empty window answers its reads exactly, with the answers a freshly
+    /// created window would give. Callers must only read through it.
+    pub(crate) fn get_or_empty(&self, tenant: u32) -> Arc<Tenant> {
+        self.get(tenant)
+            .unwrap_or_else(|| Arc::clone(self.empty.get_or_init(|| self.fresh(0))))
     }
 
     /// Tenants materialised so far.

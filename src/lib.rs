@@ -43,12 +43,12 @@ pub mod prelude {
     pub use crate::builder::{builder, SketchBuilder};
     pub use rsk_api::{
         CertifiedTopK, CertifiedWeight, Clear, ConcurrentErrorSensing, ConcurrentSummary,
-        ErrorSensing, Estimate, IngestPolicy, KeySet, MemoryFootprint, Merge, MergeError,
-        Replicate, ReplicateError, StreamSummary, SubpopulationWeight, TopK, TopKEntry,
+        ErrorSensing, Estimate, KeySet, MemoryFootprint, Merge, MergeError, Replicate,
+        ReplicateError, StreamSummary, SubpopulationWeight, TopK, TopKEntry,
     };
     pub use rsk_core::{
         merge_all, ConcurrentReliable, EpochedConcurrent, EpochedReliable, ReliableConfig,
-        ReliableSketch, ShardPlacement, ShardedReliable, TopKSummary,
+        ReliableSketch, ShardedReliable, TopKSummary,
     };
     pub use rsk_core::{SketchSnapshot, SlimShards, SlimSummary};
     pub use rsk_stream::{Dataset, GroundTruth, Item};

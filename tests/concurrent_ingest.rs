@@ -4,18 +4,22 @@
 //!
 //! 1. **Determinism** — `ShardedReliable::ingest_parallel` produces
 //!    per-key estimates *identical* to a sequential `insert` replay of
-//!    the same stream, for every shard/worker combination in {1, 2, 4, 8}.
-//!    The two-phase design (parallel shard-affine partitioning, then
-//!    shard-owned application in stream order) makes the parallel result
-//!    bit-for-bit reproducible.
+//!    the same stream, for every shard/worker combination in {1, 2, 4, 8},
+//!    for random streams over 3–13 shards and 2–8 workers, filtered and
+//!    raw, and under a Zipf-3.0 stream whose hot shard phase 2 claims
+//!    first. The two-phase design (parallel shard-affine partitioning,
+//!    then shard-owned application in stream order) makes the parallel
+//!    result bit-for-bit reproducible whatever order the shards are
+//!    claimed in.
 //! 2. **Linearizable soundness** — when producers outnumber shards and
 //!    race on the same atomic buckets, the certified-interval guarantee
 //!    still holds for every key: estimates never undershoot, and the MPE
 //!    stays within Λ.
 
+use proptest::prelude::*;
 use reliablesketch::core::atomic::ConcurrentReliable;
 use reliablesketch::core::concurrent::ShardedReliable;
-use reliablesketch::core::{EmergencyPolicy, ReliableConfig};
+use reliablesketch::core::{EmergencyPolicy, MiceFilterConfig, ReliableConfig};
 use reliablesketch::prelude::*;
 use rsk_api::ConcurrentSummary;
 use std::collections::HashMap;
@@ -46,6 +50,29 @@ fn raw_config() -> ReliableConfig {
         mice_filter: None,
         ..config()
     }
+}
+
+/// Paper defaults at `mem` bytes, filtered or raw.
+fn variant(mem: usize, seed: u64, raw: bool) -> ReliableConfig {
+    ReliableConfig {
+        memory_bytes: mem,
+        seed,
+        mice_filter: if raw {
+            None
+        } else {
+            Some(MiceFilterConfig::default())
+        },
+        ..Default::default()
+    }
+}
+
+/// Sequential oracle: the one-item-at-a-time shared path.
+fn replay(cfg: ReliableConfig, shards: usize, items: &[(u64, u64)]) -> ShardedReliable<u64> {
+    let sk = ShardedReliable::<u64>::new(cfg, shards);
+    for (k, v) in items {
+        sk.insert_shared(k, *v);
+    }
+    sk
 }
 
 fn zipf_items(n: usize, seed: u64) -> (Vec<(u64, u64)>, HashMap<u64, u64>) {
@@ -91,6 +118,71 @@ fn parallel_ingest_identical_to_sequential_all_combinations() {
                 parallel.insertion_failures(),
                 sequential.insertion_failures()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bit-equality across worker counts, shard counts and the filtered
+    /// and raw configurations: always equal to a sequential replay.
+    #[test]
+    fn prop_worker_and_shard_counts_are_bit_identical(
+        ops in proptest::collection::vec((0u64..400, 1u64..6), 1..800),
+        workers in 2usize..9,
+        shards in 3usize..14,
+        raw in proptest::bool::ANY,
+    ) {
+        let cfg = variant(96 * 1024, 7, raw);
+        let oracle = replay(cfg.clone(), shards, &ops);
+
+        let parallel = ShardedReliable::<u64>::new(cfg, shards);
+        parallel.ingest_parallel(&ops, workers);
+
+        for k in ops.iter().map(|(k, _)| *k) {
+            prop_assert_eq!(parallel.query_shared(&k), oracle.query_shared(&k));
+        }
+        prop_assert_eq!(parallel.insertion_failures(), oracle.insertion_failures());
+    }
+}
+
+/// Contended skew: Zipf 3.0 routes the rank-1 key's mass to one shard,
+/// the one phase 2 claims first. Answers, certified intervals and
+/// failure counts must agree with the sequential oracle at every worker
+/// count. The filtered 2-worker case ingests through
+/// `&dyn ConcurrentSummary`, so trait dispatch reaches the same path.
+#[test]
+fn contended_skew_stress_is_deterministic_and_bounded() {
+    let stream = Dataset::Zipf { skew: 3.0 }.generate(60_000, 21);
+    let items: Vec<(u64, u64)> = stream.iter().map(|it| (it.key, it.value)).collect();
+    let truth = GroundTruth::from_items(&stream);
+
+    for raw in [false, true] {
+        let cfg = variant(256 * 1024, 21, raw);
+        let oracle = replay(cfg.clone(), 16, &items);
+        for workers in [2usize, 4, 8] {
+            let sk = ShardedReliable::<u64>::new(cfg.clone(), 16);
+            let ingested = if !raw && workers == 2 {
+                let dyn_sk: &dyn ConcurrentSummary<u64> = &sk;
+                dyn_sk.ingest_parallel(&items, workers)
+            } else {
+                sk.ingest_parallel(&items, workers)
+            };
+            assert_eq!(ingested, items.len());
+            assert_eq!(sk.insertion_failures(), oracle.insertion_failures());
+            for (k, f) in truth.iter() {
+                let est = sk.query_shared(k);
+                assert_eq!(
+                    est,
+                    oracle.query_shared(k),
+                    "divergence at key {k}, raw={raw}, {workers}w"
+                );
+                assert!(
+                    est.contains(f),
+                    "guarantee broken at key {k}: {f} ∉ {est:?}"
+                );
+            }
         }
     }
 }

@@ -101,6 +101,36 @@ fn filtered_one_worker_equals_filtered_sequential() {
     }
 }
 
+/// Weights at and above the packed count's `2²⁸ − 1` ceiling: the excess
+/// a saturated atomic bucket clips goes to the emergency store, so the
+/// one-worker `ExactTable` twin answers exactly like the sequential
+/// sketch, whose counters are unbounded.
+#[test]
+fn saturating_weights_one_worker_equal_sequential() {
+    let config = filtered_config(2);
+    let (atomic, mut classic) = twins(&config);
+    let items = [
+        (7u64, 1u64 << 30),
+        (9, (1 << 28) - 2),
+        (9, 1 << 28),
+        (11, 3),
+        (7, 1 << 29),
+        (7, 1),
+    ];
+    assert_eq!(atomic.ingest_parallel(&items, 1), items.len());
+    let mut truth: HashMap<u64, u64> = HashMap::new();
+    for &(k, v) in &items {
+        classic.insert(&k, v);
+        *truth.entry(k).or_insert(0) += v;
+    }
+    for (k, &f) in &truth {
+        let a = atomic.query_with_error(k);
+        let c = rsk_api::ErrorSensing::query_with_error(&classic, k);
+        assert_eq!(a, c, "saturating divergence at key {k}");
+        assert!(a.contains(f), "key {k}: {f} ∉ {a:?}");
+    }
+}
+
 /// Mice-filter boundary behavior, pinned value-by-value against the
 /// sequential filter: absorption below the threshold, the exact
 /// saturation crossover, and the split of a value straddling it.

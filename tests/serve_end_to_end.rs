@@ -18,11 +18,17 @@
 //!    heavy key only for tenant 0, every reported interval (slack-
 //!    widened) contains the exact truth, and every key above
 //!    `floor + slack` is reported.
+//! 5. **Reads never create a tenant** — every read opcode on ids nobody
+//!    wrote to answers like a freshly created window, and the server
+//!    still holds no tenant afterwards.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
-use rsk_serve::{Client, ServeConfig, ServerHandle, SketchSpec};
+use rsk_api::KeySet;
+use rsk_serve::{
+    Client, ServeConfig, ServerHandle, SketchSpec, SnapshotKind, SubpopAnswer, TenantMap,
+};
 
 const TENANTS: u32 = 3;
 const CLIENTS_PER_TENANT: usize = 4;
@@ -190,5 +196,62 @@ fn multi_tenant_certified_end_to_end() {
     }
 
     drop(checker);
+    server.shutdown();
+}
+
+#[test]
+fn reads_of_unknown_tenants_create_nothing() {
+    let spec = SketchSpec {
+        memory_bytes: 64 * 1024,
+        error_tolerance: 25,
+        seed: 0xface,
+    };
+    let server = ServerHandle::start(ServeConfig {
+        accept_threads: 1,
+        stripes: 4,
+        spec,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback server");
+
+    // The reference: a window materialised in-process, never written.
+    let fresh = TenantMap::new(1, spec).get_or_create(0);
+    let full = fresh.replicate_payload(SnapshotKind::Full).expect("full");
+    let slim = fresh.replicate_payload(SnapshotKind::Slim).expect("slim");
+    let (top, top_slack, top_epoch) = fresh.top_k(8);
+    let set = KeySet::range(0, 1 << 20);
+    let (weight, subpop_epoch) = fresh.subpop(&set);
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for tenant in 1_000..1_256u32 {
+        let key = u64::from(tenant) * 7;
+        assert_eq!(client.query(tenant, key).unwrap(), fresh.query(key));
+        assert_eq!(
+            client.query_certified(tenant, key).unwrap(),
+            fresh.certified(key)
+        );
+        assert_eq!(
+            client.query_slim(tenant, key).unwrap(),
+            fresh.slim_certified(key)
+        );
+        let answer = client.top_k(tenant, 8).unwrap();
+        assert_eq!(
+            (answer.epoch, answer.slack, answer.floor),
+            (top_epoch, top_slack, top.guaranteed_floor())
+        );
+        assert!(answer.entries.is_empty() && top.entries.is_empty());
+        assert_eq!(
+            client.subpop(tenant, &set).unwrap(),
+            SubpopAnswer {
+                weight,
+                epoch: subpop_epoch
+            }
+        );
+        assert_eq!(client.snapshot(tenant, SnapshotKind::Full).unwrap(), full);
+        assert_eq!(client.snapshot(tenant, SnapshotKind::Slim).unwrap(), slim);
+    }
+    assert_eq!(client.stats().unwrap().tenants, 0);
+
+    drop(client);
     server.shutdown();
 }

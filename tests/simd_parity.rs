@@ -6,7 +6,7 @@
 //! that results are **bit-identical to the scalar item loop** — same
 //! answers, same certified intervals, same filter state, same emergency
 //! entries, same stats accounting. This suite pins exactly that, with
-//! the same discipline as `tests/work_stealing.rs`: every batched
+//! the same discipline as `tests/concurrent_ingest.rs`: every batched
 //! flavour is compared against a sequential one-item-at-a-time oracle
 //! over the same stream. (The file name predates the removal of the
 //! vectorized variant of the batch prefix; the contract is unchanged.)
