@@ -113,6 +113,7 @@ use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::filter::{AtomicMiceFilter, FILTER_SEED_SALT};
 use crate::geometry::LayerGeometry;
+use crate::sketch::walk;
 use crate::topk::TopKSummary;
 use parking_lot::Mutex;
 use rsk_api::{
@@ -298,12 +299,6 @@ impl AtomicBucketArray {
         self.widths[layer]
     }
 
-    /// Lock threshold of layer `i`.
-    #[inline]
-    pub fn lambda(&self, layer: usize) -> u64 {
-        self.lambdas[layer]
-    }
-
     /// Total buckets across all layers.
     #[inline]
     pub fn total_buckets(&self) -> usize {
@@ -410,14 +405,6 @@ impl AtomicBucketArray {
             }
         }
         out
-    }
-
-    /// Buckets currently flagged dirty (replication diagnostics).
-    pub fn dirty_count(&self) -> usize {
-        self.dirty
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
     }
 
     /// Drop every dirty flag — the replication cut point. Exclusive
@@ -823,33 +810,23 @@ impl<K: Key> ConcurrentReliable<K> {
             descend = saturated;
         }
         if descend {
+            let lambdas = self.geometry.lambdas();
+            let index = |i| self.hashes.index(i, key, self.geometry.width(i));
             if let Some(overlay) = &self.merged {
-                for i in 0..self.geometry.depth() {
-                    let j = self.hashes.index(i, key, self.geometry.width(i));
+                let (e, m, _) = walk(lambdas, |i| {
+                    let j = index(i);
                     let b = &overlay.layers[i][j];
-                    let matches = b.id() == Some(&fp);
-                    est += if matches { b.yes() } else { b.no() };
-                    mpe += b.no();
-                    // stop conditions are suppressed on merge-flagged
-                    // buckets, from which a key may have descended in
-                    // some operand (see crate::merge)
-                    if !overlay.hints[i][j]
-                        && (b.no() < self.array.lambda(i) || b.yes() == b.no() || matches)
-                    {
-                        break;
-                    }
-                }
+                    (b.id() == Some(&fp), b.yes(), b.no(), overlay.hints[i][j])
+                });
+                est += e;
+                mpe += m;
             }
-            for i in 0..self.geometry.depth() {
-                let j = self.hashes.index(i, key, self.geometry.width(i));
-                let (bfp, yes, no) = self.array.read(i, j);
-                let matches = bfp == fp;
-                est += if matches { yes } else { no };
-                mpe += no;
-                if no < self.array.lambda(i) || yes == no || matches {
-                    break;
-                }
-            }
+            let (e, m, _) = walk(lambdas, |i| {
+                let (bfp, yes, no) = self.array.read(i, index(i));
+                (bfp == fp, yes, no, false)
+            });
+            est += e;
+            mpe += m;
         }
         if self.failures.load(Ordering::Relaxed) > 0 {
             let (ev, eo) = self.emergency.lock().query(key);

@@ -9,7 +9,8 @@
 //! The paper's switch deployment (§6.5.3) reads the sketch out per
 //! interval in exactly this style.
 //!
-//! [`EpochedReliable`] packages the scheme:
+//! [`Epoched`] packages the scheme once, generic over its
+//! [`Generation`] type:
 //!
 //! * [`insert`](rsk_api::StreamSummary::insert) feeds the active
 //!   generation;
@@ -17,22 +18,26 @@
 //!   window** — the frozen epoch plus the active partial epoch — by
 //!   summing both generations' answers and MPEs (both certified, so the
 //!   sum is);
-//! * [`rotate`](EpochedReliable::rotate) retires the frozen generation
-//!   (returning it for archival), freezes the active one, and starts a
-//!   fresh epoch.
+//! * [`rotate`](Epoched::rotate) retires the frozen generation
+//!   (returning it for archival), freezes the active one, copies its
+//!   top-K summary, and starts a fresh epoch.
 //!
 //! The guarantee carries per window: if neither visible generation had
 //! an insertion failure, every key's window estimate is within `2Λ`
 //! (each generation contributes at most `Λ`), and the reported MPE is
 //! always an honest per-key certificate.
 //!
-//! [`EpochedConcurrent`] is the lock-free twin: the same two-generation
-//! scheme over [`ConcurrentReliable`] sketches, so any number of producer
-//! threads feed the active generation through `&self` while the frozen
-//! generation serves **wait-free reads** — a sealed generation's atomic
-//! words are never CASed again, so window queries against it are plain
-//! loads with no retry loop (and no lock at all unless the generation
-//! recorded insertion failures).
+//! Two generation types instantiate it:
+//!
+//! * [`EpochedReliable`] rotates [`ReliableSketch`]es: `&mut` inserts,
+//!   and any `Λ`;
+//! * [`EpochedConcurrent`] rotates lock-free [`ConcurrentReliable`]
+//!   sketches, so any number of producer threads feed the active
+//!   generation through `&self` while the frozen generation serves
+//!   **wait-free reads** — a sealed generation's atomic words are never
+//!   CASed again, so window queries against it are plain loads with no
+//!   retry loop (and no lock at all unless the generation recorded
+//!   insertion failures).
 //!
 //! ```
 //! use rsk_core::epoch::EpochedReliable;
@@ -62,280 +67,97 @@ use rsk_api::{
     Estimate, Key, MemoryFootprint, Merge, MergeError, StreamSummary, TopK, TopKEntry,
 };
 
-/// Answer `certified_top_k(k)` over a visible window: take the monitored
-/// candidates of each generation's summary (active first, then frozen,
-/// first occurrence wins), re-answer every candidate with the **window**
-/// estimate so the count/error pair covers both generations, and charge
-/// unmonitored keys the sum of the generations' miss bounds. A visible
-/// generation without a top-K summary has an unbounded miss (`u64::MAX`),
-/// which saturates the whole answer into a vacuous one.
-fn window_certified_top_k<K: Key>(
-    k: usize,
-    active: Option<&TopKSummary<K>>,
-    frozen_visible: bool,
-    frozen: Option<&TopKSummary<K>>,
-    query: impl Fn(&K) -> Estimate,
-) -> CertifiedTopK<K> {
-    let Some(active) = active else {
-        return CertifiedTopK::vacuous();
-    };
-    let mut miss_bound = active.miss_bound();
-    if frozen_visible {
-        miss_bound = miss_bound.saturating_add(frozen.map_or(u64::MAX, TopKSummary::miss_bound));
+/// One sketch inside a window: the active generation that takes
+/// inserts, or the frozen one sealed at the last
+/// [`rotate`](Epoched::rotate). Queries, memory and clearing come from
+/// the summary traits; these are the few inherent operations the window
+/// needs on top.
+pub trait Generation<K: Key>: ErrorSensing<K> + MemoryFootprint + Clear {
+    /// An empty generation built from `config`, with a top-K layer of
+    /// `top_k` slots when given.
+    fn empty(config: ReliableConfig, top_k: Option<usize>) -> Self;
+    /// Attach a top-K layer of `capacity` slots.
+    fn enable_top_k(&mut self, capacity: usize);
+    /// Insert operations that could not place their full value.
+    fn insertion_failures(&self) -> u64;
+    /// Worst-case MPE the generation can report for any key.
+    fn mpe_ceiling(&self) -> u64;
+    /// An owned copy of the top-K summary, if a layer is attached.
+    fn top_k_copy(&self) -> Option<TopKSummary<K>>;
+}
+
+impl<K: Key> Generation<K> for ReliableSketch<K> {
+    fn empty(config: ReliableConfig, top_k: Option<usize>) -> Self {
+        top_k.into_iter().fold(Self::new(config), Self::with_top_k)
     }
-    let mut seen = std::collections::HashSet::new();
-    let mut candidates: Vec<TopKEntry<K>> = Vec::new();
-    let entries = active
-        .entries_desc()
-        .into_iter()
-        .chain(frozen.iter().flat_map(|f| f.entries_desc()));
-    for entry in entries {
-        if seen.insert(entry.key) {
-            let est = query(&entry.key);
-            candidates.push(TopKEntry {
-                key: entry.key,
-                count: est.value,
-                error: est.max_possible_error,
-            });
-        }
+    fn enable_top_k(&mut self, capacity: usize) {
+        ReliableSketch::enable_top_k(self, capacity);
     }
-    candidates.sort_by_key(|e| core::cmp::Reverse(e.count));
-    let next_count = candidates.get(k).map_or(0, |e| e.count);
-    candidates.truncate(k);
-    CertifiedTopK {
-        entries: candidates,
-        miss_bound,
-        next_count,
+    fn insertion_failures(&self) -> u64 {
+        ReliableSketch::insertion_failures(self)
+    }
+    fn mpe_ceiling(&self) -> u64 {
+        ReliableSketch::mpe_ceiling(self)
+    }
+    fn top_k_copy(&self) -> Option<TopKSummary<K>> {
+        self.top_k_summary().cloned()
     }
 }
 
-/// Two-generation rotating window over ReliableSketches.
+impl<K: Key> Generation<K> for ConcurrentReliable<K> {
+    fn empty(config: ReliableConfig, top_k: Option<usize>) -> Self {
+        top_k.into_iter().fold(Self::new(config), Self::with_top_k)
+    }
+    fn enable_top_k(&mut self, capacity: usize) {
+        ConcurrentReliable::enable_top_k(self, capacity);
+    }
+    fn insertion_failures(&self) -> u64 {
+        ConcurrentReliable::insertion_failures(self)
+    }
+    fn mpe_ceiling(&self) -> u64 {
+        ConcurrentReliable::mpe_ceiling(self)
+    }
+    fn top_k_copy(&self) -> Option<TopKSummary<K>> {
+        self.top_k_summary()
+    }
+}
+
+/// Two-generation rotating window over sketches of type `G`.
+///
+/// Rotation is exclusive (`&mut`): quiesce producers at the epoch
+/// boundary (network pipelines do this anyway: the measurement interval
+/// ends, the readout runs, the next interval starts). Retired
+/// generations can be archived or folded into a long-horizon roll-up
+/// via [`rsk_api::Merge`].
 #[derive(Debug, Clone)]
-pub struct EpochedReliable<K: Key> {
-    active: ReliableSketch<K>,
-    frozen: Option<ReliableSketch<K>>,
+pub struct Epoched<K: Key, G> {
+    active: G,
+    frozen: Option<G>,
     config: ReliableConfig,
     epoch: u64,
     /// Top-K capacity carried across rotations: each fresh active
     /// generation is built with its own summary of this capacity.
     top_k: Option<usize>,
+    /// The sealed generation's top-K summary, **copied once at
+    /// rotation** while the window is exclusively borrowed: sealed-epoch
+    /// top-K reads are plain walks of this copy — wait-free, no mutex —
+    /// matching the sealed generation's wait-free bucket reads.
+    frozen_topk: Option<TopKSummary<K>>,
+    /// Epoch index at the last replication cut (see
+    /// [`crate::replicate`]): `None` until the window first ships a
+    /// delta, after which deltas describe "since epoch `cut_epoch`".
+    cut_epoch: Option<u64>,
 }
 
-impl<K: Key> EpochedReliable<K> {
-    /// Start building with paper-default parameters (finish with
-    /// [`ReliableConfigBuilder::build_epoched`]).
-    pub fn builder() -> ReliableConfigBuilder {
-        ReliableConfig::builder()
-    }
-
-    /// Build from a validated configuration; both generations use it.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails validation.
-    pub fn new(config: ReliableConfig) -> Self {
-        Self {
-            active: ReliableSketch::new(config.clone()),
-            frozen: None,
-            config,
-            epoch: 0,
-            top_k: None,
-        }
-    }
-
-    /// Attach an error-certified top-K layer of `capacity` slots to the
-    /// window: the active generation tracks its elephants from now on,
-    /// and every future generation starts with its own summary of the
-    /// same capacity, so [`TopK::certified_top_k`] answers over the
-    /// visible window. An already-frozen generation keeps whatever
-    /// summary it had when sealed (none, if enabled after the fact —
-    /// the window then answers vacuously until it rotates out).
-    pub fn enable_top_k(&mut self, capacity: usize) {
-        self.top_k = Some(capacity.max(1));
-        self.active.enable_top_k(capacity);
-    }
-
-    /// Builder-style [`Self::enable_top_k`].
-    #[must_use]
-    pub fn with_top_k(mut self, capacity: usize) -> Self {
-        self.enable_top_k(capacity);
-        self
-    }
-
-    /// Index of the currently active epoch (starts at 0, +1 per rotation).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The configuration shared by both generations.
-    pub fn config(&self) -> &ReliableConfig {
-        &self.config
-    }
-
-    /// The generation currently absorbing inserts.
-    pub fn active(&self) -> &ReliableSketch<K> {
-        &self.active
-    }
-
-    /// The sealed previous epoch, if one exists.
-    pub fn frozen(&self) -> Option<&ReliableSketch<K>> {
-        self.frozen.as_ref()
-    }
-
-    /// Seal the active epoch and start a new one.
-    ///
-    /// The previously frozen generation — now outside the visible window —
-    /// is returned so callers can archive or further aggregate it (e.g.
-    /// [`rsk_api::Merge`] it into a long-horizon roll-up).
-    pub fn rotate(&mut self) -> Option<ReliableSketch<K>> {
-        let mut fresh = ReliableSketch::new(self.config.clone());
-        if let Some(capacity) = self.top_k {
-            fresh.enable_top_k(capacity);
-        }
-        let sealed = core::mem::replace(&mut self.active, fresh);
-        self.epoch += 1;
-        self.frozen.replace(sealed)
-    }
-
-    /// Insertion failures across the visible window (active + frozen).
-    pub fn insertion_failures(&self) -> u64 {
-        self.active.insertion_failures()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, ReliableSketch::insertion_failures)
-    }
-
-    /// Worst-case MPE over the window: one `Λ` ceiling per visible
-    /// generation (invalid if a generation was merged — see
-    /// [`ReliableSketch::mpe_ceiling`]).
-    pub fn mpe_ceiling(&self) -> u64 {
-        let per_gen = self.active.mpe_ceiling();
-        if self.frozen.is_some() {
-            2 * per_gen
-        } else {
-            per_gen
-        }
-    }
-
-    /// Heavy hitters of the visible window: candidates from either
-    /// generation whose *window* estimate reaches `threshold`, sorted by
-    /// estimate descending.
-    pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, Estimate)> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let candidates = self
-            .active
-            .candidates()
-            .into_iter()
-            .chain(self.frozen.iter().flat_map(|f| f.candidates()));
-        for (k, _) in candidates {
-            if seen.insert(k) {
-                let est = self.query_with_error(&k);
-                if est.value >= threshold {
-                    out.push((k, est));
-                }
-            }
-        }
-        out.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
-        out
-    }
-}
-
-impl<K: Key> StreamSummary<K> for EpochedReliable<K> {
-    #[inline]
-    fn insert(&mut self, key: &K, value: u64) {
-        self.active.insert(key, value);
-    }
-
-    #[inline]
-    fn query(&self, key: &K) -> u64 {
-        self.query_with_error(key).value
-    }
-}
-
-impl<K: Key> ErrorSensing<K> for EpochedReliable<K> {
-    fn query_with_error(&self, key: &K) -> Estimate {
-        let mut est = self.active.query_with_error(key);
-        if let Some(frozen) = &self.frozen {
-            let old = frozen.query_with_error(key);
-            est.value += old.value;
-            est.max_possible_error += old.max_possible_error;
-        }
-        est
-    }
-}
-
-impl<K: Key> MemoryFootprint for EpochedReliable<K> {
-    fn memory_bytes(&self) -> usize {
-        self.active.memory_bytes()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, MemoryFootprint::memory_bytes)
-    }
-}
-
-impl<K: Key> TopK<K> for EpochedReliable<K> {
-    /// Certified heavy hitters of the visible window: each generation's
-    /// monitored elephants, re-answered with the window estimate (so
-    /// `count`/`error` cover both epochs), with unmonitored keys charged
-    /// the sum of the generations' miss bounds.
-    fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        window_certified_top_k(
-            k,
-            self.active.top_k_summary(),
-            self.frozen.is_some(),
-            self.frozen.as_ref().and_then(ReliableSketch::top_k_summary),
-            |key| self.query_with_error(key),
-        )
-    }
-
-    fn top_k_capacity(&self) -> Option<usize> {
-        self.top_k
-    }
-}
-
-impl<K: Key> Algorithm for EpochedReliable<K> {
-    fn name(&self) -> String {
-        "Ours(Epoched)".into()
-    }
-}
-
-impl<K: Key> Clear for EpochedReliable<K> {
-    /// Drop both generations and restart at epoch 0 (a configured top-K
-    /// layer stays enabled, with an emptied summary).
-    fn clear(&mut self) {
-        self.active.clear();
-        self.frozen = None;
-        self.epoch = 0;
-    }
-}
-
-impl ReliableConfigBuilder {
-    /// Build an [`EpochedReliable`] window directly.
-    pub fn build_epoched<K: Key>(self) -> EpochedReliable<K> {
-        EpochedReliable::new(self.build_config())
-    }
-
-    /// Build an [`EpochedConcurrent`] window directly.
-    pub fn build_epoched_concurrent<K: Key>(self) -> EpochedConcurrent<K> {
-        EpochedConcurrent::new(self.build_config())
-    }
-}
+/// Two-generation rotating window over sequential [`ReliableSketch`]es.
+pub type EpochedReliable<K> = Epoched<K, ReliableSketch<K>>;
 
 /// Two-generation rotating window over lock-free
 /// [`ConcurrentReliable`] sketches: shared-`&self` ingestion into the
-/// active epoch, wait-free reads of the sealed one.
-///
-/// Rotation is the only exclusive (`&mut`) operation — quiesce producers
-/// at the epoch boundary (network pipelines do this anyway: the
-/// measurement interval ends, the readout runs, the next interval
-/// starts). Between rotations the data path is exactly
-/// [`ConcurrentReliable`]'s: CAS-only bucket updates, no mutex, the mice
-/// filter running lock-free in front when configured.
-///
-/// Retired generations can be archived or folded into a long-horizon
-/// roll-up via [`rsk_api::Merge`], mirroring [`EpochedReliable::rotate`].
+/// active epoch, wait-free reads of the sealed one. Between rotations
+/// the data path is exactly [`ConcurrentReliable`]'s: CAS-only bucket
+/// updates, no mutex, the mice filter running lock-free in front when
+/// configured.
 ///
 /// # Examples
 ///
@@ -367,28 +189,11 @@ impl ReliableConfigBuilder {
 /// assert!(retired.is_some());
 /// assert!(window.query_with_error(&7u64).contains(50));
 /// ```
-#[derive(Debug)]
-pub struct EpochedConcurrent<K: Key> {
-    active: ConcurrentReliable<K>,
-    frozen: Option<ConcurrentReliable<K>>,
-    config: ReliableConfig,
-    epoch: u64,
-    /// Top-K capacity carried across rotations (see
-    /// [`Self::enable_top_k`]).
-    top_k: Option<usize>,
-    /// The sealed generation's top-K summary, **materialized once at
-    /// rotation** while the window is exclusively borrowed: sealed-epoch
-    /// top-K reads are plain walks of this snapshot — wait-free, no
-    /// mutex — matching the sealed generation's wait-free bucket reads.
-    frozen_topk: Option<TopKSummary<K>>,
-    /// Epoch index at the last replication cut (see
-    /// [`crate::replicate`]): `None` until the window first ships a
-    /// delta, after which deltas describe "since epoch `cut_epoch`".
-    cut_epoch: Option<u64>,
-}
+pub type EpochedConcurrent<K> = Epoched<K, ConcurrentReliable<K>>;
 
-impl<K: Key> EpochedConcurrent<K> {
+impl<K: Key, G: Generation<K>> Epoched<K, G> {
     /// Start building with paper-default parameters (finish with
+    /// [`ReliableConfigBuilder::build_epoched`] or
     /// [`ReliableConfigBuilder::build_epoched_concurrent`]).
     pub fn builder() -> ReliableConfigBuilder {
         ReliableConfig::builder()
@@ -397,12 +202,12 @@ impl<K: Key> EpochedConcurrent<K> {
     /// Build from a validated configuration; both generations use it.
     ///
     /// # Panics
-    /// Panics if the configuration fails validation, or if `Λ` exceeds
-    /// the packed atomic error field (see
-    /// [`ConcurrentReliable::new`]).
+    /// Panics if the configuration fails validation, or, for
+    /// [`EpochedConcurrent`], if `Λ` exceeds the packed atomic error
+    /// field (see [`ConcurrentReliable::new`]).
     pub fn new(config: ReliableConfig) -> Self {
         Self {
-            active: ConcurrentReliable::new(config.clone()),
+            active: G::empty(config.clone(), None),
             frozen: None,
             config,
             epoch: 0,
@@ -413,12 +218,13 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 
     /// Attach an error-certified top-K layer of `capacity` slots to the
-    /// window (see [`EpochedReliable::enable_top_k`]): the active
-    /// generation tracks its elephants behind a promotion-path mutex,
-    /// every future generation starts with a fresh summary of the same
-    /// capacity, and rotation materializes the sealed generation's
-    /// summary for wait-free sealed-epoch reads
-    /// ([`Self::frozen_top_k`]).
+    /// window: the active generation tracks its elephants from now on,
+    /// every future generation starts with its own summary of the same
+    /// capacity, and rotation copies the sealed generation's summary
+    /// ([`Self::frozen_top_k`]), so [`TopK::certified_top_k`] answers
+    /// over the visible window. An already-frozen generation keeps
+    /// whatever summary it had when sealed (none, if enabled after the
+    /// fact — the window then answers vacuously until it rotates out).
     pub fn enable_top_k(&mut self, capacity: usize) {
         self.top_k = Some(capacity.max(1));
         self.active.enable_top_k(capacity);
@@ -431,8 +237,8 @@ impl<K: Key> EpochedConcurrent<K> {
         self
     }
 
-    /// The sealed generation's top-K summary, snapshotted at rotation.
-    /// Reading it takes no lock at all — the snapshot is immutable until
+    /// The sealed generation's top-K summary, copied at rotation.
+    /// Reading it takes no lock at all — the copy is immutable until
     /// the next exclusive rotation — so sealed-epoch top-K readout is
     /// wait-free, like the sealed generation's bucket reads.
     pub fn frozen_top_k(&self) -> Option<&TopKSummary<K>> {
@@ -450,15 +256,87 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 
     /// The generation currently absorbing inserts.
-    pub fn active(&self) -> &ConcurrentReliable<K> {
+    pub fn active(&self) -> &G {
         &self.active
     }
 
-    /// The sealed previous epoch, if one exists (wait-free to query).
-    pub fn frozen(&self) -> Option<&ConcurrentReliable<K>> {
+    /// The sealed previous epoch, if one exists.
+    pub fn frozen(&self) -> Option<&G> {
         self.frozen.as_ref()
     }
 
+    /// Seal the active epoch and start a new one.
+    ///
+    /// The previously frozen generation — now outside the visible window —
+    /// is returned so callers can archive it or [`rsk_api::Merge`] it
+    /// into a long-horizon roll-up. Exclusive: producers must be
+    /// quiescent across the call (the borrow checker enforces it for
+    /// scoped threads).
+    pub fn rotate(&mut self) -> Option<G> {
+        let fresh = G::empty(self.config.clone(), self.top_k);
+        let sealed = core::mem::replace(&mut self.active, fresh);
+        self.frozen_topk = sealed.top_k_copy();
+        self.epoch += 1;
+        self.frozen.replace(sealed)
+    }
+
+    /// Insertion failures across the visible window (active + frozen).
+    pub fn insertion_failures(&self) -> u64 {
+        self.active.insertion_failures() + self.frozen.as_ref().map_or(0, G::insertion_failures)
+    }
+
+    /// Worst-case MPE over the window: one per-generation ceiling per
+    /// visible generation (data-dependent if a generation was merged —
+    /// see [`ReliableSketch::mpe_ceiling`]).
+    pub fn mpe_ceiling(&self) -> u64 {
+        self.active.mpe_ceiling() * self.generations()
+    }
+
+    /// Generations a window answer sums over: the active one, plus the
+    /// frozen one once the window has rotated.
+    fn generations(&self) -> u64 {
+        1 + u64::from(self.frozen.is_some())
+    }
+}
+
+impl<K: Key> EpochedReliable<K> {
+    /// Heavy hitters of the visible window: candidates from either
+    /// generation whose *window* estimate reaches `threshold`, sorted by
+    /// estimate descending.
+    pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, Estimate)> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        let candidates = self
+            .active
+            .candidates()
+            .into_iter()
+            .chain(self.frozen.iter().flat_map(|f| f.candidates()));
+        for (k, _) in candidates {
+            if seen.insert(k) {
+                let est = self.query_with_error(&k);
+                if est.value >= threshold {
+                    out.push((k, est));
+                }
+            }
+        }
+        out.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
+        out
+    }
+}
+
+impl ReliableConfigBuilder {
+    /// Build an [`EpochedReliable`] window directly.
+    pub fn build_epoched<K: Key>(self) -> EpochedReliable<K> {
+        EpochedReliable::new(self.build_config())
+    }
+
+    /// Build an [`EpochedConcurrent`] window directly.
+    pub fn build_epoched_concurrent<K: Key>(self) -> EpochedConcurrent<K> {
+        EpochedConcurrent::new(self.build_config())
+    }
+}
+
+impl<K: Key> EpochedConcurrent<K> {
     // ---- crate-internal access for the replication layer ----
 
     /// Exclusive access to the active generation (replica apply).
@@ -528,52 +406,23 @@ impl<K: Key> EpochedConcurrent<K> {
         self.active.insert_batch(items);
     }
 
-    /// Seal the active epoch and start a new one.
-    ///
-    /// The previously frozen generation — now outside the visible window —
-    /// is returned so callers can archive it or [`rsk_api::Merge`] it
-    /// into a long-horizon roll-up. Exclusive: producers must be
-    /// quiescent across the call (the borrow checker enforces it for
-    /// scoped threads).
-    pub fn rotate(&mut self) -> Option<ConcurrentReliable<K>> {
-        let mut fresh = ConcurrentReliable::new(self.config.clone());
-        if let Some(capacity) = self.top_k {
-            fresh.enable_top_k(capacity);
-        }
-        let sealed = core::mem::replace(&mut self.active, fresh);
-        self.frozen_topk = sealed.top_k_summary();
-        self.epoch += 1;
-        self.frozen.replace(sealed)
-    }
-
-    /// Insertion failures across the visible window (active + frozen).
-    pub fn insertion_failures(&self) -> u64 {
-        self.active.insertion_failures()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, ConcurrentReliable::insertion_failures)
-    }
-
-    /// Worst-case MPE over the window: one per-generation ceiling per
-    /// visible generation (data-dependent if a generation was merged).
-    pub fn mpe_ceiling(&self) -> u64 {
-        let per_gen = self.active.mpe_ceiling();
-        if self.frozen.is_some() {
-            2 * per_gen
-        } else {
-            per_gen
-        }
-    }
-
     /// Contention slack of the active generation (the documented
     /// `(arrays − 1) × threshold` undershoot bound of the mice filter
     /// under racing same-key writers; `0` without a filter). A window
     /// query can trail the window truth by at most one slack per visible
-    /// generation while producers race — see
+    /// generation while producers race — see [`Self::window_slack`] and
     /// [`rsk_api::ConcurrentErrorSensing`].
     pub fn contention_undershoot_bound(&self) -> u64 {
         self.active.contention_undershoot_bound()
+    }
+
+    /// The window's contention slack: one
+    /// [`Self::contention_undershoot_bound`] per visible generation —
+    /// how far a window answer may trail the window truth while
+    /// producers race. Served answers report it as their `slack`.
+    pub fn window_slack(&self) -> u64 {
+        self.contention_undershoot_bound()
+            .saturating_mul(self.generations())
     }
 
     /// Fold another window's *entire visible mass* (active + frozen
@@ -601,10 +450,10 @@ impl<K: Key> EpochedConcurrent<K> {
     }
 }
 
-impl<K: Key> StreamSummary<K> for EpochedConcurrent<K> {
+impl<K: Key, G: Generation<K>> StreamSummary<K> for Epoched<K, G> {
     #[inline]
     fn insert(&mut self, key: &K, value: u64) {
-        self.insert_shared(key, value);
+        self.active.insert(key, value);
     }
 
     #[inline]
@@ -613,7 +462,7 @@ impl<K: Key> StreamSummary<K> for EpochedConcurrent<K> {
     }
 }
 
-impl<K: Key> ErrorSensing<K> for EpochedConcurrent<K> {
+impl<K: Key, G: Generation<K>> ErrorSensing<K> for Epoched<K, G> {
     /// Sum both visible generations' certified answers; each interval is
     /// certified, so the sum is.
     fn query_with_error(&self, key: &K) -> Estimate {
@@ -656,21 +505,51 @@ impl<K: Key + Send + Sync> ConcurrentSummary<K> for EpochedConcurrent<K> {
     }
 }
 
-impl<K: Key> TopK<K> for EpochedConcurrent<K> {
-    /// Certified heavy hitters of the visible window. The sealed
-    /// generation's candidates come from the rotation-time snapshot
-    /// ([`Self::frozen_top_k`]) — no lock; the active generation's
-    /// summary is cloned under its promotion mutex (elephant-rate
-    /// traffic only). Every candidate is re-answered with the window
-    /// estimate so `count`/`error` cover both epochs.
+impl<K: Key, G: Generation<K>> TopK<K> for Epoched<K, G> {
+    /// Certified heavy hitters of the visible window: the monitored
+    /// candidates of the active generation's summary, then of the sealed
+    /// generation's rotation-time copy ([`Self::frozen_top_k`], read
+    /// without a lock; first occurrence wins), each re-answered with the
+    /// **window** estimate so `count`/`error` cover both epochs.
+    /// Unmonitored keys are charged the sum of the generations' miss
+    /// bounds; a visible generation without a summary has an unbounded
+    /// miss (`u64::MAX`), which saturates the answer into a vacuous one.
     fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        window_certified_top_k(
-            k,
-            self.active.top_k_summary().as_ref(),
-            self.frozen.is_some(),
-            self.frozen_topk.as_ref(),
-            |key| self.query_with_error(key),
-        )
+        let Some(active) = self.active.top_k_copy() else {
+            return CertifiedTopK::vacuous();
+        };
+        let mut miss_bound = active.miss_bound();
+        if self.frozen.is_some() {
+            let frozen_miss = self
+                .frozen_topk
+                .as_ref()
+                .map_or(u64::MAX, TopKSummary::miss_bound);
+            miss_bound = miss_bound.saturating_add(frozen_miss);
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut candidates: Vec<TopKEntry<K>> = Vec::new();
+        let entries = active
+            .entries_desc()
+            .into_iter()
+            .chain(self.frozen_topk.iter().flat_map(TopKSummary::entries_desc));
+        for entry in entries {
+            if seen.insert(entry.key) {
+                let est = self.query_with_error(&entry.key);
+                candidates.push(TopKEntry {
+                    key: entry.key,
+                    count: est.value,
+                    error: est.max_possible_error,
+                });
+            }
+        }
+        candidates.sort_by_key(|e| core::cmp::Reverse(e.count));
+        let next_count = candidates.get(k).map_or(0, |e| e.count);
+        candidates.truncate(k);
+        CertifiedTopK {
+            entries: candidates,
+            miss_bound,
+            next_count,
+        }
     }
 
     fn top_k_capacity(&self) -> Option<usize> {
@@ -678,7 +557,7 @@ impl<K: Key> TopK<K> for EpochedConcurrent<K> {
     }
 }
 
-impl<K: Key> MemoryFootprint for EpochedConcurrent<K> {
+impl<K: Key, G: Generation<K>> MemoryFootprint for Epoched<K, G> {
     fn memory_bytes(&self) -> usize {
         self.active.memory_bytes()
             + self
@@ -692,17 +571,23 @@ impl<K: Key> MemoryFootprint for EpochedConcurrent<K> {
     }
 }
 
+impl<K: Key> Algorithm for EpochedReliable<K> {
+    fn name(&self) -> String {
+        "Ours(Epoched)".into()
+    }
+}
+
 impl<K: Key> Algorithm for EpochedConcurrent<K> {
     fn name(&self) -> String {
         "OursAtomic(Epoched)".into()
     }
 }
 
-impl<K: Key> Clear for EpochedConcurrent<K> {
+impl<K: Key, G: Generation<K>> Clear for Epoched<K, G> {
     /// Drop both generations and restart at epoch 0 (a configured top-K
     /// layer stays enabled, with an emptied summary).
     fn clear(&mut self) {
-        Clear::clear(&mut self.active);
+        self.active.clear();
         self.frozen = None;
         self.frozen_topk = None;
         self.epoch = 0;
@@ -715,15 +600,27 @@ mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::collections::HashMap;
 
+    /// A window over generation type `G`: Λ = 25, exact emergency table.
+    fn window_of<G: Generation<u64>>(memory: usize, seed: u64) -> Epoched<u64, G> {
+        Epoched::new(
+            ReliableConfig::builder()
+                .memory_bytes(memory)
+                .error_tolerance(25)
+                .emergency(EmergencyPolicy::ExactTable)
+                .seed(seed)
+                .build_config(),
+        )
+    }
+
     fn window() -> EpochedReliable<u64> {
-        EpochedReliable::<u64>::builder()
-            .memory_bytes(32 * 1024)
-            .error_tolerance(25)
-            .emergency(EmergencyPolicy::ExactTable)
-            .seed(17)
-            .build_epoched()
+        window_of(32 * 1024, 17)
+    }
+
+    fn concurrent_window() -> EpochedConcurrent<u64> {
+        window_of(64 * 1024, 23)
     }
 
     #[test]
@@ -734,9 +631,7 @@ mod tests {
         assert_eq!(w.query(&1), 0);
     }
 
-    #[test]
-    fn window_spans_two_epochs_exactly() {
-        let mut w = window();
+    fn spans_two_epochs_exactly<G: Generation<u64>>(mut w: Epoched<u64, G>) {
         w.insert(&1, 10); // epoch 0
 
         assert!(w.rotate().is_none(), "nothing retired on first rotation");
@@ -751,6 +646,13 @@ mod tests {
             w.query_with_error(&1).contains(60),
             "epoch 0 left the window"
         );
+        assert_eq!(w.mpe_ceiling(), 2 * w.active().mpe_ceiling());
+    }
+
+    #[test]
+    fn window_spans_two_epochs_exactly() {
+        spans_two_epochs_exactly(window());
+        spans_two_epochs_exactly(concurrent_window());
     }
 
     #[test]
@@ -823,9 +725,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn clear_restarts_the_window() {
-        let mut w = window();
+    fn clear_restarts<G: Generation<u64>>(mut w: Epoched<u64, G>) {
         w.insert(&1, 5);
         w.rotate();
         w.insert(&1, 5);
@@ -833,6 +733,12 @@ mod tests {
         assert_eq!(w.epoch(), 0);
         assert!(w.frozen().is_none());
         assert_eq!(w.query(&1), 0);
+    }
+
+    #[test]
+    fn clear_restarts_the_window() {
+        clear_restarts(window());
+        clear_restarts(concurrent_window());
     }
 
     #[test]
@@ -844,11 +750,11 @@ mod tests {
         assert_eq!(w.mpe_ceiling(), 2 * w.active().mpe_ceiling());
     }
 
-    #[test]
-    fn retired_epochs_can_roll_up_via_merge() {
-        use rsk_api::Merge;
-        let mut w = window();
-        let mut rollup: Option<ReliableSketch<u64>> = None;
+    /// Rotate four rounds through `w`, folding every retired epoch into
+    /// a roll-up; roll-up + visible window must answer for the whole
+    /// history. Returns the roll-up.
+    fn roll_up_via_merge<G: Generation<u64> + Merge>(mut w: Epoched<u64, G>) -> G {
+        let mut rollup: Option<G> = None;
         let mut truth: HashMap<u64, u64> = HashMap::new();
         for round in 0..4u64 {
             for i in 0..5_000u64 {
@@ -874,33 +780,13 @@ mod tests {
             };
             assert!(total.contains(f), "key {k}: {f} ∉ {total:?}");
         }
-    }
-
-    fn concurrent_window() -> EpochedConcurrent<u64> {
-        EpochedConcurrent::<u64>::builder()
-            .memory_bytes(64 * 1024)
-            .error_tolerance(25)
-            .emergency(EmergencyPolicy::ExactTable)
-            .seed(23)
-            .build_epoched_concurrent()
+        rollup
     }
 
     #[test]
-    fn concurrent_window_spans_two_epochs() {
-        let mut w = concurrent_window();
-        w.insert_shared(&1, 10);
-        assert!(w.rotate().is_none());
-        w.insert_shared(&1, 20);
-        assert_eq!(w.epoch(), 1);
-        assert!(w.query_with_error(&1).contains(30));
-        let retired = w.rotate().expect("epoch 0 retires");
-        assert!(retired.query_with_error(&1).contains(10));
-        w.insert_shared(&1, 40);
-        assert!(
-            w.query_with_error(&1).contains(60),
-            "epoch 0 left the window"
-        );
-        assert_eq!(w.mpe_ceiling(), 2 * w.active().mpe_ceiling());
+    fn retired_epochs_can_roll_up_via_merge() {
+        roll_up_via_merge(window());
+        assert!(roll_up_via_merge(concurrent_window()).is_merged());
     }
 
     #[test]
@@ -945,38 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_retired_epochs_roll_up_via_merge() {
-        use rsk_api::Merge;
-        let mut w = concurrent_window();
-        let mut rollup: Option<crate::atomic::ConcurrentReliable<u64>> = None;
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for round in 0..4u64 {
-            for i in 0..5_000u64 {
-                let k = i % 100;
-                w.insert_shared(&k, 1 + round);
-                *truth.entry(k).or_insert(0) += 1 + round;
-            }
-            if let Some(retired) = w.rotate() {
-                match &mut rollup {
-                    None => rollup = Some(retired),
-                    Some(acc) => acc.merge(&retired).unwrap(),
-                }
-            }
-        }
-        let rollup = rollup.unwrap();
-        assert!(rollup.is_merged());
-        for (&k, &f) in &truth {
-            let win = w.query_with_error(&k);
-            let old = rollup.query_with_error(&k);
-            let total = Estimate {
-                value: win.value + old.value,
-                max_possible_error: win.max_possible_error + old.max_possible_error,
-            };
-            assert!(total.contains(f), "key {k}: {f} ∉ {total:?}");
-        }
-    }
-
-    #[test]
     fn merge_window_from_absorbs_both_generations() {
         let mut a = concurrent_window();
         let mut b = concurrent_window();
@@ -1016,53 +870,60 @@ mod tests {
         assert!(conc.contains(42));
     }
 
-    #[test]
-    fn concurrent_window_clear_restarts() {
-        let mut w = concurrent_window();
-        w.insert_shared(&1, 5);
-        w.rotate();
-        w.insert_shared(&1, 5);
-        Clear::clear(&mut w);
-        assert_eq!(w.epoch(), 0);
-        assert!(w.frozen().is_none());
-        assert_eq!(w.query(&1), 0);
+    /// The window contract on one interleaving of inserts (`(key,
+    /// value, roll)`, rotating first when `roll == 0`): every key's
+    /// window estimate covers its two-epoch window truth.
+    fn window_contract<G: Generation<u64>>(
+        ops: &[(u64, u64, u8)],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut w: Epoched<u64, G> = window_of(8 * 1024, seed);
+        let mut prev: HashMap<u64, u64> = HashMap::new();
+        let mut cur: HashMap<u64, u64> = HashMap::new();
+        for &(k, v, roll) in ops {
+            if roll == 0 {
+                w.rotate();
+                prev = core::mem::take(&mut cur);
+            }
+            w.insert(&k, v);
+            *cur.entry(k).or_insert(0) += v;
+        }
+        for k in 0u64..60 {
+            let f = cur.get(&k).copied().unwrap_or(0)
+                + if w.frozen().is_some() {
+                    prev.get(&k).copied().unwrap_or(0)
+                } else {
+                    0
+                };
+            let est = w.query_with_error(&k);
+            prop_assert!(
+                est.contains(f),
+                "key {}: window truth {} ∉ [{}, {}]",
+                k,
+                f,
+                est.lower_bound(),
+                est.value
+            );
+        }
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Arbitrary interleavings of inserts and rotations: the window
-        /// estimate always covers the two-epoch window truth.
+        /// Arbitrary interleavings of inserts and rotations, on either
+        /// generation type: the window estimate always covers the
+        /// two-epoch window truth.
         #[test]
         fn prop_window_contract(
             ops in proptest::collection::vec((0u64..60, 1u64..8, 0u8..12), 1..600),
             seed in 0u64..8,
+            concurrent in proptest::bool::ANY,
         ) {
-            let mut w: EpochedReliable<u64> = EpochedReliable::<u64>::builder()
-                .memory_bytes(8 * 1024)
-                .error_tolerance(25)
-                .emergency(EmergencyPolicy::ExactTable)
-                .seed(seed)
-                .build_epoched();
-            let mut prev: HashMap<u64, u64> = HashMap::new();
-            let mut cur: HashMap<u64, u64> = HashMap::new();
-            for (k, v, roll) in ops {
-                if roll == 0 {
-                    w.rotate();
-                    prev = core::mem::take(&mut cur);
-                }
-                w.insert(&k, v);
-                *cur.entry(k).or_insert(0) += v;
-            }
-            for k in 0u64..60 {
-                let f = cur.get(&k).copied().unwrap_or(0)
-                    + if w.frozen().is_some() {
-                        prev.get(&k).copied().unwrap_or(0)
-                    } else { 0 };
-                let est = w.query_with_error(&k);
-                prop_assert!(est.contains(f),
-                    "key {}: window truth {} ∉ [{}, {}]",
-                    k, f, est.lower_bound(), est.value);
+            if concurrent {
+                window_contract::<ConcurrentReliable<u64>>(&ops, seed)?;
+            } else {
+                window_contract::<ReliableSketch<u64>>(&ops, seed)?;
             }
         }
     }

@@ -21,7 +21,10 @@
 //! * [`emergency::EmergencyStore`] — the §3.3 emergency solution for
 //!   insertion failures (exact table or SpaceSaving);
 //! * [`ReliableSketch`] — the full layered structure with the lock
-//!   mechanism, mice filter and emergency store;
+//!   mechanism, mice filter and emergency store; its module holds
+//!   Algorithm 2's layer walk, the one copy of the query stop rule that
+//!   every bucket-layer read (sequential, atomic, merged overlay, slim
+//!   digest) calls;
 //! * [`theory`] — the paper's closed-form results (Theorems 4–5, Table 1);
 //! * [`atomic::AtomicBucketArray`] / [`atomic::ConcurrentReliable`] — the
 //!   lock-free multi-core data path: fingerprint/count/error packed in one
@@ -32,8 +35,10 @@
 //! * [`concurrent::ShardedReliable`] — key-partitioned multi-core
 //!   ingestion over lock-free shards with a deterministic two-phase
 //!   `ingest_parallel`;
-//! * [`epoch::EpochedReliable`] / [`epoch::EpochedConcurrent`] —
-//!   two-generation rotating windows (sequential and lock-free);
+//! * [`epoch::Epoched`] — the two-generation rotating window, written
+//!   once and generic over its [`epoch::Generation`]:
+//!   [`epoch::EpochedReliable`] rotates sequential sketches,
+//!   [`epoch::EpochedConcurrent`] lock-free ones;
 //! * [`topk::TopKSummary`] — the error-certified top-K layer: a
 //!   count-bucket Space-Saving list claimed on elephant promotion whose
 //!   entries carry the sketch's certified per-key error, behind the

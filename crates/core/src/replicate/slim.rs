@@ -20,7 +20,7 @@ use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::epoch::EpochedConcurrent;
-use crate::sketch::ReliableSketch;
+use crate::sketch::{walk, ReliableSketch};
 use rsk_api::{Estimate, Key, ReplicateError};
 use rsk_hash::HashFamily;
 
@@ -181,9 +181,7 @@ impl SlimSummary {
     pub fn query_with_error<K: Key>(&self, key: &K) -> Estimate {
         let hashes = HashFamily::new(self.widths.len(), self.config.seed);
         let fp = u64::from(key.hash32(fp_seed_for(self.config.seed))) & FP_MASK;
-        let mut est = self.filter_slack;
-        let mut mpe = self.filter_slack;
-        for i in 0..self.widths.len() {
+        let (walked, walked_mpe, _) = walk(&self.lambdas, |i| {
             let j = hashes.index(i, key, self.widths[i]) as u32;
             let (id, yes, no) = match self.layers[i].binary_search_by_key(&j, |e| e.0) {
                 Ok(pos) => {
@@ -192,14 +190,11 @@ impl SlimSummary {
                 }
                 Err(_) => (None, 0, 0),
             };
-            let matches = id == Some(fp);
-            est += if matches { yes } else { no };
-            mpe += no;
             let hinted = self.hints[i].binary_search(&j).is_ok();
-            if !hinted && (no < self.lambdas[i] || yes == no || matches) {
-                break;
-            }
-        }
+            (id == Some(fp), yes, no, hinted)
+        });
+        let mut est = self.filter_slack + walked;
+        let mut mpe = self.filter_slack + walked_mpe;
         for &(efp, value, over) in &self.extras {
             if efp == fp {
                 est += value;

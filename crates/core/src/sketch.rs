@@ -168,11 +168,6 @@ impl<K: Key> ReliableSketch<K> {
         &self.stats
     }
 
-    /// Reset operation statistics only.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// Number of insert operations that could not place their full value
     /// (the guarantee is void only for these).
     pub fn insertion_failures(&self) -> u64 {
@@ -372,23 +367,15 @@ impl<K: Key> ReliableSketch<K> {
         }
 
         if descend {
-            for i in 0..self.geometry.depth() {
-                hash_calls += 1;
-                layers_visited += 1;
+            let (e, m, visited) = walk(self.geometry.lambdas(), |i| {
                 let j = self.hashes.index(i, key, self.geometry.width(i));
                 let b = &self.layers[i][j];
-                let matches = b.id() == Some(key);
-                est += if matches { b.yes() } else { b.no() };
-                mpe += b.no();
-                // Algorithm 2 stop conditions: unlocked, replaceable, or
-                // ours — suppressed on merge-flagged buckets, from which a
-                // key may have descended in some shard (see crate::merge)
-                if !self.divert_hint(i, j)
-                    && (b.no() < self.geometry.lambda(i) || b.yes() == b.no() || matches)
-                {
-                    break;
-                }
-            }
+                (b.id() == Some(key), b.yes(), b.no(), self.divert_hint(i, j))
+            });
+            est += e;
+            mpe += m;
+            layers_visited = visited;
+            hash_calls += visited as u64;
         }
 
         // remainders recorded by the emergency store (exact or bounded)
@@ -486,6 +473,31 @@ impl<K: Key> ReliableSketch<K> {
             &self.divert_hints,
         )
     }
+}
+
+/// Algorithm 2's layer walk, the one copy of its stop rule that every
+/// bucket-layer read calls. `bucket(i)` reads the key's bucket in layer
+/// `i` as `(matches, YES, NO, hinted)`. The walk adds `YES` (the key's
+/// own bucket) or `NO` (anyone else's) to the estimate and `NO` to the
+/// MPE, and stops at the first bucket that is unlocked (`NO < λᵢ`),
+/// replaceable (`YES == NO`) or the key's own — unless a merge hinted
+/// that the key may have descended past it in some operand (see
+/// [`crate::merge`]). Returns `(estimate, MPE, layers visited)`.
+#[inline]
+pub(crate) fn walk(
+    lambdas: &[u64],
+    mut bucket: impl FnMut(usize) -> (bool, u64, u64, bool),
+) -> (u64, u64, usize) {
+    let (mut est, mut mpe) = (0u64, 0u64);
+    for (i, &lambda) in lambdas.iter().enumerate() {
+        let (matches, yes, no, hinted) = bucket(i);
+        est += if matches { yes } else { no };
+        mpe += no;
+        if !hinted && (no < lambda || yes == no || matches) {
+            return (est, mpe, i + 1);
+        }
+    }
+    (est, mpe, lambdas.len())
 }
 
 /// Mutable view over the sketch internals shared with the merge and

@@ -63,6 +63,7 @@ use crate::concurrent::ShardedReliable;
 use crate::emergency::EmergencyStore;
 use crate::epoch::EpochedConcurrent;
 use crate::sketch::ReliableSketch;
+use crate::topk::TopKSummary;
 use rsk_api::{CertifiedWeight, ErrorSensing, Estimate, Key, KeySet, SubpopulationWeight};
 use std::collections::HashSet;
 
@@ -159,25 +160,37 @@ fn emergency_untracked_ceiling<K: Key>(e: &EmergencyStore<K>) -> u64 {
     }
 }
 
-/// Decode inputs of one concurrent generation: its enumerable tracked
-/// keys (top-K entries + emergency remainders — bucket candidates exist
-/// only as fingerprints) and its per-untracked-key ceiling.
-fn concurrent_decode_inputs(
-    g: &ConcurrentReliable<u64>,
+/// Decode inputs of one generation: its enumerable tracked keys
+/// (emergency remainders and `top_k`'s entries) and its per-untracked-key
+/// ceiling — `top_k`'s miss bound when a summary is given, else
+/// `mpe_ceiling` plus the emergency store's untracked remainder, and
+/// vacuous once `merged`.
+fn decode_inputs(
+    merged: bool,
+    mpe_ceiling: u64,
     emergency: &EmergencyStore<u64>,
+    top_k: Option<&TopKSummary<u64>>,
 ) -> (Vec<u64>, u64) {
     let mut tracked = emergency_keys(emergency);
-    let mut ceiling = if g.is_merged() {
+    let mut ceiling = if merged {
         u64::MAX
     } else {
-        g.mpe_ceiling()
-            .saturating_add(emergency_untracked_ceiling(emergency))
+        mpe_ceiling.saturating_add(emergency_untracked_ceiling(emergency))
     };
-    if let Some(tk) = g.top_k_summary() {
+    if let Some(tk) = top_k {
         ceiling = ceiling.min(tk.miss_bound());
         tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
     }
     (tracked, ceiling)
+}
+
+/// [`decode_inputs`] of one lock-free generation whose top-K summary is
+/// `top_k`.
+fn concurrent_inputs(
+    g: &ConcurrentReliable<u64>,
+    top_k: Option<&TopKSummary<u64>>,
+) -> (Vec<u64>, u64) {
+    decode_inputs(g.is_merged(), g.mpe_ceiling(), &g.peer_emergency(), top_k)
 }
 
 impl SubpopulationWeight for ReliableSketch<u64> {
@@ -190,18 +203,13 @@ impl SubpopulationWeight for ReliableSketch<u64> {
             return dense(&keys, 0, dropped, |k| self.query_with_error(k));
         }
         let (_, _, emergency, _, _) = self.peer_parts();
-        let mut tracked: Vec<u64> = self.candidates().into_iter().map(|(k, _)| k).collect();
-        tracked.extend(emergency_keys(emergency));
-        let mut ceiling = if self.is_merged() {
-            u64::MAX
-        } else {
-            self.mpe_ceiling()
-                .saturating_add(emergency_untracked_ceiling(emergency))
-        };
-        if let Some(tk) = self.top_k_summary() {
-            ceiling = ceiling.min(tk.miss_bound());
-            tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
-        }
+        let (mut tracked, ceiling) = decode_inputs(
+            self.is_merged(),
+            self.mpe_ceiling(),
+            emergency,
+            self.top_k_summary(),
+        );
+        tracked.extend(self.candidates().into_iter().map(|(k, _)| k));
         decode(set, tracked, ceiling, 0, dropped, |k| {
             self.query_with_error(k)
         })
@@ -220,8 +228,7 @@ impl SubpopulationWeight for ConcurrentReliable<u64> {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             return dense(&keys, slack, dropped, |k| self.query_with_error(k));
         }
-        let emergency = self.peer_emergency();
-        let (tracked, ceiling) = concurrent_decode_inputs(self, &emergency);
+        let (tracked, ceiling) = concurrent_inputs(self, self.top_k_summary().as_ref());
         decode(set, tracked, ceiling, slack, dropped, |k| {
             self.query_with_error(k)
         })
@@ -247,8 +254,7 @@ impl SubpopulationWeight for ShardedReliable<u64> {
         let mut ceiling = 0u64;
         for i in 0..self.shards() {
             let shard = self.shard(i);
-            let emergency = shard.peer_emergency();
-            let (t, c) = concurrent_decode_inputs(shard, &emergency);
+            let (t, c) = concurrent_inputs(shard, shard.top_k_summary().as_ref());
             tracked.extend(t);
             ceiling = ceiling.max(c);
         }
@@ -266,10 +272,7 @@ impl SubpopulationWeight for EpochedConcurrent<u64> {
     /// undershoot per visible generation per member — the same
     /// convention the serving layer reports.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let generations = 1 + u64::from(self.frozen().is_some());
-        let slack = self
-            .contention_undershoot_bound()
-            .saturating_mul(generations);
+        let slack = self.window_slack();
         let mut dropped = self.active().dropped_value();
         if let Some(frozen) = self.frozen() {
             dropped = dropped.saturating_add(frozen.dropped_value());
@@ -277,25 +280,14 @@ impl SubpopulationWeight for EpochedConcurrent<u64> {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             return dense(&keys, slack, dropped, |k| self.query_with_error(k));
         }
-        let a_emergency = self.active().peer_emergency();
-        let (mut tracked, mut ceiling) = concurrent_decode_inputs(self.active(), &a_emergency);
+        let active = self.active();
+        let (mut tracked, mut ceiling) = concurrent_inputs(active, active.top_k_summary().as_ref());
         if let Some(frozen) = self.frozen() {
-            let f_emergency = frozen.peer_emergency();
-            let mut f_ceiling = if frozen.is_merged() {
-                u64::MAX
-            } else {
-                frozen
-                    .mpe_ceiling()
-                    .saturating_add(emergency_untracked_ceiling(&f_emergency))
-            };
-            // the sealed generation's summary is the rotation-time
-            // snapshot — wait-free, no lock
-            if let Some(tk) = self.frozen_top_k() {
-                f_ceiling = f_ceiling.min(tk.miss_bound());
-                tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
-            }
-            tracked.extend(emergency_keys(&f_emergency));
-            ceiling = ceiling.saturating_add(f_ceiling);
+            // the sealed generation's summary is the rotation-time copy
+            // — wait-free, no lock
+            let (t, c) = concurrent_inputs(frozen, self.frozen_top_k());
+            tracked.extend(t);
+            ceiling = ceiling.saturating_add(c);
         }
         decode(set, tracked, ceiling, slack, dropped, |k| {
             self.query_with_error(k)

@@ -234,26 +234,6 @@ impl Client {
         }
     }
 
-    /// Certified estimate for `key` in `tenant`, answered through a
-    /// freshly distilled slim digest of the window instead of the full
-    /// sketch — the verification path for slim replication.
-    pub fn query_slim(&mut self, tenant: u32, key: u64) -> Result<CertifiedAnswer, ClientError> {
-        match self.call(&Request::SlimQuery { tenant, key })? {
-            Response::Certified {
-                value,
-                max_possible_error,
-                slack,
-                epoch,
-            } => Ok(CertifiedAnswer {
-                value,
-                max_possible_error,
-                slack,
-                epoch,
-            }),
-            other => Err(ClientError::Unexpected(other)),
-        }
-    }
-
     /// The `k` heaviest keys of `tenant`'s visible window, each with its
     /// certified error, plus the floor every unreported key sits under.
     pub fn top_k(&mut self, tenant: u32, k: u32) -> Result<TopKAnswer, ClientError> {

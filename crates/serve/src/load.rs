@@ -29,9 +29,11 @@
 //!
 //! With [`LoadConfig::replicate`] set, a final phase ships every tenant
 //! to a second server — one full snapshot, then two delta cuts
-//! straddling a `Seal` — and probes the **replica** with certified and
-//! slim queries against the same tracked truth. The byte counts of the
-//! full versus delta ships land in the report, so the delta path's
+//! straddling a `Seal` — and probes the **replica** against the same
+//! tracked truth twice: with certified queries, and through the
+//! replica's slim payload (`Snapshot{Slim}`), fetched once per tenant
+//! and decoded locally the way a collector would. The byte counts of
+//! the full versus delta ships land in the report, so the delta path's
 //! advantage is measured, not assumed.
 
 use std::collections::HashMap;
@@ -42,10 +44,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rsk_api::{KeySet, StreamSummary};
+use rsk_core::SlimSummary;
 use rsk_stream::zipf::ZipfSampler;
 use rsk_stream::GroundTruth;
 
-use crate::client::{Client, ClientError};
+use crate::client::{CertifiedAnswer, Client, ClientError};
 use crate::protocol::{read_frame, send_request, Request, Response, SnapshotKind};
 
 /// Load shape. `Default` is the full run; [`LoadConfig::quick`] is the
@@ -464,16 +467,27 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
             dst.push_delta(tenant, &d2)?;
 
             // The replica must now certify the same truth, over both
-            // the full window and the slim-digest query path.
+            // the full window and its slim digest. A digest that fails
+            // to decode misses every slim probe.
+            let slim = dst.snapshot(tenant, SnapshotKind::Slim)?;
+            let digest = SlimSummary::from_bytes(&slim).ok();
             for &k in &hot {
                 let want = truth.freq(&k);
                 replica_probes += 2;
-                if dst.query_certified(tenant, k)?.contains(want) {
+                let certified = dst.query_certified(tenant, k)?;
+                if certified.contains(want) {
                     replica_contained += 1;
                 }
-                if dst.query_slim(tenant, k)?.contains(want) {
-                    replica_contained += 1;
-                }
+                let slim_hit = digest.as_ref().is_some_and(|d| {
+                    let est = d.query_with_error(&k);
+                    CertifiedAnswer {
+                        value: est.value,
+                        max_possible_error: est.max_possible_error,
+                        ..certified
+                    }
+                    .contains(want)
+                });
+                replica_contained += u64::from(slim_hit);
             }
         }
     }
@@ -611,8 +625,9 @@ mod tests {
             report.replicate_delta_bytes,
             report.replicate_full_bytes
         );
-        // The replica counted its applied payloads: 3 ships per tenant.
-        assert_eq!(replica.stats().replications(), 2 * 3);
+        // The replica counted its replication frames: 3 applied ships
+        // plus 1 slim capture per tenant.
+        assert_eq!(replica.stats().replications(), 2 * 4);
         primary.shutdown();
         replica.shutdown();
     }

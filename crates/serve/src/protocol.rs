@@ -216,16 +216,6 @@ pub enum Request {
         /// [`SnapshotKind::Full`] or [`SnapshotKind::Delta`].
         payload: Vec<u8>,
     },
-    /// Certified estimate answered through a slim digest of `tenant`'s
-    /// window — the same code path a collector holding only a shipped
-    /// [`SnapshotKind::Slim`] payload runs, exposed server-side for
-    /// verification.
-    SlimQuery {
-        /// Target tenant id.
-        tenant: u32,
-        /// Flow key to certify.
-        key: u64,
-    },
     /// The `k` heaviest keys of `tenant`'s visible window, each with its
     /// certified error, plus the floor every unreported key is
     /// guaranteed to sit under (see `docs/PROTOCOL.md` § Certification).
@@ -374,7 +364,7 @@ mod opcode {
     pub const SHUTDOWN: u8 = 0x07;
     pub const SNAPSHOT: u8 = 0x08;
     pub const PUSH_DELTA: u8 = 0x09;
-    pub const SLIM_QUERY: u8 = 0x0A;
+    // 0x0A is retired (docs/PROTOCOL.md): never reuse it.
     pub const TOP_K: u8 = 0x0B;
     pub const SUBPOP: u8 = 0x0C;
 
@@ -519,11 +509,6 @@ impl Request {
                 out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 out.extend_from_slice(payload);
             }
-            Self::SlimQuery { tenant, key } => {
-                out.push(opcode::SLIM_QUERY);
-                out.extend_from_slice(&tenant.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
             Self::TopK { tenant, k } => {
                 out.push(opcode::TOP_K);
                 out.extend_from_slice(&tenant.to_le_bytes());
@@ -608,10 +593,6 @@ impl Request {
             opcode::PUSH_DELTA => Self::PushDelta {
                 tenant: r.u32()?,
                 payload: r.blob()?,
-            },
-            opcode::SLIM_QUERY => Self::SlimQuery {
-                tenant: r.u32()?,
-                key: r.u64()?,
             },
             opcode::TOP_K => Self::TopK {
                 tenant: r.u32()?,
@@ -979,10 +960,6 @@ mod tests {
                 tenant: 0,
                 payload: vec![],
             },
-            Request::SlimQuery {
-                tenant: 5,
-                key: u64::MAX,
-            },
             Request::TopK { tenant: 4, k: 10 },
             Request::TopK {
                 tenant: u32::MAX,
@@ -1137,6 +1114,19 @@ mod tests {
         // Response opcodes are not valid requests and vice versa.
         assert!(Request::decode(&Response::Merged.encode()).is_err());
         assert!(Response::decode(&Request::Stats.encode()).is_err());
+    }
+
+    #[test]
+    fn retired_slim_query_opcode_is_unknown() {
+        // A frame of the retired 0x0A opcode (tenant 5, key 7) is
+        // malformed, like any opcode the server does not know.
+        let mut bytes = vec![VERSION, 0x0A];
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        assert_eq!(
+            Request::decode(&bytes).unwrap_err(),
+            ProtocolError::UnknownOpcode(0x0A)
+        );
     }
 
     #[test]

@@ -453,16 +453,6 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                 },
             }
         }
-        Request::SlimQuery { tenant, key } => {
-            shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-            let ans = shared.tenants.get_or_empty(tenant).slim_certified(key);
-            Response::Certified {
-                value: ans.value,
-                max_possible_error: ans.max_possible_error,
-                slack: ans.slack,
-                epoch: ans.epoch,
-            }
-        }
         Request::TopK { tenant, k } => {
             shared.stats.queries.fetch_add(1, Ordering::Relaxed);
             let (top, slack, epoch) = shared.tenants.get_or_empty(tenant).top_k(k as usize);
@@ -507,6 +497,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use rsk_core::SlimSummary;
 
     fn tiny() -> ServeConfig {
         ServeConfig {
@@ -635,11 +626,13 @@ mod tests {
         dst.push_delta(1, &delta).unwrap();
         assert!(dst.query_certified(1, 42).unwrap().contains(15));
 
-        // Slim payloads answer standalone, and the slim query path on
-        // the replica certifies the same truth.
+        // Slim payloads answer standalone: the replica's digest, decoded
+        // locally, certifies the same truth.
         let slim = src.snapshot(1, SnapshotKind::Slim).unwrap();
         assert!(slim.len() < full.len());
-        assert!(dst.query_slim(1, 42).unwrap().contains(15));
+        let replica_slim = dst.snapshot(1, SnapshotKind::Slim).unwrap();
+        let digest = SlimSummary::from_bytes(&replica_slim).unwrap();
+        assert!(digest.query_with_error(&42u64).contains(15));
 
         // Garbage is refused without poisoning the connection.
         let err = dst.push_delta(1, b"not a payload").unwrap_err();

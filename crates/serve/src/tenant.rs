@@ -28,7 +28,7 @@ use rsk_api::{
     CertifiedTopK, CertifiedWeight, ConcurrentErrorSensing, Estimate, KeySet, MergeError,
     Replicate, ReplicateError, SubpopulationWeight, TopK,
 };
-use rsk_core::{EpochedConcurrent, SlimSummary};
+use rsk_core::EpochedConcurrent;
 
 use crate::protocol::SnapshotKind;
 
@@ -129,11 +129,10 @@ impl Tenant {
     pub fn certified(&self, key: u64) -> CertifiedAnswer {
         let window = self.window.read();
         let est: Estimate = window.query_with_error_concurrent(&key);
-        let generations = 1 + u64::from(window.frozen().is_some());
         CertifiedAnswer {
             value: est.value,
             max_possible_error: est.max_possible_error,
-            slack: window.contention_undershoot_bound() * generations,
+            slack: window.window_slack(),
             epoch: window.epoch(),
         }
     }
@@ -146,9 +145,7 @@ impl Tenant {
     pub fn top_k(&self, k: usize) -> (CertifiedTopK<u64>, u64, u64) {
         let window = self.window.read();
         let top = window.certified_top_k(k);
-        let generations = 1 + u64::from(window.frozen().is_some());
-        let slack = window.contention_undershoot_bound() * generations;
-        (top, slack, window.epoch())
+        (top, window.window_slack(), window.epoch())
     }
 
     /// Certified subpopulation weight of `set` across the visible
@@ -193,22 +190,6 @@ impl Tenant {
     /// window is untouched.
     pub fn apply_replica(&self, payload: &[u8]) -> Result<(), ReplicateError> {
         self.window.write().apply_bytes(payload)
-    }
-
-    /// Certified estimate answered through a freshly distilled
-    /// [`SlimSummary`] of the window — the code path a collector holding
-    /// only a shipped slim payload runs, exposed for verification.
-    pub fn slim_certified(&self, key: u64) -> CertifiedAnswer {
-        let window = self.window.read();
-        let slim = SlimSummary::from_epoched(&window);
-        let est = slim.query_with_error(&key);
-        let generations = 1 + u64::from(window.frozen().is_some());
-        CertifiedAnswer {
-            value: est.value,
-            max_possible_error: est.max_possible_error,
-            slack: window.contention_undershoot_bound() * generations,
-            epoch: window.epoch(),
-        }
     }
 
     /// Insertion failures accumulated across the window's generations.

@@ -66,11 +66,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
     )
         .prop_map(|(tenant, payload)| Request::PushDelta { tenant, payload });
-    let slim_query = (
-        proptest::prelude::any::<u32>(),
-        proptest::prelude::any::<u64>(),
-    )
-        .prop_map(|(tenant, key)| Request::SlimQuery { tenant, key });
     let top_k = (
         proptest::prelude::any::<u32>(),
         proptest::prelude::any::<u32>(),
@@ -86,7 +81,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         merge,
         snapshot,
         push_delta,
-        slim_query,
         top_k,
         subpop,
         Just(Request::Stats),

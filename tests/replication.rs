@@ -267,7 +267,7 @@ fn wire_refuses_a_snapshot_of_a_foreign_spec() {
 /// replica, through both the full-window and slim-digest query paths.
 #[test]
 fn wire_replication_stays_certified_across_seals() {
-    use rsk_serve::{Client, ServeConfig, ServerHandle, SketchSpec, SnapshotKind};
+    use rsk_serve::{CertifiedAnswer, Client, ServeConfig, ServerHandle, SketchSpec, SnapshotKind};
     use std::collections::HashMap;
 
     let spec = SketchSpec {
@@ -323,14 +323,22 @@ fn wire_replication_stays_certified_across_seals() {
     dst.push_delta(tenant, &d2).unwrap();
 
     // Every probed key must certify on the replica, via the replicated
-    // window and via the slim digest distilled from it.
+    // window and via the replica's slim payload, decoded here as a
+    // collector would.
+    let digest = SlimSummary::from_bytes(&dst.snapshot(tenant, SnapshotKind::Slim).unwrap())
+        .expect("the replica's slim payload decodes");
     for (k, want) in &truth {
         let certified = dst.query_certified(tenant, *k).unwrap();
         assert!(
             certified.contains(*want),
             "replica misses key {k}: truth {want}, answer {certified:?}"
         );
-        let slim = dst.query_slim(tenant, *k).unwrap();
+        let est = digest.query_with_error(k);
+        let slim = CertifiedAnswer {
+            value: est.value,
+            max_possible_error: est.max_possible_error,
+            ..certified
+        };
         assert!(
             slim.contains(*want),
             "slim digest misses key {k}: truth {want}, answer {slim:?}"

@@ -230,10 +230,6 @@ fn reads_of_unknown_tenants_create_nothing() {
             client.query_certified(tenant, key).unwrap(),
             fresh.certified(key)
         );
-        assert_eq!(
-            client.query_slim(tenant, key).unwrap(),
-            fresh.slim_certified(key)
-        );
         let answer = client.top_k(tenant, 8).unwrap();
         assert_eq!(
             (answer.epoch, answer.slack, answer.floor),
