@@ -42,10 +42,10 @@
 //! the "Raw" variant:
 //!
 //! * **Mice filter** — [`ConcurrentReliable`] honors
-//!   [`crate::MiceFilterConfig`] with an [`crate::filter::AtomicMiceFilter`]
-//!   (CU counters packed into `AtomicU64` lanes, one-CAS conditional
-//!   increment), so mouse flows are absorbed before they burn first-layer
-//!   buckets;
+//!   [`crate::MiceFilterConfig`] with the [`crate::filter::MiceFilter`]
+//!   the sequential sketch runs too (CU counters packed into `AtomicU64`
+//!   lanes, one-CAS conditional increment), so mouse flows are absorbed
+//!   before they burn first-layer buckets;
 //! * **Emergency store** — failures are recorded under the configured
 //!   policy behind a mutex only failures touch;
 //! * **Windows** — [`crate::epoch::EpochedConcurrent`] rotates generations
@@ -111,7 +111,7 @@
 use crate::bucket::EsBucket;
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
-use crate::filter::{AtomicMiceFilter, FILTER_SEED_SALT};
+use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
 use crate::sketch::walk;
 use crate::topk::TopKSummary;
@@ -470,6 +470,14 @@ pub(crate) fn fp_seed_for(seed: u64) -> u32 {
     splitmix64(seed ^ FP_SALT) as u32
 }
 
+/// The 24-bit candidate fingerprint of `key` under the fingerprint seed
+/// [`fp_seed_for`] derives — the one rule every sketch and slim digest
+/// maps keys by.
+#[inline]
+pub(crate) fn fingerprint<K: Key>(key: &K, fp_seed: u32) -> u64 {
+    u64::from(key.hash32(fp_seed)) & FP_MASK
+}
+
 /// Lock-free ReliableSketch over an [`AtomicBucketArray`]: shared-`&self`
 /// insertion from any number of threads, with the paper's §3.3 mice
 /// filter (when configured) running lock-free in front of the bucket
@@ -509,7 +517,7 @@ pub struct ConcurrentReliable<K: Key> {
     geometry: LayerGeometry,
     hashes: HashFamily,
     fp_seed: u32,
-    filter: Option<AtomicMiceFilter>,
+    filter: Option<MiceFilter>,
     array: AtomicBucketArray,
     failures: AtomicU64,
     emergency: Mutex<EmergencyStore<K>>,
@@ -567,18 +575,10 @@ impl<K: Key> ConcurrentReliable<K> {
     /// derived from `config`, identically to the sequential constructor,
     /// so twins share filter shape and hash seeds too.
     pub fn with_geometry(config: ReliableConfig, geometry: LayerGeometry) -> Self {
-        let filter = config.mice_filter.as_ref().and_then(|fc| {
-            AtomicMiceFilter::new(
-                config.filter_bytes(),
-                fc.arrays,
-                fc.counter_bits,
-                config.filter_threshold().max(1),
-                config.seed ^ FILTER_SEED_SALT,
-            )
-        });
+        let filter = MiceFilter::for_config(&config);
         let array = AtomicBucketArray::new(&geometry);
         let hashes = HashFamily::new(geometry.depth(), config.seed);
-        let fp_seed = splitmix64(config.seed ^ FP_SALT) as u32;
+        let fp_seed = fp_seed_for(config.seed);
         let emergency = Mutex::new(EmergencyStore::new(config.emergency));
         Self {
             config,
@@ -617,19 +617,19 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// The lock-free mice filter, if configured.
-    pub fn filter(&self) -> Option<&AtomicMiceFilter> {
+    pub fn filter(&self) -> Option<&MiceFilter> {
         self.filter.as_ref()
     }
 
     /// Per-key bound on how far a contended filtered estimate may trail
     /// the truth: the filter's
-    /// [`contention_undershoot_bound`](AtomicMiceFilter::contention_undershoot_bound),
+    /// [`contention_undershoot_bound`](MiceFilter::contention_undershoot_bound),
     /// or 0 for the raw variant and on uncontended/single-owner paths
     /// (which are exact).
     pub fn contention_undershoot_bound(&self) -> u64 {
         self.filter
             .as_ref()
-            .map_or(0, AtomicMiceFilter::contention_undershoot_bound)
+            .map_or(0, MiceFilter::contention_undershoot_bound)
     }
 
     /// Attach the error-certified top-K layer ([`crate::topk`]),
@@ -641,7 +641,7 @@ impl<K: Key> ConcurrentReliable<K> {
     /// [`Self::contention_undershoot_bound`]; single-owner histories are
     /// bit-for-bit equal to the sequential twin's summary.
     pub fn enable_top_k(&mut self, capacity: usize) {
-        let threshold = self.filter.as_ref().map_or(0, AtomicMiceFilter::threshold);
+        let threshold = self.filter.as_ref().map_or(0, MiceFilter::threshold);
         self.topk = Some(Mutex::new(TopKSummary::new(capacity, threshold)));
     }
 
@@ -692,7 +692,7 @@ impl<K: Key> ConcurrentReliable<K> {
     /// 24-bit candidate fingerprint of `key`.
     #[inline]
     pub(crate) fn fingerprint(&self, key: &K) -> u64 {
-        key.hash32(self.fp_seed) as u64 & FP_MASK
+        fingerprint(key, self.fp_seed)
     }
 
     /// Lock-free insertion through a shared reference.
@@ -905,7 +905,7 @@ impl<K: Key> ConcurrentReliable<K> {
     pub(crate) fn merge_parts(
         &mut self,
     ) -> (
-        &mut Option<AtomicMiceFilter>,
+        &mut Option<MiceFilter>,
         &mut Option<MergedOverlay>,
         &Mutex<EmergencyStore<K>>,
         &AtomicU64,
@@ -916,11 +916,6 @@ impl<K: Key> ConcurrentReliable<K> {
             &self.emergency,
             &self.failures,
         )
-    }
-
-    /// Shared peer state read during a merge.
-    pub(crate) fn peer_filter(&self) -> Option<&AtomicMiceFilter> {
-        self.filter.as_ref()
     }
 
     /// Clone of the peer's emergency store (read under its mutex).
@@ -984,10 +979,7 @@ impl<K: Key> ErrorSensing<K> for ConcurrentReliable<K> {
 
 impl<K: Key> MemoryFootprint for ConcurrentReliable<K> {
     fn memory_bytes(&self) -> usize {
-        let filter = self
-            .filter
-            .as_ref()
-            .map_or(0, AtomicMiceFilter::memory_bytes);
+        let filter = self.filter.as_ref().map_or(0, MiceFilter::memory_bytes);
         let overlay = self.merged.as_ref().map_or(0, |_| {
             self.array.total_buckets() * crate::config::BUCKET_BYTES
         });
@@ -1035,9 +1027,7 @@ impl<K: Key> Clear for ConcurrentReliable<K> {
         }
         self.merged = None;
         self.merge_epoch = 0;
-        {
-            self.cut = None;
-        }
+        self.cut = None;
     }
 }
 

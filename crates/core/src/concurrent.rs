@@ -106,7 +106,7 @@ impl<K: Key> ShardedReliable<K> {
     /// per-shard seeds come from a SplitMix64 stream over `config.seed`.
     ///
     /// Shards honor `config.mice_filter`: each builds its own
-    /// [`AtomicMiceFilter`](crate::filter::AtomicMiceFilter) from its
+    /// [`MiceFilter`](crate::filter::MiceFilter) from its
     /// budget slice (see [`ConcurrentReliable::new`]), so the sharded
     /// path runs the paper's full filtered variant. Because
     /// [`Self::ingest_parallel`] applies each shard from a single owner,

@@ -1,5 +1,4 @@
-//! The mice filter (paper §3.3, "Accuracy Optimization") — sequential and
-//! lock-free variants.
+//! The mice filter (paper §3.3, "Accuracy Optimization").
 //!
 //! The first layer of ReliableSketch is its largest, and on mouse-heavy
 //! traffic most of its 80-bit buckets end up locked, burned on keys that
@@ -24,208 +23,27 @@
 //! `Λ − threshold` (see [`crate::config::ReliableConfig::layer_lambda`]),
 //! preserving the end-to-end `≤ Λ` guarantee.
 //!
-//! Two implementations share these semantics:
-//!
-//! * [`MiceFilter`] — the sequential (`&mut self`) filter used by
-//!   [`crate::ReliableSketch`];
-//! * [`AtomicMiceFilter`] — the lock-free (`&self`) twin used by
-//!   [`crate::atomic::ConcurrentReliable`], with counters packed into
-//!   `AtomicU64` lanes and the CU step committed by a single CAS (see its
-//!   type docs for the exact concurrency contract).
+//! One [`MiceFilter`] serves every sketch flavour: the sequential
+//! [`crate::ReliableSketch`] is its single writer, and the lock-free
+//! [`crate::atomic::ConcurrentReliable`] shares it between threads (see
+//! the type docs for the concurrency contract).
 
+use crate::config::ReliableConfig;
 use rsk_api::{Key, MergeError};
 use rsk_hash::HashFamily;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Seed salt separating the mice-filter hash family from the per-layer
-/// families (shared by the sequential and atomic sketch constructors so
-/// identically configured filters are hash-identical).
-pub(crate) const FILTER_SEED_SALT: u64 = 0xf11e_d0f1_1e00;
+/// families.
+const FILTER_SEED_SALT: u64 = 0xf11e_d0f1_1e00;
 
-/// CU filter with saturating counters (the paper's mice filter).
-#[derive(Debug, Clone)]
-pub struct MiceFilter {
-    counters: Vec<Vec<u64>>,
-    width: usize,
-    threshold: u64,
-    counter_bits: u32,
-    hashes: HashFamily,
-}
-
-impl MiceFilter {
-    /// Build a filter over `memory_bytes` of `counter_bits`-wide counters in
-    /// `arrays` rows, saturating at `threshold`.
-    ///
-    /// Returns `None` when the budget is too small to host at least one
-    /// counter per row.
-    pub fn new(
-        memory_bytes: usize,
-        arrays: usize,
-        counter_bits: u32,
-        threshold: u64,
-        seed: u64,
-    ) -> Option<Self> {
-        assert!(arrays > 0 && counter_bits > 0 && counter_bits <= 32);
-        assert!(threshold > 0, "a zero-threshold filter filters nothing");
-        debug_assert!(threshold < (1u64 << counter_bits));
-        let total_counters = memory_bytes * 8 / counter_bits as usize;
-        let width = total_counters / arrays;
-        if width == 0 {
-            return None;
-        }
-        Some(Self {
-            counters: vec![vec![0u64; width]; arrays],
-            width,
-            threshold,
-            counter_bits,
-            hashes: HashFamily::new(arrays, seed),
-        })
-    }
-
-    /// Saturation value.
-    #[inline]
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Counters per row.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn arrays(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Modeled memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.arrays() * self.width * self.counter_bits as usize / 8
-    }
-
-    /// Number of hash evaluations per operation (for Figure 16 accounting).
-    #[inline]
-    pub fn hash_calls(&self) -> u64 {
-        self.arrays() as u64
-    }
-
-    /// Insert `⟨key, value⟩`; returns the value that passes through to the
-    /// bucket layers (0 if fully absorbed).
-    #[inline]
-    pub fn insert<K: Key>(&mut self, key: &K, value: u64) -> u64 {
-        let min = self.min_counter(key);
-        if min >= self.threshold {
-            return value;
-        }
-        let absorbed = (self.threshold - min).min(value);
-        let target = min + absorbed;
-        for (i, row) in self.counters.iter_mut().enumerate() {
-            let idx = self.hashes.index(i, key, self.width);
-            // conservative update: only raise counters below the target
-            if row[idx] < target {
-                row[idx] = target;
-            }
-        }
-        value - absorbed
-    }
-
-    /// Query the filter's contribution for `key`: `(contribution,
-    /// saturated)`. If not saturated, the key never reached the bucket
-    /// layers.
-    #[inline]
-    pub fn query<K: Key>(&self, key: &K) -> (u64, bool) {
-        let min = self.min_counter(key);
-        (min, min >= self.threshold)
-    }
-
-    /// Fold another filter (same shape, same seeds) into this one by
-    /// counter-wise addition — the filter half of [`crate::merge`].
-    ///
-    /// Sums are *not* re-capped at the threshold: per shard each counter
-    /// upper-bounds what that shard absorbed, so only the uncapped sum
-    /// keeps the merged contribution an upper bound (a key absorbing
-    /// `threshold` in both shards carries `2·threshold` of mass). The
-    /// saturation rule `min ⩾ threshold` still recognizes every key that
-    /// reached the bucket layers in either shard, because that shard's
-    /// counters were already at the threshold.
-    ///
-    /// # Errors
-    /// [`MergeError::ShapeMismatch`] for filters of a different shape. The
-    /// caller is responsible for seed equality (checked at the sketch
-    /// level via the configuration).
-    pub fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.width != other.width
-            || self.arrays() != other.arrays()
-            || self.threshold != other.threshold
-            || self.counter_bits != other.counter_bits
-        {
-            return Err(MergeError::ShapeMismatch);
-        }
-        for (row, other_row) in self.counters.iter_mut().zip(&other.counters) {
-            for (c, o) in row.iter_mut().zip(other_row) {
-                *c = c.saturating_add(*o);
-            }
-        }
-        Ok(())
-    }
-
-    /// Reset all counters.
-    pub fn clear(&mut self) {
-        for row in &mut self.counters {
-            row.iter_mut().for_each(|c| *c = 0);
-        }
-    }
-
-    /// Fraction of counters at saturation (diagnostics).
-    pub fn saturation_ratio(&self) -> f64 {
-        let total: usize = self.counters.iter().map(|r| r.len()).sum();
-        let sat: usize = self
-            .counters
-            .iter()
-            .flat_map(|r| r.iter())
-            .filter(|&&c| c >= self.threshold)
-            .count();
-        sat as f64 / total as f64
-    }
-
-    /// Raw counter rows (the snapshot module and cross-variant merges).
-    pub(crate) fn rows_raw(&self) -> &[Vec<u64>] {
-        &self.counters
-    }
-
-    /// Configured counter width in bits (shape checks in merges).
-    pub(crate) fn counter_bits(&self) -> u32 {
-        self.counter_bits
-    }
-
-    /// Overwrite counter rows from persisted state (the snapshot module).
-    pub(crate) fn restore_rows(&mut self, rows: Vec<Vec<u64>>) -> Result<(), String> {
-        if rows.len() != self.counters.len() || rows.iter().any(|r| r.len() != self.width) {
-            return Err("snapshot filter shape mismatch".into());
-        }
-        self.counters = rows;
-        Ok(())
-    }
-
-    #[inline]
-    fn min_counter<K: Key>(&self, key: &K) -> u64 {
-        let mut min = u64::MAX;
-        for (i, row) in self.counters.iter().enumerate() {
-            let idx = self.hashes.index(i, key, self.width);
-            min = min.min(row[idx]);
-        }
-        min
-    }
-}
-
-/// Most CU rows an atomic filter supports (matches
+/// Most CU rows a filter supports (matches
 /// [`crate::config::ReliableConfig::validate`]'s `arrays ≤ 8` bound; lets
 /// the hot path use stack scratch instead of heap allocation).
-const MAX_ATOMIC_ARRAYS: usize = 8;
+const MAX_ARRAYS: usize = 8;
 
-/// Lock-free CU filter: [`MiceFilter`] semantics through `&self`.
+/// CU filter with saturating counters (the paper's mice filter), updated
+/// lock-free through `&self`.
 ///
 /// Counters are packed into `AtomicU64` *lanes* (e.g. 32 × 2-bit counters
 /// per word with the paper's §6.1.1 defaults) and every state change is a
@@ -241,10 +59,11 @@ const MAX_ATOMIC_ARRAYS: usize = 8;
 ///
 /// ### Concurrency contract
 ///
-/// Uncontended (one thread, or one owner per key range as in
-/// [`crate::concurrent::ShardedReliable::ingest_parallel`]) the filter is
-/// **bit-for-bit identical** to [`MiceFilter`] built with the same
-/// parameters. Under contention the CU minimum is read across several
+/// Uncontended (a single writer such as [`crate::ReliableSketch`], or one
+/// owner per key range as in
+/// [`crate::concurrent::ShardedReliable::ingest_parallel`]) every insert
+/// is exactly the CU step of the [module docs](crate::filter), counter
+/// for counter. Under contention the CU minimum is read across several
 /// words, so two racing inserts of one key may both absorb against the
 /// same counter floor; the absorbed mass is then under-represented by the
 /// final minimum. The slack is bounded: per key, the filter's query
@@ -257,9 +76,9 @@ const MAX_ATOMIC_ARRAYS: usize = 8;
 /// before any of its mass enters the bucket layers).
 ///
 /// ```
-/// use rsk_core::filter::AtomicMiceFilter;
+/// use rsk_core::filter::MiceFilter;
 ///
-/// let f = AtomicMiceFilter::new(4096, 2, 8, 3, 42).unwrap();
+/// let f = MiceFilter::new(4096, 2, 8, 3, 42).unwrap();
 /// std::thread::scope(|s| {
 ///     for _ in 0..4 {
 ///         let f = &f;
@@ -276,7 +95,7 @@ const MAX_ATOMIC_ARRAYS: usize = 8;
 /// assert_eq!(saturated, c >= 3); // saturation is exactly "min ≥ threshold"
 /// ```
 #[derive(Debug)]
-pub struct AtomicMiceFilter {
+pub struct MiceFilter {
     lanes: Vec<AtomicU64>,
     lanes_per_row: usize,
     /// Physical bits per packed counter: the smallest power of two ≥ the
@@ -289,12 +108,26 @@ pub struct AtomicMiceFilter {
     hashes: HashFamily,
 }
 
-impl AtomicMiceFilter {
-    /// Build a lock-free filter over `memory_bytes` of `counter_bits`-wide
-    /// counters in `arrays` rows, saturating at `threshold`. The logical
-    /// shape (width per row, hash family) is computed exactly like
-    /// [`MiceFilter::new`], so same-parameter filters of either variant
-    /// are interchangeable.
+/// [`MiceFilter`] under the name the lock-free sketch's callers import.
+pub type AtomicMiceFilter = MiceFilter;
+
+impl Clone for MiceFilter {
+    fn clone(&self) -> Self {
+        Self {
+            lanes: self
+                .lanes
+                .iter()
+                .map(|lane| AtomicU64::new(lane.load(Ordering::Acquire)))
+                .collect(),
+            hashes: self.hashes.clone(),
+            ..*self
+        }
+    }
+}
+
+impl MiceFilter {
+    /// Build a filter over `memory_bytes` of `counter_bits`-wide counters
+    /// in `arrays` rows, saturating at `threshold`.
     ///
     /// Returns `None` when the budget is too small to host at least one
     /// counter per row.
@@ -305,7 +138,7 @@ impl AtomicMiceFilter {
         threshold: u64,
         seed: u64,
     ) -> Option<Self> {
-        assert!(arrays > 0 && arrays <= MAX_ATOMIC_ARRAYS);
+        assert!(arrays > 0 && arrays <= MAX_ARRAYS);
         assert!(counter_bits > 0 && counter_bits <= 32);
         assert!(threshold > 0, "a zero-threshold filter filters nothing");
         debug_assert!(threshold < (1u64 << counter_bits));
@@ -332,6 +165,22 @@ impl AtomicMiceFilter {
         })
     }
 
+    /// The filter `config` asks for, or `None` for the raw variant (or a
+    /// budget too small for one counter per row). Every sketch flavour
+    /// builds its filter here, so identically configured sketches hold
+    /// hash-identical filters.
+    pub(crate) fn for_config(config: &ReliableConfig) -> Option<Self> {
+        config.mice_filter.as_ref().and_then(|fc| {
+            Self::new(
+                config.filter_bytes(),
+                fc.arrays,
+                fc.counter_bits,
+                config.filter_threshold().max(1),
+                config.seed ^ FILTER_SEED_SALT,
+            )
+        })
+    }
+
     /// Saturation value.
     #[inline]
     pub fn threshold(&self) -> u64 {
@@ -351,13 +200,13 @@ impl AtomicMiceFilter {
     }
 
     /// Modeled memory footprint in bytes, accounted at the *configured*
-    /// counter width like [`MiceFilter::memory_bytes`] (the physical lanes
-    /// round odd widths up to a power of two, and widen after a merge).
+    /// counter width (the physical lanes round odd widths up to a power of
+    /// two, and widen after a merge).
     pub fn memory_bytes(&self) -> usize {
         self.arrays * self.width * self.counter_bits as usize / 8
     }
 
-    /// Number of hash evaluations per operation.
+    /// Number of hash evaluations per operation (for Figure 16 accounting).
     #[inline]
     pub fn hash_calls(&self) -> u64 {
         self.arrays as u64
@@ -419,7 +268,7 @@ impl AtomicMiceFilter {
     /// that passes through to the bucket layers (0 if fully absorbed).
     pub fn insert<K: Key>(&self, key: &K, value: u64) -> u64 {
         let mask = self.lane_mask();
-        let mut at = [(0usize, 0u32); MAX_ATOMIC_ARRAYS];
+        let mut at = [(0usize, 0u32); MAX_ARRAYS];
         for (row, slot) in at.iter_mut().enumerate().take(self.arrays) {
             *slot = self.locate(row, self.hashes.index(row, key, self.width));
         }
@@ -477,21 +326,30 @@ impl AtomicMiceFilter {
         (min, min >= self.threshold)
     }
 
-    /// All counters as plain rows (merges and diagnostics).
+    /// All counters as plain rows (snapshots, merges and diagnostics),
+    /// unpacked lane by lane.
     pub(crate) fn rows_snapshot(&self) -> Vec<Vec<u64>> {
-        (0..self.arrays)
-            .map(|row| {
-                (0..self.width)
-                    .map(|idx| {
-                        let (lane, shift) = self.locate(row, idx);
-                        self.load_counter(lane, shift)
-                    })
-                    .collect()
+        let (bits, mask) = (self.lane_bits, self.lane_mask());
+        let per_lane = (64 / bits) as usize;
+        self.lanes
+            .chunks(self.lanes_per_row)
+            .map(|lanes| {
+                let mut row = Vec::with_capacity(self.width);
+                for lane in lanes {
+                    let mut word = lane.load(Ordering::Acquire);
+                    let n = per_lane.min(self.width - row.len());
+                    row.extend((0..n).map(|_| {
+                        let c = word & mask;
+                        word = word.checked_shr(bits).unwrap_or(0);
+                        c
+                    }));
+                }
+                row
             })
             .collect()
     }
 
-    /// Overwrite all counters from persisted rows (replication restore).
+    /// Overwrite all counters from persisted rows (snapshot restore).
     /// [`Self::store_rows`] re-derives the physical lane width, so even
     /// post-merge counter sums above the configured width restore
     /// faithfully.
@@ -535,94 +393,68 @@ impl AtomicMiceFilter {
         Ok(())
     }
 
-    /// Shape check shared by the merge entry points.
-    fn check_shape(
-        &self,
-        arrays: usize,
-        width: usize,
-        threshold: u64,
-        counter_bits: u32,
-    ) -> Result<(), MergeError> {
-        if self.width != width
-            || self.arrays != arrays
-            || self.threshold != threshold
-            || self.counter_bits != counter_bits
-        {
-            return Err(MergeError::ShapeMismatch);
-        }
-        Ok(())
-    }
-
-    /// Replace the packed storage with `rows`, widening the physical lanes
-    /// so the largest value fits (merged counter sums are *not* re-capped
-    /// at the threshold — see [`MiceFilter::merge_from`] for why).
+    /// Replace the packed storage with `rows` (each `width` long), one
+    /// lane word per chunk of counters, widening the physical lanes so
+    /// the largest value fits (merged counter sums are *not* re-capped at
+    /// the threshold — see [`Self::merge_from`] for why).
     fn store_rows(&mut self, rows: &[Vec<u64>]) {
-        let max = rows.iter().flatten().copied().max().unwrap_or(0);
-        let needed = (64 - max.leading_zeros()).max(self.counter_bits);
-        self.lane_bits = needed.next_power_of_two().min(64);
-        let counters_per_lane = (64 / self.lane_bits) as usize;
-        self.lanes_per_row = self.width.div_ceil(counters_per_lane);
-        self.lanes = (0..self.arrays * self.lanes_per_row)
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let mask = self.lane_mask();
-        for (row, values) in rows.iter().enumerate() {
-            for (idx, &v) in values.iter().enumerate() {
-                let (lane, shift) = self.locate(row, idx);
-                let w = self.lanes[lane].get_mut();
-                *w = (*w & !(mask << shift)) | (v << shift);
-            }
-        }
+        // the OR of all values has the largest value's bit length
+        let any = rows
+            .iter()
+            .map(|row| row.iter().fold(0, |acc, &v| acc | v))
+            .fold(0, |acc, v| acc | v);
+        let needed = (64 - any.leading_zeros()).max(self.counter_bits);
+        let bits = needed.next_power_of_two().min(64);
+        let per_lane = (64 / bits) as usize;
+        self.lane_bits = bits;
+        self.lanes_per_row = self.width.div_ceil(per_lane);
+        let mut lanes = Vec::with_capacity(self.arrays * self.lanes_per_row);
+        lanes.extend(
+            rows.iter()
+                .flat_map(|row| row.chunks(per_lane))
+                .map(|chunk| {
+                    // first counter in the low bits, as `locate` reads them
+                    let word = chunk
+                        .iter()
+                        .rev()
+                        .fold(0, |word: u64, &v| word.checked_shl(bits).unwrap_or(0) | v);
+                    AtomicU64::new(word)
+                }),
+        );
+        self.lanes = lanes;
     }
 
-    /// Fold counter rows (from a peer filter of identical shape) into this
-    /// one by counter-wise saturating addition, mirroring
-    /// [`MiceFilter::merge_from`]: sums are not re-capped at the
-    /// threshold, so each merged counter stays an upper bound on the mass
-    /// both operands absorbed there, and the saturation rule still
-    /// recognizes every key that reached the bucket layers in either
-    /// operand.
-    pub(crate) fn merge_rows(&mut self, other_rows: &[Vec<u64>]) {
-        let mut rows = self.rows_snapshot();
-        for (row, other_row) in rows.iter_mut().zip(other_rows) {
-            for (c, o) in row.iter_mut().zip(other_row) {
-                *c = c.saturating_add(*o);
-            }
-        }
-        self.store_rows(&rows);
-    }
-
-    /// Fold another atomic filter (same shape, same seeds) into this one —
-    /// the filter half of the concurrent [`rsk_api::Merge`] impls.
+    /// Fold another filter (same shape, same seeds) into this one by
+    /// counter-wise addition — the filter half of [`crate::merge`].
+    ///
+    /// Sums are *not* re-capped at the threshold: per shard each counter
+    /// upper-bounds what that shard absorbed, so only the uncapped sum
+    /// keeps the merged contribution an upper bound (a key absorbing
+    /// `threshold` in both shards carries `2·threshold` of mass), and the
+    /// lanes widen until the sums fit. The saturation rule
+    /// `min ⩾ threshold` still recognizes every key that reached the
+    /// bucket layers in either shard, because that shard's counters were
+    /// already at the threshold.
     ///
     /// # Errors
     /// [`MergeError::ShapeMismatch`] for filters of a different shape. The
     /// caller is responsible for seed equality (checked at the sketch
     /// level via the configuration).
     pub fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.check_shape(
-            other.arrays,
-            other.width,
-            other.threshold,
-            other.counter_bits,
-        )?;
-        self.merge_rows(&other.rows_snapshot());
-        Ok(())
-    }
-
-    /// Fold a *sequential* [`MiceFilter`] of identical shape into this one
-    /// (the mixed sequential→concurrent aggregation path).
-    ///
-    /// # Errors
-    /// [`MergeError::ShapeMismatch`] for filters of a different shape.
-    pub fn merge_from_sequential(&mut self, other: &MiceFilter) -> Result<(), MergeError> {
-        self.check_shape(
-            other.arrays(),
-            other.width(),
-            other.threshold(),
-            other.counter_bits(),
-        )?;
-        self.merge_rows(other.rows_raw());
+        if self.width != other.width
+            || self.arrays != other.arrays
+            || self.threshold != other.threshold
+            || self.counter_bits != other.counter_bits
+        {
+            return Err(MergeError::ShapeMismatch);
+        }
+        let mut rows = self.rows_snapshot();
+        for (row, other_row) in rows.iter_mut().zip(other.rows_snapshot()) {
+            for (c, o) in row.iter_mut().zip(other_row) {
+                *c = c.saturating_add(o);
+            }
+        }
+        self.store_rows(&rows);
         Ok(())
     }
 
@@ -652,13 +484,92 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
+    /// The plain CU filter the packed one must equal on a single writer:
+    /// one `u64` per counter, no lanes, no CAS.
+    struct ReferenceFilter {
+        counters: Vec<Vec<u64>>,
+        width: usize,
+        threshold: u64,
+        counter_bits: u32,
+        hashes: HashFamily,
+    }
+
+    impl ReferenceFilter {
+        fn new(
+            memory_bytes: usize,
+            arrays: usize,
+            counter_bits: u32,
+            threshold: u64,
+            seed: u64,
+        ) -> Option<Self> {
+            let width = memory_bytes * 8 / counter_bits as usize / arrays;
+            (width > 0).then(|| Self {
+                counters: vec![vec![0u64; width]; arrays],
+                width,
+                threshold,
+                counter_bits,
+                hashes: HashFamily::new(arrays, seed),
+            })
+        }
+
+        fn width(&self) -> usize {
+            self.width
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.counters.len() * self.width * self.counter_bits as usize / 8
+        }
+
+        fn insert<K: Key>(&mut self, key: &K, value: u64) -> u64 {
+            let min = self.min_counter(key);
+            if min >= self.threshold {
+                return value;
+            }
+            let absorbed = (self.threshold - min).min(value);
+            let target = min + absorbed;
+            for (i, row) in self.counters.iter_mut().enumerate() {
+                let idx = self.hashes.index(i, key, self.width);
+                // conservative update: only raise counters below the target
+                if row[idx] < target {
+                    row[idx] = target;
+                }
+            }
+            value - absorbed
+        }
+
+        fn query<K: Key>(&self, key: &K) -> (u64, bool) {
+            let min = self.min_counter(key);
+            (min, min >= self.threshold)
+        }
+
+        fn saturation_ratio(&self) -> f64 {
+            let total: usize = self.counters.iter().map(|r| r.len()).sum();
+            let sat: usize = self
+                .counters
+                .iter()
+                .flat_map(|r| r.iter())
+                .filter(|&&c| c >= self.threshold)
+                .count();
+            sat as f64 / total as f64
+        }
+
+        fn min_counter<K: Key>(&self, key: &K) -> u64 {
+            let mut min = u64::MAX;
+            for (i, row) in self.counters.iter().enumerate() {
+                let idx = self.hashes.index(i, key, self.width);
+                min = min.min(row[idx]);
+            }
+            min
+        }
+    }
+
     fn filter(threshold: u64) -> MiceFilter {
         MiceFilter::new(4096, 2, 8, threshold, 42).unwrap()
     }
 
     #[test]
     fn absorbs_until_threshold_then_passes() {
-        let mut f = filter(3);
+        let f = filter(3);
         let k = 7u64;
         assert_eq!(f.insert(&k, 1), 0); // absorbed
         assert_eq!(f.insert(&k, 1), 0);
@@ -672,7 +583,7 @@ mod tests {
 
     #[test]
     fn splits_value_across_the_boundary() {
-        let mut f = filter(3);
+        let f = filter(3);
         let k = 9u64;
         // 5 arrives at an empty filter: absorb 3, pass 2
         assert_eq!(f.insert(&k, 5), 2);
@@ -683,7 +594,7 @@ mod tests {
 
     #[test]
     fn unsaturated_key_reports_not_saturated() {
-        let mut f = filter(3);
+        let f = filter(3);
         f.insert(&1u64, 2);
         let (c, sat) = f.query(&1u64);
         assert!(c >= 2 && !sat, "c={c} sat={sat}");
@@ -696,7 +607,7 @@ mod tests {
     fn contribution_bounds_absorbed_amount() {
         // min-counter ≥ amount the filter absorbed for the key, and the
         // filter never passes through more than was inserted
-        let mut f = filter(3);
+        let f = filter(3);
         let mut absorbed: HashMap<u64, u64> = HashMap::new();
         let keys: Vec<u64> = (0..500).collect();
         for round in 0..4u64 {
@@ -745,7 +656,7 @@ mod tests {
 
     #[test]
     fn atomic_matches_sequential_single_thread() {
-        let mut seq = MiceFilter::new(2048, 2, 8, 5, 99).unwrap();
+        let mut seq = ReferenceFilter::new(2048, 2, 8, 5, 99).unwrap();
         let atomic = AtomicMiceFilter::new(2048, 2, 8, 5, 99).unwrap();
         assert_eq!(seq.width(), atomic.width());
         assert_eq!(seq.memory_bytes(), atomic.memory_bytes());
@@ -824,21 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_merges_sequential_filter() {
-        let mut atomic = AtomicMiceFilter::new(512, 2, 8, 5, 3).unwrap();
-        let mut seq = MiceFilter::new(512, 2, 8, 5, 3).unwrap();
-        for i in 0..200u64 {
-            atomic.insert(&i, 2);
-            seq.insert(&i, 3);
-        }
-        atomic.merge_from_sequential(&seq).unwrap();
-        for i in 0..200u64 {
-            let (c, _) = atomic.query(&i);
-            assert!(c >= 5, "key {i}: merged contribution {c} lost mass");
-        }
-    }
-
-    #[test]
     fn atomic_clear_resets() {
         let mut f = AtomicMiceFilter::new(512, 2, 8, 3, 3).unwrap();
         f.insert(&1u64, 5);
@@ -860,7 +756,7 @@ mod tests {
             arrays in 1usize..4,
             bits in 5u32..9,
         ) {
-            let mut seq = MiceFilter::new(256, arrays, bits, threshold, 7).unwrap();
+            let mut seq = ReferenceFilter::new(256, arrays, bits, threshold, 7).unwrap();
             let atomic = AtomicMiceFilter::new(256, arrays, bits, threshold, 7).unwrap();
             for (k, v) in ops {
                 prop_assert_eq!(seq.insert(&k, v), atomic.insert(&k, v));
@@ -878,7 +774,7 @@ mod tests {
             ops in proptest::collection::vec((0u64..64, 1u64..6), 1..400),
             threshold in 1u64..16,
         ) {
-            let mut f = MiceFilter::new(256, 2, 8, threshold.min(255), 7).unwrap();
+            let f = MiceFilter::new(256, 2, 8, threshold.min(255), 7).unwrap();
             let mut absorbed: HashMap<u64, u64> = HashMap::new();
             for (k, v) in ops {
                 let passed = f.insert(&k, v);
@@ -892,6 +788,39 @@ mod tests {
                 if a == f.threshold() {
                     prop_assert!(sat);
                 }
+            }
+        }
+
+        /// Rows survive `restore_rows` → `rows_snapshot` unchanged at every
+        /// lane width (values up to `u64::MAX` widen the lanes to 64 bits),
+        /// whether or not a row's width fills its last lane, and the
+        /// restored filter answers like the reference holding those rows.
+        #[test]
+        fn prop_rows_round_trip_through_lanes(
+            pool in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 128), 1..5),
+            width in 1usize..100,
+            bits in 1u32..9,
+            value_bits in 0u32..65,
+        ) {
+            let arrays = pool.len();
+            let memory = (width * arrays * bits as usize).div_ceil(8);
+            let threshold = (1u64 << bits) - 1;
+            let mut f = MiceFilter::new(memory, arrays, bits, threshold, 7).unwrap();
+            let rows: Vec<Vec<u64>> = pool
+                .iter()
+                .map(|row| {
+                    row[..f.width()]
+                        .iter()
+                        .map(|&v| v.checked_shr(64 - value_bits).unwrap_or(0))
+                        .collect()
+                })
+                .collect();
+            f.restore_rows(&rows).unwrap();
+            prop_assert_eq!(f.rows_snapshot(), rows.clone());
+            let mut reference = ReferenceFilter::new(memory, arrays, bits, threshold, 7).unwrap();
+            reference.counters = rows;
+            for k in 0..64u64 {
+                prop_assert_eq!(f.query(&k), reference.query(&k), "key {}", k);
             }
         }
     }

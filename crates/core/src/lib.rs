@@ -15,9 +15,9 @@
 //! * [`geometry::LayerGeometry`] — the Double Exponential Control schedule
 //!   (Key Technique II): widths and lock thresholds both decay
 //!   geometrically;
-//! * [`filter::MiceFilter`] / [`filter::AtomicMiceFilter`] — the §3.3 CU
-//!   mice filter, in sequential and lock-free (packed `AtomicU64` lane)
-//!   form;
+//! * [`filter::MiceFilter`] — the §3.3 CU mice filter, its counters
+//!   packed into `AtomicU64` lanes; the sequential and lock-free sketches
+//!   run this one type ([`filter::AtomicMiceFilter`] is an alias);
 //! * [`emergency::EmergencyStore`] — the §3.3 emergency solution for
 //!   insertion failures (exact table or SpaceSaving);
 //! * [`ReliableSketch`] — the full layered structure with the lock

@@ -62,6 +62,8 @@
 //! merge policy-wise; see
 //! [`MiceFilter::merge_from`](crate::filter::MiceFilter::merge_from) and
 //! [`EmergencyStore::merge_from`](crate::emergency::EmergencyStore::merge_from).
+//! Every flavour holds the same [`MiceFilter`], so sequential and
+//! concurrent operands fold their filters alike.
 //!
 //! ## Concurrent operands
 //!
@@ -117,6 +119,7 @@ use crate::atomic::ConcurrentReliable;
 use crate::bucket::EsBucket;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
+use crate::filter::MiceFilter;
 use crate::topk::TopKSummary;
 use crate::ReliableSketch;
 use rsk_api::{Key, Merge, MergeError};
@@ -213,16 +216,7 @@ impl<K: Key> Merge for ReliableSketch<K> {
             other.peer_parts();
         let (filter, layers, emergency, stats, hints) = self.merge_parts();
 
-        match (filter.as_mut(), other_filter.as_ref()) {
-            (Some(mine), Some(theirs)) => mine.merge_from(theirs)?,
-            (None, None) => {}
-            _ => {
-                return Err(MergeError::Incompatible(
-                    "mice filter presence mismatch".into(),
-                ))
-            }
-        }
-
+        merge_filters(filter.as_mut(), other_filter.as_ref())?;
         union_layers(layers, hints, other_layers, other_hints, &lambdas);
 
         emergency.merge_from(other_emergency)?;
@@ -237,11 +231,19 @@ impl<K: Key> Merge for ReliableSketch<K> {
     }
 }
 
-/// The peer's mice filter, in whichever form the operand carries it.
-enum PeerFilter<'a> {
-    None,
-    Atomic(&'a crate::filter::AtomicMiceFilter),
-    Sequential(&'a crate::filter::MiceFilter),
+/// Fold the peer's mice filter into `mine`. Both operands must carry one
+/// (the merge checks shapes before touching a counter) or neither.
+fn merge_filters(
+    mine: Option<&mut MiceFilter>,
+    theirs: Option<&MiceFilter>,
+) -> Result<(), MergeError> {
+    match (mine, theirs) {
+        (Some(mine), Some(theirs)) => mine.merge_from(theirs),
+        (None, None) => Ok(()),
+        _ => Err(MergeError::Incompatible(
+            "mice filter presence mismatch".into(),
+        )),
+    }
 }
 
 /// Shared epilogue of both concurrent merge flavors. The caller has
@@ -256,24 +258,12 @@ fn merge_prepared<K: Key>(
     me: &mut ConcurrentReliable<K>,
     other_layers: &[Vec<EsBucket<u64>>],
     other_hints: &[Vec<bool>],
-    peer_filter: PeerFilter<'_>,
+    peer_filter: Option<&MiceFilter>,
     other_emergency: &crate::emergency::EmergencyStore<K>,
     other_failures: u64,
 ) -> Result<(), MergeError> {
     let lambdas: Vec<u64> = me.geometry().lambdas().to_vec();
-    {
-        let (filter, _, _, _) = me.merge_parts();
-        match (filter.as_mut(), peer_filter) {
-            (Some(mine), PeerFilter::Atomic(theirs)) => mine.merge_from(theirs)?,
-            (Some(mine), PeerFilter::Sequential(theirs)) => mine.merge_from_sequential(theirs)?,
-            (None, PeerFilter::None) => {}
-            _ => {
-                return Err(MergeError::Incompatible(
-                    "mice filter presence mismatch".into(),
-                ))
-            }
-        }
-    }
+    merge_filters(me.merge_parts().0.as_mut(), peer_filter)?;
     me.seal_into_overlay();
     let (_, overlay, emergency, failures) = me.merge_parts();
     let overlay = overlay.as_mut().expect("sealed above");
@@ -310,15 +300,11 @@ impl<K: Key> Merge for ConcurrentReliable<K> {
         let theirs_topk = other.top_k_summary();
         check_topk_compat(self.top_k_summary().as_ref(), theirs_topk.as_ref())?;
         let (other_layers, other_hints) = other.effective_layers();
-        let peer_filter = match other.peer_filter() {
-            Some(f) => PeerFilter::Atomic(f),
-            None => PeerFilter::None,
-        };
         merge_prepared(
             self,
             &other_layers,
             &other_hints,
-            peer_filter,
+            other.filter(),
             &other.peer_emergency(),
             other.insertion_failures(),
         )?;
@@ -363,17 +349,13 @@ impl<K: Key> ConcurrentReliable<K> {
                     .collect()
             })
             .collect();
-        let peer_filter = match other_filter.as_ref() {
-            Some(f) => PeerFilter::Sequential(f),
-            None => PeerFilter::None,
-        };
         let other_hints = other_hints.clone();
         let other_inserts = other_stats.inserts();
         merge_prepared(
             self,
             &mapped,
             &other_hints,
-            peer_filter,
+            other_filter.as_ref(),
             other_emergency,
             other.insertion_failures(),
         )?;

@@ -375,15 +375,7 @@ impl<K: Key> ConcurrentReliable<K> {
         let mut sk = ConcurrentReliable::with_geometry(snapshot.config, geometry);
         {
             let (filter, merged, _, _) = sk.merge_parts();
-            match (filter.as_mut(), &snapshot.filter_rows) {
-                (Some(f), Some(rows)) => f.restore_rows(rows).map_err(ReplicateError::Corrupt)?,
-                (None, None) => {}
-                _ => {
-                    return Err(ReplicateError::Corrupt(
-                        "snapshot filter presence mismatch".into(),
-                    ))
-                }
-            }
+            super::restore_filter(filter.as_mut(), snapshot.filter_rows.as_deref())?;
             *merged = overlay;
         }
         {

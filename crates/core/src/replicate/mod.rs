@@ -86,6 +86,7 @@ pub use sequential::{BucketState, EmergencyState, SketchSnapshot};
 pub use slim::{SlimShards, SlimSummary};
 
 use crate::config::ReliableConfig;
+use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
 use rsk_api::ReplicateError;
 
@@ -122,4 +123,19 @@ pub(crate) fn check_shape(
         ));
     }
     Ok(())
+}
+
+/// Install a snapshot's mice-filter rows into the sketch it restores:
+/// both carry a filter (the rows must match its shape) or neither does.
+pub(crate) fn restore_filter(
+    filter: Option<&mut MiceFilter>,
+    rows: Option<&[Vec<u64>]>,
+) -> Result<(), ReplicateError> {
+    match (filter, rows) {
+        (Some(f), Some(rows)) => f.restore_rows(rows).map_err(ReplicateError::Corrupt),
+        (None, None) => Ok(()),
+        _ => Err(ReplicateError::Corrupt(
+            "snapshot filter presence mismatch".into(),
+        )),
+    }
 }

@@ -291,7 +291,7 @@ impl<K: Key> ReliableSketch<K> {
                         .collect()
                 })
                 .collect(),
-            filter_rows: filter.as_ref().map(|f| f.rows_raw().to_vec()),
+            filter_rows: filter.as_ref().map(|f| f.rows_snapshot()),
             emergency: EmergencyState::capture(emergency),
             divert_hints: hints.clone(),
         }
@@ -342,16 +342,7 @@ impl<K: Key> ReliableSketch<K> {
         let mut sketch = ReliableSketch::with_geometry(snapshot.config, geometry);
         let (filter, layers, emergency, _stats, hints) = sketch.merge_parts();
 
-        match (filter.as_mut(), snapshot.filter_rows) {
-            (Some(f), Some(rows)) => f.restore_rows(rows).map_err(ReplicateError::Corrupt)?,
-            (None, None) => {}
-            _ => {
-                return Err(ReplicateError::Corrupt(
-                    "snapshot filter presence mismatch".into(),
-                ))
-            }
-        }
-
+        super::restore_filter(filter.as_mut(), snapshot.filter_rows.as_deref())?;
         *layers = snapshot
             .layers
             .into_iter()

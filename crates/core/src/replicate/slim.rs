@@ -14,7 +14,7 @@
 //! which also operate in fingerprint space).
 
 use super::codec::{self, wire_struct, PayloadKind};
-use crate::atomic::{fp_seed_for, ConcurrentReliable, FP_MASK};
+use crate::atomic::{fingerprint, fp_seed_for, ConcurrentReliable};
 use crate::bucket::EsBucket;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
@@ -88,7 +88,7 @@ impl SlimSummary {
                     .iter()
                     .map(|b| {
                         EsBucket::from_parts(
-                            b.id().map(|k| u64::from(k.hash32(fp_seed)) & FP_MASK),
+                            b.id().map(|k| fingerprint(k, fp_seed)),
                             b.yes(),
                             b.no(),
                         )
@@ -104,7 +104,9 @@ impl SlimSummary {
             &layers,
             &hints,
             extras_from(emergency, fp_seed),
-            filter.as_ref().map_or(0, |f| filter_ceiling(f.rows_raw())),
+            filter
+                .as_ref()
+                .map_or(0, |f| filter_ceiling(&f.rows_snapshot())),
             sketch.dropped_value(),
             1,
         )
@@ -180,7 +182,7 @@ impl SlimSummary {
     /// the unknown filter contribution.
     pub fn query_with_error<K: Key>(&self, key: &K) -> Estimate {
         let hashes = HashFamily::new(self.widths.len(), self.config.seed);
-        let fp = u64::from(key.hash32(fp_seed_for(self.config.seed))) & FP_MASK;
+        let fp = fingerprint(key, fp_seed_for(self.config.seed));
         let (walked, walked_mpe, _) = walk(&self.lambdas, |i| {
             let j = hashes.index(i, key, self.widths[i]) as u32;
             let (id, yes, no) = match self.layers[i].binary_search_by_key(&j, |e| e.0) {
@@ -365,7 +367,7 @@ fn normalize_hints(hints: Vec<Vec<bool>>, layers: &[Vec<EsBucket<u64>>]) -> Vec<
 /// (keys are unique within one store; cross-store and cross-key
 /// fingerprint collisions are coalesced pessimistically by [`distill`]).
 fn extras_from<K: Key>(store: &EmergencyStore<K>, fp_seed: u32) -> Vec<(u64, u64, u64)> {
-    let fp = |k: &K| u64::from(k.hash32(fp_seed)) & FP_MASK;
+    let fp = |k: &K| fingerprint(k, fp_seed);
     match store {
         EmergencyStore::Disabled { .. } => Vec::new(),
         EmergencyStore::Exact { table, .. } => table.iter().map(|(k, &v)| (fp(k), v, 0)).collect(),

@@ -54,6 +54,8 @@ use rsk_hash::HashFamily;
 pub struct ReliableSketch<K: Key> {
     config: ReliableConfig,
     geometry: LayerGeometry,
+    /// The §3.3 mice filter: the packed type the lock-free sketch shares
+    /// between threads, with this sketch as its single writer.
     filter: Option<MiceFilter>,
     layers: Vec<Vec<EsBucket<K>>>,
     hashes: HashFamily,
@@ -95,15 +97,7 @@ impl<K: Key> ReliableSketch<K> {
     /// [`crate::ablation`] use to compare schedules (e.g. the arithmetic
     /// sequences §3.2 warns against) under otherwise identical machinery.
     pub fn with_geometry(config: ReliableConfig, geometry: LayerGeometry) -> Self {
-        let filter = config.mice_filter.as_ref().and_then(|fc| {
-            MiceFilter::new(
-                config.filter_bytes(),
-                fc.arrays,
-                fc.counter_bits,
-                config.filter_threshold().max(1),
-                config.seed ^ crate::filter::FILTER_SEED_SALT,
-            )
-        });
+        let filter = MiceFilter::for_config(&config);
         let layers = geometry
             .widths()
             .iter()
@@ -215,7 +209,7 @@ impl<K: Key> ReliableSketch<K> {
         let mut v = value;
         let mut hash_calls = 0u64;
 
-        if let Some(f) = &mut self.filter {
+        if let Some(f) = &self.filter {
             hash_calls += f.hash_calls();
             v = f.insert(key, v);
             if v == 0 {
