@@ -52,10 +52,11 @@
 //!   of this structure for bounded-history summaries;
 //! * **Merging** — [`rsk_api::Merge`] is implemented for
 //!   [`ConcurrentReliable`] and [`crate::concurrent::ShardedReliable`]
-//!   (packed words are read out into
-//!   [`crate::EsBucket`] unions — see [`crate::merge`]), and
+//!   (packed words are read out into the bucket grid the sequential
+//!   sketch holds, in fingerprint space, and unioned into a sealed
+//!   overlay — see [`crate::merge`]), and
 //!   [`ConcurrentReliable::merge_from_sequential`] folds in a sequential
-//!   [`crate::ReliableSketch`] twin for mixed distributed aggregation.
+//!   [`crate::ReliableSketch`] twin through the same code path.
 //!
 //! ### Caveats vs. [`crate::ReliableSketch`]
 //!
@@ -108,12 +109,12 @@
 //! assert!(est.max_possible_error <= 25);
 //! ```
 
-use crate::bucket::EsBucket;
+use crate::bucket::{EsBucket, Layers};
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
-use crate::sketch::walk;
+use crate::sketch::{drain_batched, walk};
 use crate::topk::TopKSummary;
 use parking_lot::Mutex;
 use rsk_api::{
@@ -223,17 +224,12 @@ impl AtomicStats {
         self.saturations.store(0, Ordering::Relaxed);
     }
 
-    /// Add a peer's counters (the stats half of [`rsk_api::Merge`]).
-    pub(crate) fn absorb(&self, other: &Self) {
-        self.items.fetch_add(other.items(), Ordering::Relaxed);
-        self.retries.fetch_add(other.retries(), Ordering::Relaxed);
-        self.saturations
-            .fetch_add(other.saturations(), Ordering::Relaxed);
-    }
-
-    /// Count `n` foreign insert operations (merging a sequential peer).
-    pub(crate) fn add_items(&self, n: u64) {
-        self.items.fetch_add(n, Ordering::Relaxed);
+    /// Add a peer's `(items, retries, saturations)` (the stats half of
+    /// [`rsk_api::Merge`]; a sequential peer reports only items).
+    pub(crate) fn absorb(&self, (items, retries, saturations): (u64, u64, u64)) {
+        self.items.fetch_add(items, Ordering::Relaxed);
+        self.retries.fetch_add(retries, Ordering::Relaxed);
+        self.saturations.fetch_add(saturations, Ordering::Relaxed);
     }
 }
 
@@ -369,12 +365,12 @@ impl AtomicBucketArray {
         unpack(self.words[self.offsets[layer] + index].load(Ordering::Acquire))
     }
 
-    /// Read every packed word out into fingerprint-space
-    /// [`EsBucket`]s — the bridge into [`crate::merge`]'s union machinery.
-    /// A zero word is an empty bucket (every insertion leaves a nonzero
-    /// count behind, so the encoding is unambiguous).
-    pub fn read_out(&self) -> Vec<Vec<EsBucket<u64>>> {
-        (0..self.depth())
+    /// Read every packed word out into a fingerprint-space bucket grid
+    /// — the bridge into [`crate::merge`]'s union machinery. A zero word
+    /// is an empty bucket (every insertion leaves a nonzero count behind,
+    /// so the encoding is unambiguous).
+    pub(crate) fn read_out(&self) -> Layers<u64> {
+        let buckets = (0..self.depth())
             .map(|layer| {
                 (0..self.width(layer))
                     .map(|j| {
@@ -388,7 +384,11 @@ impl AtomicBucketArray {
                     })
                     .collect()
             })
-            .collect()
+            .collect();
+        Layers {
+            buckets,
+            hints: Vec::new(),
+        }
     }
 
     /// Per-layer indices of buckets touched since the last
@@ -446,17 +446,14 @@ impl AtomicBucketArray {
     }
 }
 
-/// Sealed union of merged operands, in fingerprint space with unbounded
-/// counters (merged `NO` fields can exceed the packed word's 12-bit error
-/// field, so the union cannot live in the `AtomicU64` words themselves).
-/// Populated only by the [`rsk_api::Merge`] impls; `None` — zero cost —
-/// for ordinary sketches. Queries walk the overlay *and* the live atomic
-/// words (which keep absorbing post-merge insertions) like two epoch
-/// generations; `hints` mirrors [`crate::ReliableSketch`]'s divert flags.
-#[derive(Debug)]
-pub(crate) struct MergedOverlay {
-    pub(crate) layers: Vec<Vec<EsBucket<u64>>>,
-    pub(crate) hints: Vec<Vec<bool>>,
+/// Add `n` to a failure counter, saturating: a counter restored from a
+/// replication payload may already sit near `u64::MAX`, and a wrapped
+/// count of zero would let queries skip the emergency store.
+pub(crate) fn add_failures(failures: &AtomicU64, n: u64) {
+    // the closure always returns `Some`, so the update cannot fail
+    let _ = failures.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| {
+        Some(f.saturating_add(n))
+    });
 }
 
 /// Salt separating the fingerprint hash from the per-layer index family.
@@ -517,26 +514,32 @@ pub struct ConcurrentReliable<K: Key> {
     geometry: LayerGeometry,
     hashes: HashFamily,
     fp_seed: u32,
-    filter: Option<MiceFilter>,
-    array: AtomicBucketArray,
-    failures: AtomicU64,
-    emergency: Mutex<EmergencyStore<K>>,
+    pub(crate) filter: Option<MiceFilter>,
+    pub(crate) array: AtomicBucketArray,
+    pub(crate) failures: AtomicU64,
+    pub(crate) emergency: Mutex<EmergencyStore<K>>,
     /// The error-certified top-K layer ([`crate::topk`]). The mutex is
     /// touched only on the promotion path — when the mice filter passes
     /// value through (elephant traffic; every insert for the raw
     /// variant) — so mouse-dominated hot paths never contend on it; the
     /// bucket transitions that feed monitored counts were each committed
     /// by the existing one-CAS step before the offer is taken.
-    topk: Option<Mutex<TopKSummary<K>>>,
-    merged: Option<MergedOverlay>,
+    pub(crate) topk: Option<Mutex<TopKSummary<K>>>,
+    /// The sealed union of merged operands, in fingerprint space with
+    /// unbounded counters (merged `NO` fields can exceed the packed
+    /// word's 12-bit error field, so the union cannot live in the
+    /// `AtomicU64` words themselves). `None` — zero cost — until a merge.
+    /// Queries walk the overlay *and* the live atomic words (which keep
+    /// absorbing post-merge insertions) like two epoch generations.
+    pub(crate) merged: Option<Layers<u64>>,
     /// Bumped whenever the sealed overlay mutates (every merge funnels
     /// through [`Self::seal_into_overlay`]); lets a replication cut detect
     /// that live-word dirty bits no longer tell the whole story and fall
     /// back to a full snapshot.
-    merge_epoch: u64,
+    pub(crate) merge_epoch: u64,
     /// Baselines recorded at the last replication cut (see
     /// [`crate::replicate`]); `None` until the sketch first ships a delta.
-    cut: Option<crate::replicate::ReplicaCut>,
+    pub(crate) cut: Option<crate::replicate::ReplicaCut>,
 }
 
 impl<K: Key> ConcurrentReliable<K> {
@@ -658,11 +661,6 @@ impl<K: Key> ConcurrentReliable<K> {
         self.topk.as_ref().map(|tk| tk.lock().clone())
     }
 
-    /// The top-K mutex itself (merge plumbing).
-    pub(crate) fn topk_cell(&self) -> Option<&Mutex<TopKSummary<K>>> {
-        self.topk.as_ref()
-    }
-
     /// Drop the top-K layer — replica apply paths call this because a
     /// restored bucket image carries no promotion history, so any
     /// existing summary would certify a stream it never witnessed.
@@ -745,7 +743,7 @@ impl<K: Key> ConcurrentReliable<K> {
         }
         let lost = v + clipped;
         if lost > 0 {
-            self.failures.fetch_add(1, Ordering::Relaxed);
+            add_failures(&self.failures, 1);
             self.emergency.lock().record(key, lost);
         }
     }
@@ -778,26 +776,16 @@ impl<K: Key> ConcurrentReliable<K> {
     where
         I: IntoIterator<Item = (K, u64)>,
     {
-        let batch_size = batch_size.max(1);
-        let mut buffer = Vec::with_capacity(batch_size);
-        let mut total = 0usize;
-        for item in stream {
-            buffer.push(item);
-            if buffer.len() == batch_size {
-                self.insert_batch(&buffer);
-                total += buffer.len();
-                buffer.clear();
-            }
-        }
-        self.insert_batch(&buffer);
-        total + buffer.len()
+        drain_batched(stream, batch_size, |batch| self.insert_batch(batch))
     }
 
     /// Algorithm-2 point query with its certified error interval. The
     /// filter contribution (a `NO` in disguise) joins both the estimate
     /// and the MPE; an unsaturated key never descended, so the walk stops
     /// at the filter. After a merge, the sealed overlay is walked in
-    /// addition to the live words (two generations of one stream).
+    /// addition to the live words (two generations of one stream). Sums
+    /// saturate: counters restored from a replication payload are
+    /// unbounded, and a saturated answer is vacuous but never wraps.
     pub fn query_with_error(&self, key: &K) -> Estimate {
         let fp = self.fingerprint(key);
         let mut est = 0u64;
@@ -813,25 +801,21 @@ impl<K: Key> ConcurrentReliable<K> {
             let lambdas = self.geometry.lambdas();
             let index = |i| self.hashes.index(i, key, self.geometry.width(i));
             if let Some(overlay) = &self.merged {
-                let (e, m, _) = walk(lambdas, |i| {
-                    let j = index(i);
-                    let b = &overlay.layers[i][j];
-                    (b.id() == Some(&fp), b.yes(), b.no(), overlay.hints[i][j])
-                });
-                est += e;
-                mpe += m;
+                let (e, m, _) = walk(lambdas, |i| overlay.read(i, index(i), &fp));
+                est = est.saturating_add(e);
+                mpe = mpe.saturating_add(m);
             }
             let (e, m, _) = walk(lambdas, |i| {
                 let (bfp, yes, no) = self.array.read(i, index(i));
                 (bfp == fp, yes, no, false)
             });
-            est += e;
-            mpe += m;
+            est = est.saturating_add(e);
+            mpe = mpe.saturating_add(m);
         }
         if self.failures.load(Ordering::Relaxed) > 0 {
             let (ev, eo) = self.emergency.lock().query(key);
-            est += ev;
-            mpe += eo;
+            est = est.saturating_add(ev);
+            mpe = mpe.saturating_add(eo);
         }
         Estimate {
             value: est,
@@ -847,107 +831,35 @@ impl<K: Key> ConcurrentReliable<K> {
         self.config.filter_threshold() + self.geometry.total_lambda()
     }
 
-    // ---- crate-internal access for the merge module ----
+    // ---- crate-internal access for the merge and replication modules ----
 
-    /// The operand view a peer reads while merging: the effective sealed
-    /// layers (overlay ∪ live words, unioned on the fly when both exist)
-    /// with their divert hints.
-    pub(crate) fn effective_layers(&self) -> (Vec<Vec<EsBucket<u64>>>, Vec<Vec<bool>>) {
-        let readout = self.array.read_out();
+    /// The operand view a peer reads while merging: the sealed overlay
+    /// unioned with the live words, or the live words alone before any
+    /// merge.
+    pub(crate) fn effective_layers(&self) -> Layers<u64> {
+        let live = self.array.read_out();
         match &self.merged {
-            None => (readout, Vec::new()),
+            None => live,
             Some(overlay) => {
-                let mut layers = overlay.layers.clone();
-                let mut hints = overlay.hints.clone();
-                crate::merge::union_layers(
-                    &mut layers,
-                    &mut hints,
-                    &readout,
-                    &[],
-                    self.geometry.lambdas(),
-                );
-                (layers, hints)
+                let mut grid = overlay.clone();
+                grid.union(&live, self.geometry.lambdas());
+                grid
             }
         }
     }
 
-    /// Seal the live atomic words into the merged overlay (creating it on
-    /// first use) and zero them, so post-merge insertions accumulate in a
-    /// fresh generation. Operation statistics survive.
+    /// Seal the live atomic words into the merged overlay and zero them,
+    /// so post-merge insertions accumulate in a fresh generation.
+    /// Operation statistics survive.
     pub(crate) fn seal_into_overlay(&mut self) {
         self.merge_epoch += 1;
-        let readout = self.array.read_out();
-        match &mut self.merged {
-            Some(overlay) => {
-                crate::merge::union_layers(
-                    &mut overlay.layers,
-                    &mut overlay.hints,
-                    &readout,
-                    &[],
-                    self.geometry.lambdas(),
-                );
-            }
-            None => {
-                let hints = readout.iter().map(|l| vec![false; l.len()]).collect();
-                self.merged = Some(MergedOverlay {
-                    layers: readout,
-                    hints,
-                });
-            }
-        }
+        self.merged = Some(self.effective_layers());
         self.array.zero_words();
-    }
-
-    /// Mutable merge state: filter, overlay, emergency store, failure
-    /// counter (the concurrent analogue of
-    /// [`crate::ReliableSketch`]'s `merge_parts`).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn merge_parts(
-        &mut self,
-    ) -> (
-        &mut Option<MiceFilter>,
-        &mut Option<MergedOverlay>,
-        &Mutex<EmergencyStore<K>>,
-        &AtomicU64,
-    ) {
-        (
-            &mut self.filter,
-            &mut self.merged,
-            &self.emergency,
-            &self.failures,
-        )
     }
 
     /// Clone of the peer's emergency store (read under its mutex).
     pub(crate) fn peer_emergency(&self) -> EmergencyStore<K> {
         self.emergency.lock().clone()
-    }
-
-    // ---- crate-internal access for the replication layer ----
-
-    /// The sealed merge overlay, if any (replication capture).
-    pub(crate) fn overlay(&self) -> Option<&MergedOverlay> {
-        self.merged.as_ref()
-    }
-
-    /// Overlay mutation counter (see the `merge_epoch` field).
-    pub(crate) fn merge_epoch(&self) -> u64 {
-        self.merge_epoch
-    }
-
-    /// Exclusive access to the bucket store (replica restore/apply).
-    pub(crate) fn array_mut(&mut self) -> &mut AtomicBucketArray {
-        &mut self.array
-    }
-
-    /// Overwrite the failure counter (replica restore/apply).
-    pub(crate) fn set_failures(&mut self, failures: u64) {
-        *self.failures.get_mut() = failures;
-    }
-
-    /// The baselines recorded at the last replication cut.
-    pub(crate) fn replica_cut(&self) -> Option<&crate::replicate::ReplicaCut> {
-        self.cut.as_ref()
     }
 
     /// Record a replication cut: clear the dirty map and remember the

@@ -153,6 +153,10 @@ impl<K: Key> EsBucket<K> {
     ///   and `YES′ ⩾ NO′` (the bucket invariant) because
     ///   `y_w + n_l ⩾ y_l + n_w` by winner choice and
     ///   `y_w + n_l ⩾ n_w + n_l` by the per-shard `y ⩾ n` invariant.
+    ///
+    /// Sums saturate at `u64::MAX`: counters restored from a replication
+    /// payload are unbounded, and a saturated bound is vacuous but never
+    /// wraps below the truth.
     pub fn merge_union(&mut self, other: &Self) {
         if other.is_empty() {
             return;
@@ -162,21 +166,21 @@ impl<K: Key> EsBucket<K> {
             return;
         }
         if self.id == other.id {
-            self.yes += other.yes;
-            self.no += other.no;
+            self.yes = self.yes.saturating_add(other.yes);
+            self.no = self.no.saturating_add(other.no);
             return;
         }
         let (y1, n1) = (self.yes, self.no);
         let (y2, n2) = (other.yes, other.no);
-        let self_wins = y1 + n2 >= y2 + n1;
+        let self_wins = y1.saturating_add(n2) >= y2.saturating_add(n1);
         let (id_w, y_w, n_w, y_l, n_l) = if self_wins {
             (self.id, y1, n1, y2, n2)
         } else {
             (other.id, y2, n2, y1, n1)
         };
         self.id = id_w;
-        self.yes = y_w + n_l;
-        self.no = (y_l + n_w).max(n1 + n2);
+        self.yes = y_w.saturating_add(n_l);
+        self.no = y_l.saturating_add(n_w).max(n1.saturating_add(n2));
     }
 
     // ---- crate-internal accessors used by the layered sketch's lock ----
@@ -207,6 +211,98 @@ impl<K: Key> EsBucket<K> {
     #[inline]
     pub(crate) fn swap_votes(&mut self) {
         core::mem::swap(&mut self.yes, &mut self.no);
+    }
+}
+
+/// A sketch's grid of Error-Sensible buckets, layer by layer (§3.2),
+/// with the per-bucket divert hints a merge sets: the one bucket grid
+/// of the sequential sketch, of every merge operand, of the lock-free
+/// sketch's sealed merge overlay and of the slim digest's union.
+///
+/// A hinted bucket "may have diverted keys deeper" in some operand, so
+/// it never satisfies Algorithm 2's stop rule (see [`crate::merge`]).
+/// `hints` stays empty — zero cost — until the first [`Self::union`].
+#[derive(Debug, Clone)]
+pub(crate) struct Layers<K: Key> {
+    pub(crate) buckets: Vec<Vec<EsBucket<K>>>,
+    pub(crate) hints: Vec<Vec<bool>>,
+}
+
+impl<K: Key> Layers<K> {
+    /// Empty buckets, `widths[i]` of them in layer `i`, and no hints.
+    pub(crate) fn new(widths: &[usize]) -> Self {
+        Self {
+            buckets: widths.iter().map(|&w| vec![EsBucket::new(); w]).collect(),
+            hints: Vec::new(),
+        }
+    }
+
+    /// Algorithm 2's read of bucket `(layer, index)` on behalf of `id`:
+    /// `(matches, YES, NO, hinted)`, as [`crate::sketch::walk`] takes it.
+    #[inline]
+    pub(crate) fn read(&self, layer: usize, index: usize, id: &K) -> (bool, u64, u64, bool) {
+        let b = &self.buckets[layer][index];
+        let hinted = self.hints.get(layer).is_some_and(|l| l[index]);
+        (b.id.as_ref() == Some(id), b.yes, b.no, hinted)
+    }
+
+    /// The layers in order, each a slice of buckets.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Vec<EsBucket<K>>> {
+        self.buckets.iter()
+    }
+
+    /// Has a merge touched this grid?
+    pub(crate) fn is_merged(&self) -> bool {
+        !self.hints.is_empty()
+    }
+
+    /// Union `other` (same widths) into this grid bucket-wise with
+    /// [`EsBucket::merge_union`], keeping the divert hints: a merged
+    /// bucket is hinted when either operand hinted it or either
+    /// operand's bucket may have diverted keys deeper. Every lock leaves
+    /// `NO == λᵢ < YES` and freezes the bucket, so `YES > NO ∧ NO ⩾ λᵢ`
+    /// covers all diverting buckets; it also fires on buckets that
+    /// merely filled `NO` to `λᵢ`, a sound over-approximation.
+    pub(crate) fn union(&mut self, other: &Self, lambdas: &[u64]) {
+        if self.hints.is_empty() {
+            self.hints = self.buckets.iter().map(|l| vec![false; l.len()]).collect();
+        }
+        for (i, (layer, theirs)) in self.buckets.iter_mut().zip(&other.buckets).enumerate() {
+            let diverted = |b: &EsBucket<K>| b.yes > b.no && b.no >= lambdas[i];
+            let their_hints = other.hints.get(i);
+            for (j, (bucket, their_bucket)) in layer.iter_mut().zip(theirs).enumerate() {
+                let hinted = self.hints[i][j]
+                    || their_hints.is_some_and(|l| l[j])
+                    || diverted(bucket)
+                    || diverted(their_bucket);
+                bucket.merge_union(their_bucket);
+                self.hints[i][j] = hinted;
+            }
+        }
+    }
+
+    /// The same grid with every candidate mapped through `f` (keys to
+    /// the 24-bit fingerprints of the lock-free sketch and slim digest).
+    pub(crate) fn map_ids<U: Key>(&self, f: impl Fn(&K) -> U) -> Layers<U> {
+        Layers {
+            buckets: self
+                .buckets
+                .iter()
+                .map(|layer| {
+                    layer
+                        .iter()
+                        .map(|b| EsBucket::from_parts(b.id.as_ref().map(&f), b.yes, b.no))
+                        .collect()
+                })
+                .collect(),
+            hints: self.hints.clone(),
+        }
+    }
+
+    /// Empty every bucket and drop the hints.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.iter_mut().flatten().for_each(EsBucket::clear);
+        self.hints.clear();
     }
 }
 

@@ -219,19 +219,7 @@ impl<K: Key> ShardedReliable<K> {
     where
         I: IntoIterator<Item = (K, u64)>,
     {
-        let batch_size = batch_size.max(1);
-        let mut buffer = Vec::with_capacity(batch_size);
-        let mut total = 0usize;
-        for item in stream {
-            buffer.push(item);
-            if buffer.len() == batch_size {
-                self.insert_batch(&buffer);
-                total += buffer.len();
-                buffer.clear();
-            }
-        }
-        self.insert_batch(&buffer);
-        total + buffer.len()
+        crate::sketch::drain_batched(stream, batch_size, |batch| self.insert_batch(batch))
     }
 
     /// Query with certified error through a shared reference.

@@ -69,28 +69,30 @@ impl<K: Key> EmergencyStore<K> {
         }
     }
 
-    /// Record a failed remainder.
+    /// Record a failed remainder. Every sum saturates: a store restored
+    /// from a replication payload may hold counters near `u64::MAX`.
     pub fn record(&mut self, key: &K, value: u64) {
         match self {
             Self::Disabled {
                 failures,
                 dropped_value,
             } => {
-                *failures += 1;
-                *dropped_value += value;
+                *failures = failures.saturating_add(1);
+                *dropped_value = dropped_value.saturating_add(value);
             }
             Self::Exact { table, failures } => {
-                *failures += 1;
-                *table.entry(*key).or_insert(0) += value;
+                *failures = failures.saturating_add(1);
+                let slot = table.entry(*key).or_insert(0);
+                *slot = slot.saturating_add(value);
             }
             Self::SpaceSaving {
                 slots,
                 capacity,
                 failures,
             } => {
-                *failures += 1;
+                *failures = failures.saturating_add(1);
                 if let Some(slot) = slots.iter_mut().find(|s| s.0 == *key) {
-                    slot.1 += value;
+                    slot.1 = slot.1.saturating_add(value);
                     return;
                 }
                 if slots.len() < *capacity {
@@ -105,7 +107,7 @@ impl<K: Key> EmergencyStore<K> {
                     .min_by_key(|(_, s)| s.1)
                     .expect("capacity ≥ 1");
                 let min = slots[idx].1;
-                slots[idx] = (*key, min + value, min);
+                slots[idx] = (*key, min.saturating_add(value), min);
             }
         }
     }
@@ -152,6 +154,7 @@ impl<K: Key> EmergencyStore<K> {
     }
 
     /// Fold another store into this one. Both must run the same policy.
+    /// Sums saturate, as in [`Self::record`].
     ///
     /// * `Disabled` — failure and dropped-value counters add;
     /// * `Exact` — remainder tables add key-wise;
@@ -175,8 +178,8 @@ impl<K: Key> EmergencyStore<K> {
                     dropped_value: d2,
                 },
             ) => {
-                *failures += f2;
-                *dropped_value += d2;
+                *failures = failures.saturating_add(*f2);
+                *dropped_value = dropped_value.saturating_add(*d2);
                 Ok(())
             }
             (
@@ -186,9 +189,10 @@ impl<K: Key> EmergencyStore<K> {
                     failures: f2,
                 },
             ) => {
-                *failures += f2;
+                *failures = failures.saturating_add(*f2);
                 for (k, v) in t2 {
-                    *table.entry(*k).or_insert(0) += v;
+                    let slot = table.entry(*k).or_insert(0);
+                    *slot = slot.saturating_add(*v);
                 }
                 Ok(())
             }
@@ -204,11 +208,11 @@ impl<K: Key> EmergencyStore<K> {
                     ..
                 },
             ) => {
-                *failures += f2;
+                *failures = failures.saturating_add(*f2);
                 for (key, count, over) in s2 {
                     if let Some(slot) = slots.iter_mut().find(|s| s.0 == *key) {
-                        slot.1 += count;
-                        slot.2 += over;
+                        slot.1 = slot.1.saturating_add(*count);
+                        slot.2 = slot.2.saturating_add(*over);
                     } else if slots.len() < *capacity {
                         slots.push((*key, *count, *over));
                     } else {
@@ -218,7 +222,7 @@ impl<K: Key> EmergencyStore<K> {
                             .min_by_key(|(_, s)| s.1)
                             .expect("capacity ≥ 1");
                         let min = slots[idx].1;
-                        slots[idx] = (*key, min + count, min + over);
+                        slots[idx] = (*key, min.saturating_add(*count), min.saturating_add(*over));
                     }
                 }
                 Ok(())

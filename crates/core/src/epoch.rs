@@ -464,13 +464,17 @@ impl<K: Key, G: Generation<K>> StreamSummary<K> for Epoched<K, G> {
 
 impl<K: Key, G: Generation<K>> ErrorSensing<K> for Epoched<K, G> {
     /// Sum both visible generations' certified answers; each interval is
-    /// certified, so the sum is.
+    /// certified, so the sum is (saturating, so a generation restored
+    /// from a replication payload with huge counters reads vacuous
+    /// rather than wrapped).
     fn query_with_error(&self, key: &K) -> Estimate {
         let mut est = self.active.query_with_error(key);
         if let Some(frozen) = &self.frozen {
             let old = frozen.query_with_error(key);
-            est.value += old.value;
-            est.max_possible_error += old.max_possible_error;
+            est.value = est.value.saturating_add(old.value);
+            est.max_possible_error = est
+                .max_possible_error
+                .saturating_add(old.max_possible_error);
         }
         est
     }

@@ -11,7 +11,9 @@
 //!
 //! * [`bucket::EsBucket`] — the Error-Sensible Bucket (Key Technique I):
 //!   an election cell whose `NO` counter certifies its own worst-case
-//!   error;
+//!   error; its module also holds the crate's one bucket grid (layers
+//!   plus merge divert hints), which the sequential sketch, every merge
+//!   operand, the lock-free merge overlay and the slim digest share;
 //! * [`geometry::LayerGeometry`] — the Double Exponential Control schedule
 //!   (Key Technique II): widths and lock thresholds both decay
 //!   geometrically;

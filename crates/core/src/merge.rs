@@ -67,16 +67,18 @@
 //!
 //! ## Concurrent operands
 //!
-//! The same machinery serves the lock-free types. A
-//! [`ConcurrentReliable`] *reads out* its packed `AtomicU64` words into
-//! fingerprint-space [`EsBucket<u64>`] layers
-//! ([`AtomicBucketArray::read_out`](crate::atomic::AtomicBucketArray::read_out)),
-//! seals them into a merged overlay (merged `NO` fields can exceed the
-//! packed 12-bit error field, so the union cannot live in the atomic
-//! words), and unions operands with exactly the `union_layers` helper
-//! the sequential impl uses. Post-merge insertions keep flowing lock-free
+//! The same machinery serves the lock-free types: every operand is one
+//! crate-private bucket-grid type, `Layers`, in fingerprint space. A
+//! [`ConcurrentReliable`] reads its packed `AtomicU64` words out into
+//! [`EsBucket<u64>`](crate::EsBucket) layers, and a sequential twin maps
+//! its candidate keys to the same 24-bit fingerprints. The collector
+//! seals its own words into a merged overlay (merged `NO` fields can
+//! exceed the packed 12-bit error field, so the union cannot live in the
+//! atomic words) and unions each operand into it by exactly the rule the
+//! sequential impl uses. Post-merge insertions keep flowing lock-free
 //! into the (zeroed) atomic words; queries walk overlay + live words like
-//! two epoch generations. Three aggregation shapes are supported:
+//! two epoch generations. Three aggregation shapes are supported; the
+//! first and third fold one peer view through one code path:
 //!
 //! * `conc.merge(&conc)` — [`rsk_api::Merge`] for [`ConcurrentReliable`];
 //! * `sharded.merge(&sharded)` — shard-wise, for
@@ -84,7 +86,7 @@
 //!   from the same configuration;
 //! * [`ConcurrentReliable::merge_from_sequential`] — folds a sequential
 //!   [`ReliableSketch`] twin (same config, same geometry) into a
-//!   concurrent collector, mapping candidate keys to their fingerprints.
+//!   concurrent collector.
 //!
 //! Candidate identity in concurrent operands is the 24-bit fingerprint,
 //! so merging inherits the atomic path's `2⁻²⁴` per-colliding-pair
@@ -115,11 +117,13 @@
 //! assert!(shard_a.is_merged());
 //! ```
 
-use crate::atomic::ConcurrentReliable;
-use crate::bucket::EsBucket;
+use crate::atomic::{add_failures, fingerprint, fp_seed_for, ConcurrentReliable};
+use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
+use crate::emergency::EmergencyStore;
 use crate::filter::MiceFilter;
+use crate::geometry::LayerGeometry;
 use crate::topk::TopKSummary;
 use crate::ReliableSketch;
 use rsk_api::{Key, Merge, MergeError};
@@ -160,77 +164,6 @@ fn config_merge_error(mine: &ReliableConfig, theirs: &ReliableConfig) -> MergeEr
     }
 }
 
-/// Conservative "this bucket may have diverted keys deeper" indicator.
-///
-/// Every lock leaves the bucket with `NO == λᵢ < YES` and freezes it, so
-/// `YES > NO ∧ NO ⩾ λᵢ` covers all diverting buckets. The indicator can
-/// also fire on buckets that merely filled `NO` to exactly `λᵢ` without
-/// ever diverting — a sound over-approximation.
-#[inline]
-fn may_have_diverted<K: Key>(bucket: &EsBucket<K>, lambda: u64) -> bool {
-    bucket.yes() > bucket.no() && bucket.no() >= lambda
-}
-
-/// Union `other_layers` into `layers` bucket-wise, maintaining the divert
-/// hints: a merged bucket is flagged when either operand flagged it or
-/// either operand's bucket [`may_have_diverted`] keys deeper. `hints` is
-/// initialized (all false) on first use; an empty `other_hints` means the
-/// peer never merged. This is the shared layer half of every `Merge`
-/// impl in the workspace — sequential sketches pass their key-space
-/// buckets, concurrent sketches their fingerprint-space read-outs.
-pub(crate) fn union_layers<K: Key>(
-    layers: &mut [Vec<EsBucket<K>>],
-    hints: &mut Vec<Vec<bool>>,
-    other_layers: &[Vec<EsBucket<K>>],
-    other_hints: &[Vec<bool>],
-    lambdas: &[u64],
-) {
-    if hints.is_empty() {
-        *hints = layers.iter().map(|l| vec![false; l.len()]).collect();
-    }
-    for (i, (layer, other_layer)) in layers.iter_mut().zip(other_layers).enumerate() {
-        let lambda = lambdas[i];
-        for (j, (bucket, other_bucket)) in layer.iter_mut().zip(other_layer).enumerate() {
-            let flagged = hints[i][j]
-                || other_hints.get(i).is_some_and(|l| l[j])
-                || may_have_diverted(bucket, lambda)
-                || may_have_diverted(other_bucket, lambda);
-            bucket.merge_union(other_bucket);
-            hints[i][j] = flagged;
-        }
-    }
-}
-
-impl<K: Key> Merge for ReliableSketch<K> {
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.config() != other.config() {
-            return Err(config_merge_error(self.config(), other.config()));
-        }
-        if self.geometry() != other.geometry() {
-            return Err(MergeError::ShapeMismatch);
-        }
-        check_topk_compat(self.top_k_summary(), other.top_k_summary())?;
-        let lambdas: Vec<u64> = self.geometry().lambdas().to_vec();
-
-        let (other_filter, other_layers, other_emergency, other_stats, other_hints) =
-            other.peer_parts();
-        let (filter, layers, emergency, stats, hints) = self.merge_parts();
-
-        merge_filters(filter.as_mut(), other_filter.as_ref())?;
-        union_layers(layers, hints, other_layers, other_hints, &lambdas);
-
-        emergency.merge_from(other_emergency)?;
-        stats.absorb(other_stats);
-
-        if let Some(theirs) = other.top_k_summary() {
-            if let Some(mine) = self.top_k_summary_mut().as_mut() {
-                mine.merge_from(theirs)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Fold the peer's mice filter into `mine`. Both operands must carry one
 /// (the merge checks shapes before touching a counter) or neither.
 fn merge_filters(
@@ -246,50 +179,7 @@ fn merge_filters(
     }
 }
 
-/// Shared epilogue of both concurrent merge flavors. The caller has
-/// already checked config + geometry equality and materialized the
-/// peer's effective layers. Ordering matters for failure atomicity: all
-/// fallible steps (filter presence + shape, which internally check
-/// before mutating) run *before* [`ConcurrentReliable::seal_into_overlay`]
-/// zeroes the live words, so an error return leaves the sketch
-/// unsealed and `is_merged()` false. (The emergency merge after sealing
-/// can only fail on a policy mismatch, which config equality rules out.)
-fn merge_prepared<K: Key>(
-    me: &mut ConcurrentReliable<K>,
-    other_layers: &[Vec<EsBucket<u64>>],
-    other_hints: &[Vec<bool>],
-    peer_filter: Option<&MiceFilter>,
-    other_emergency: &crate::emergency::EmergencyStore<K>,
-    other_failures: u64,
-) -> Result<(), MergeError> {
-    let lambdas: Vec<u64> = me.geometry().lambdas().to_vec();
-    merge_filters(me.merge_parts().0.as_mut(), peer_filter)?;
-    me.seal_into_overlay();
-    let (_, overlay, emergency, failures) = me.merge_parts();
-    let overlay = overlay.as_mut().expect("sealed above");
-    union_layers(
-        &mut overlay.layers,
-        &mut overlay.hints,
-        other_layers,
-        other_hints,
-        &lambdas,
-    );
-    emergency.lock().merge_from(other_emergency)?;
-    failures.fetch_add(other_failures, std::sync::atomic::Ordering::Relaxed);
-    Ok(())
-}
-
-impl<K: Key> Merge for ConcurrentReliable<K> {
-    /// Fold another lock-free sketch (identical configuration, hence
-    /// identical geometry, fingerprint seed and filter shape) into this
-    /// one. Both operands' packed words are read out into fingerprint-
-    /// space [`EsBucket`] unions held in a sealed overlay; this sketch's
-    /// atomic words are zeroed and keep absorbing post-merge insertions
-    /// lock-free. Mice filters add counter-wise (lanes widen so the
-    /// uncapped sums fit), emergency stores merge policy-wise.
-    ///
-    /// Merging is an exclusive (`&mut`) operation: quiesce producers
-    /// first, exactly as for [`crate::epoch::EpochedConcurrent::rotate`].
+impl<K: Key> Merge for ReliableSketch<K> {
     fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         if self.config() != other.config() {
             return Err(config_merge_error(self.config(), other.config()));
@@ -297,26 +187,63 @@ impl<K: Key> Merge for ConcurrentReliable<K> {
         if self.geometry() != other.geometry() {
             return Err(MergeError::ShapeMismatch);
         }
-        let theirs_topk = other.top_k_summary();
-        check_topk_compat(self.top_k_summary().as_ref(), theirs_topk.as_ref())?;
-        let (other_layers, other_hints) = other.effective_layers();
-        merge_prepared(
-            self,
-            &other_layers,
-            &other_hints,
-            other.filter(),
-            &other.peer_emergency(),
-            other.insertion_failures(),
-        )?;
-        self.array().stats().absorb(other.array().stats());
-        if let (Some(cell), Some(theirs)) = (self.topk_cell(), theirs_topk.as_ref()) {
-            cell.lock().merge_from(theirs)?;
+        check_topk_compat(self.topk.as_ref(), other.topk.as_ref())?;
+        merge_filters(self.filter.as_mut(), other.filter.as_ref())?;
+        self.layers.union(&other.layers, other.geometry().lambdas());
+        self.emergency.merge_from(&other.emergency)?;
+        self.stats.absorb(&other.stats);
+        if let (Some(mine), Some(theirs)) = (&mut self.topk, &other.topk) {
+            mine.merge_from(theirs)?;
         }
         Ok(())
     }
 }
 
+/// What a lock-free collector folds in from one operand, in fingerprint
+/// space: a [`ConcurrentReliable`] peer or a sequential twin.
+struct Peer<'a, K: Key> {
+    config: &'a ReliableConfig,
+    geometry: &'a LayerGeometry,
+    layers: Layers<u64>,
+    filter: Option<&'a MiceFilter>,
+    emergency: EmergencyStore<K>,
+    failures: u64,
+    /// `(items, retries, saturations)` for [`crate::atomic::AtomicStats`].
+    stats: (u64, u64, u64),
+    topk: Option<TopKSummary<K>>,
+}
+
 impl<K: Key> ConcurrentReliable<K> {
+    /// Fold `peer` into this sketch. Ordering matters for failure
+    /// atomicity: every fallible check (configuration, geometry, top-K,
+    /// filter presence and shape) runs *before*
+    /// [`Self::seal_into_overlay`] zeroes the live words, so an error
+    /// return leaves the sketch unsealed and `is_merged()` false. (The
+    /// emergency merge after sealing can only fail on a policy mismatch,
+    /// which config equality rules out.)
+    fn fold(&mut self, peer: Peer<'_, K>) -> Result<(), MergeError> {
+        if self.config() != peer.config {
+            return Err(config_merge_error(self.config(), peer.config));
+        }
+        if self.geometry() != peer.geometry {
+            return Err(MergeError::ShapeMismatch);
+        }
+        check_topk_compat(self.top_k_summary().as_ref(), peer.topk.as_ref())?;
+        merge_filters(self.filter.as_mut(), peer.filter)?;
+        self.seal_into_overlay();
+        self.merged
+            .as_mut()
+            .expect("sealed above")
+            .union(&peer.layers, peer.geometry.lambdas());
+        self.emergency.lock().merge_from(&peer.emergency)?;
+        add_failures(&self.failures, peer.failures);
+        self.array.stats().absorb(peer.stats);
+        if let (Some(mine), Some(theirs)) = (&self.topk, &peer.topk) {
+            mine.lock().merge_from(theirs)?;
+        }
+        Ok(())
+    }
+
     /// Fold a *sequential* [`ReliableSketch`] twin (same configuration,
     /// same explicit geometry — build both via `with_geometry`) into this
     /// concurrent collector: candidate keys map to their 24-bit
@@ -329,41 +256,43 @@ impl<K: Key> ConcurrentReliable<K> {
     /// Rejects mismatched configurations, geometries, or filter shapes
     /// with the [`MergeError`] naming the violated precondition.
     pub fn merge_from_sequential(&mut self, other: &ReliableSketch<K>) -> Result<(), MergeError> {
-        if self.config() != other.config() {
-            return Err(config_merge_error(self.config(), other.config()));
-        }
-        if self.geometry() != other.geometry() {
-            return Err(MergeError::ShapeMismatch);
-        }
-        check_topk_compat(self.top_k_summary().as_ref(), other.top_k_summary())?;
-        let (other_filter, other_layers, other_emergency, other_stats, other_hints) =
-            other.peer_parts();
-        let mapped: Vec<Vec<EsBucket<u64>>> = other_layers
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|b| {
-                        EsBucket::from_parts(b.id().map(|k| self.fingerprint(k)), b.yes(), b.no())
-                    })
-                    .collect()
-            })
-            .collect();
-        let other_hints = other_hints.clone();
-        let other_inserts = other_stats.inserts();
-        merge_prepared(
-            self,
-            &mapped,
-            &other_hints,
-            other_filter.as_ref(),
-            other_emergency,
-            other.insertion_failures(),
-        )?;
-        self.array().stats().add_items(other_inserts);
-        if let (Some(cell), Some(theirs)) = (self.topk_cell(), other.top_k_summary()) {
-            cell.lock().merge_from(theirs)?;
-        }
-        Ok(())
+        let fp_seed = fp_seed_for(other.config().seed);
+        self.fold(Peer {
+            config: other.config(),
+            geometry: other.geometry(),
+            layers: other.layers.map_ids(|k| fingerprint(k, fp_seed)),
+            filter: other.filter.as_ref(),
+            emergency: other.emergency.clone(),
+            failures: other.insertion_failures(),
+            stats: (other.stats.inserts(), 0, 0),
+            topk: other.topk.clone(),
+        })
+    }
+}
+
+impl<K: Key> Merge for ConcurrentReliable<K> {
+    /// Fold another lock-free sketch (identical configuration, hence
+    /// identical geometry, fingerprint seed and filter shape) into this
+    /// one. Both operands' packed words are read out into fingerprint-
+    /// space [`crate::EsBucket`] unions held in a sealed overlay; this
+    /// sketch's atomic words are zeroed and keep absorbing post-merge
+    /// insertions lock-free. Mice filters add counter-wise (lanes widen
+    /// so the uncapped sums fit), emergency stores merge policy-wise.
+    ///
+    /// Merging is an exclusive (`&mut`) operation: quiesce producers
+    /// first, exactly as for [`crate::epoch::EpochedConcurrent::rotate`].
+    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
+        let stats = other.array.stats();
+        self.fold(Peer {
+            config: other.config(),
+            geometry: other.geometry(),
+            layers: other.effective_layers(),
+            filter: other.filter.as_ref(),
+            emergency: other.peer_emergency(),
+            failures: other.insertion_failures(),
+            stats: (stats.items(), stats.retries(), stats.saturations()),
+            topk: other.top_k_summary(),
+        })
     }
 }
 

@@ -14,8 +14,8 @@
 use super::codec::{self, bad_tag, wire_struct, PayloadKind, Reader, Wire};
 use super::sequential::EmergencyState;
 use super::{check_shape, ReplicaCut};
-use crate::atomic::{ConcurrentReliable, MergedOverlay, COUNT_MAX, ERR_MAX, FP_MASK};
-use crate::bucket::EsBucket;
+use crate::atomic::{ConcurrentReliable, COUNT_MAX, ERR_MAX, FP_MASK};
+use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
 use crate::epoch::EpochedConcurrent;
@@ -37,77 +37,6 @@ pub struct OverlayState {
 }
 
 wire_struct!(OverlayState { layers, hints });
-
-impl OverlayState {
-    pub(crate) fn capture(overlay: &MergedOverlay) -> Self {
-        OverlayState {
-            layers: overlay
-                .layers
-                .iter()
-                .map(|layer| {
-                    layer
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, b)| !b.is_empty())
-                        .map(|(j, b)| (j as u32, b.id().copied(), b.yes(), b.no()))
-                        .collect()
-                })
-                .collect(),
-            hints: overlay
-                .hints
-                .iter()
-                .map(|layer| {
-                    layer
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &h)| h)
-                        .map(|(j, _)| j as u32)
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn into_overlay(
-        self,
-        geometry: &LayerGeometry,
-    ) -> Result<MergedOverlay, ReplicateError> {
-        if self.layers.len() != geometry.depth() || self.hints.len() != geometry.depth() {
-            return Err(ReplicateError::Corrupt(
-                "overlay layer count does not match the schedule".into(),
-            ));
-        }
-        let mut layers: Vec<Vec<EsBucket<u64>>> = geometry
-            .widths()
-            .iter()
-            .map(|&w| (0..w).map(|_| EsBucket::new()).collect())
-            .collect();
-        let mut hints: Vec<Vec<bool>> = geometry.widths().iter().map(|&w| vec![false; w]).collect();
-        for (i, layer) in self.layers.into_iter().enumerate() {
-            let w = geometry.width(i);
-            for (j, id, yes, no) in layer {
-                if j as usize >= w {
-                    return Err(ReplicateError::Corrupt(format!(
-                        "overlay bucket index {j} out of range for layer {i} (width {w})"
-                    )));
-                }
-                layers[i][j as usize] = EsBucket::from_parts(id, yes, no);
-            }
-        }
-        for (i, layer) in self.hints.into_iter().enumerate() {
-            let w = geometry.width(i);
-            for j in layer {
-                if j as usize >= w {
-                    return Err(ReplicateError::Corrupt(format!(
-                        "overlay hint index {j} out of range for layer {i} (width {w})"
-                    )));
-                }
-                hints[i][j as usize] = true;
-            }
-        }
-        Ok(MergedOverlay { layers, hints })
-    }
-}
 
 /// A complete mirror of a [`ConcurrentReliable`]'s logical state.
 #[derive(Debug, Clone)]
@@ -341,7 +270,10 @@ impl<K: Key> ConcurrentReliable<K> {
             widths: self.geometry().widths().to_vec(),
             lambdas: self.geometry().lambdas().to_vec(),
             words,
-            overlay: self.overlay().map(OverlayState::capture),
+            overlay: self.merged.as_ref().map(|grid| {
+                let (layers, hints) = grid.to_sparse();
+                OverlayState { layers, hints }
+            }),
             filter_rows: self.filter().map(|f| f.rows_snapshot()),
             emergency: EmergencyState::capture(&self.peer_emergency()),
             failures: self.insertion_failures(),
@@ -352,8 +284,9 @@ impl<K: Key> ConcurrentReliable<K> {
     ///
     /// # Errors
     /// [`ReplicateError::Corrupt`] for invalid configurations, malformed
-    /// schedules, out-of-range bucket entries or filter-shape mismatches;
-    /// [`ReplicateError::Incompatible`] for an emergency policy mismatch.
+    /// schedules, out-of-range or out-of-order bucket entries or
+    /// filter-shape mismatches; [`ReplicateError::Incompatible`] for an
+    /// emergency policy mismatch.
     pub fn restore(snapshot: ConcurrentSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
             .config
@@ -369,28 +302,19 @@ impl<K: Key> ConcurrentReliable<K> {
         validate_entries(&snapshot.words, &geometry)?;
         let overlay = snapshot
             .overlay
-            .map(|o| o.into_overlay(&geometry))
+            .map(|o| Layers::from_sparse(geometry.widths(), o.layers, &o.hints))
             .transpose()?;
 
         let mut sk = ConcurrentReliable::with_geometry(snapshot.config, geometry);
-        {
-            let (filter, merged, _, _) = sk.merge_parts();
-            super::restore_filter(filter.as_mut(), snapshot.filter_rows.as_deref())?;
-            *merged = overlay;
-        }
-        {
-            let array = sk.array_mut();
-            for (i, layer) in snapshot.words.iter().enumerate() {
-                for &(j, fp, yes, no) in layer {
-                    array.store_bucket(i, j as usize, fp, yes, no);
-                }
+        super::restore_filter(sk.filter.as_mut(), snapshot.filter_rows.as_deref())?;
+        sk.merged = overlay;
+        for (i, layer) in snapshot.words.iter().enumerate() {
+            for &(j, fp, yes, no) in layer {
+                sk.array.store_bucket(i, j as usize, fp, yes, no);
             }
         }
-        {
-            let (_, _, emergency, _) = sk.merge_parts();
-            snapshot.emergency.install(&mut emergency.lock())?;
-        }
-        sk.set_failures(snapshot.failures);
+        snapshot.emergency.install(sk.emergency.get_mut())?;
+        *sk.failures.get_mut() = snapshot.failures;
         Ok(sk)
     }
 
@@ -400,7 +324,7 @@ impl<K: Key> ConcurrentReliable<K> {
         let snapshot = self.snapshot();
         let cut = ReplicaCut {
             filter_rows: snapshot.filter_rows.clone(),
-            merge_epoch: self.merge_epoch(),
+            merge_epoch: self.merge_epoch,
         };
         self.set_replica_cut(cut);
         snapshot
@@ -412,9 +336,9 @@ impl<K: Key> ConcurrentReliable<K> {
     /// Exclusive (`&mut`): producers must be quiescent across the cut,
     /// as for [`rsk_api::Merge`].
     pub fn delta(&mut self) -> GenPayload<K> {
-        let need_full = match self.replica_cut() {
+        let need_full = match &self.cut {
             None => true,
-            Some(cut) => cut.merge_epoch != self.merge_epoch(),
+            Some(cut) => cut.merge_epoch != self.merge_epoch,
         };
         if need_full {
             return GenPayload::Full(self.full_cut());
@@ -436,7 +360,7 @@ impl<K: Key> ConcurrentReliable<K> {
         let rows_now = self.filter().map(|f| f.rows_snapshot());
         let filter_diff = match (
             &rows_now,
-            self.replica_cut().and_then(|c| c.filter_rows.as_ref()),
+            self.cut.as_ref().and_then(|c| c.filter_rows.as_ref()),
         ) {
             (Some(now), Some(base)) => Some(diff_rows(base, now)),
             (None, None) => None,
@@ -453,7 +377,7 @@ impl<K: Key> ConcurrentReliable<K> {
         };
         self.set_replica_cut(ReplicaCut {
             filter_rows: rows_now,
-            merge_epoch: self.merge_epoch(),
+            merge_epoch: self.merge_epoch,
         });
         GenPayload::Delta(delta)
     }
@@ -487,26 +411,19 @@ impl<K: Key> ConcurrentReliable<K> {
         delta.emergency.install(&mut staged)?;
 
         if let Some(diffs) = &delta.filter_diff {
-            let (filter, _, _, _) = self.merge_parts();
-            filter
+            self.filter
                 .as_mut()
                 .expect("presence checked above")
                 .overwrite_counters(diffs)
                 .map_err(ReplicateError::Corrupt)?;
         }
-        {
-            let array = self.array_mut();
-            for (i, layer) in delta.words.iter().enumerate() {
-                for &(j, fp, yes, no) in layer {
-                    array.store_bucket(i, j as usize, fp, yes, no);
-                }
+        for (i, layer) in delta.words.iter().enumerate() {
+            for &(j, fp, yes, no) in layer {
+                self.array.store_bucket(i, j as usize, fp, yes, no);
             }
         }
-        {
-            let (_, _, emergency, _) = self.merge_parts();
-            *emergency.lock() = staged;
-        }
-        self.set_failures(delta.failures);
+        *self.emergency.get_mut() = staged;
+        *self.failures.get_mut() = delta.failures;
         // Replicated counters arrive without their promotion history, so
         // any top-K summary on this replica is stale: drop it and answer
         // vacuously (mirrors full-snapshot restores, which never carry
@@ -923,6 +840,28 @@ mod tests {
         let restored = ConcurrentReliable::restore(a.snapshot()).unwrap();
         assert!(restored.is_merged());
         answers_match(&a, &restored, 500);
+    }
+
+    /// Overlay rows travel strictly ascending, as slim digest rows do;
+    /// any other order, a duplicate index included, is refused.
+    #[test]
+    fn out_of_order_overlay_rows_are_refused() {
+        let mut merged = loaded(21);
+        merged.merge(&loaded(21)).unwrap();
+        let snapshot = merged.snapshot();
+        let rows = &snapshot.overlay.as_ref().unwrap().layers[0];
+        let (mut swapped, mut duplicated) = (rows.clone(), rows.clone());
+        swapped.swap(0, 1);
+        duplicated.insert(1, rows[0]);
+        for crafted in [swapped, duplicated] {
+            let mut s = snapshot.clone();
+            s.overlay.as_mut().unwrap().layers[0] = crafted;
+            assert!(matches!(
+                ConcurrentReliable::restore(s),
+                Err(ReplicateError::Corrupt(_))
+            ));
+        }
+        assert!(ConcurrentReliable::restore(snapshot).unwrap().is_merged());
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //!   [`crate::ReliableSketch`]; [`ConcurrentSnapshot`],
 //!   [`EpochedSnapshot`] and [`ShardedSnapshot`] cover the lock-free
 //!   types (packed live words and the sealed merge overlay are captured
-//!   separately, so `is_merged()` round-trips faithfully).
+//!   separately, so `is_merged()` round-trips faithfully). The merge
+//!   overlay and the slim digest ship a bucket grid in one sparse form,
+//!   written and checked in this module: occupied buckets and hinted
+//!   indices, strictly ascending per layer; decoding refuses any other
+//!   order. Counters inside a payload are unbounded (merged state has
+//!   no fixed ceiling), so every read over them saturates.
 //! * **Deltas** — only what changed since the previous cut.
 //!   [`crate::atomic::AtomicBucketArray`] keeps a one-bit-per-bucket
 //!   dirty map set on CAS commit, so a [`ConcurrentDelta`] serializes
@@ -82,9 +87,10 @@ pub use concurrent::{
     ConcurrentDelta, ConcurrentSnapshot, EpochedDelta, EpochedSnapshot, GenPayload, OverlayState,
     ShardedDelta, ShardedSnapshot,
 };
-pub use sequential::{BucketState, EmergencyState, SketchSnapshot};
+pub use sequential::{EmergencyState, SketchSnapshot};
 pub use slim::{SlimShards, SlimSummary};
 
+use crate::bucket::{EsBucket, Layers};
 use crate::config::ReliableConfig;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
@@ -94,6 +100,88 @@ use rsk_api::ReplicateError;
 /// `(index, fingerprint, yes, no)` — the fingerprint is `None` for a
 /// bucket holding pure collision volume.
 pub type SparseBucketRows = Vec<Vec<(u32, Option<u64>, u64, u64)>>;
+
+impl Layers<u64> {
+    /// The sparse wire form of a fingerprint-space grid, as the merge
+    /// overlay and the slim digest ship it: occupied buckets and hinted
+    /// indices, one strictly ascending list per layer each (empty hint
+    /// lists for a grid no merge has touched).
+    pub(crate) fn to_sparse(&self) -> (SparseBucketRows, Vec<Vec<u32>>) {
+        let rows = self
+            .iter()
+            .map(|layer| {
+                layer
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, b)| !b.is_empty())
+                    .map(|(j, b)| (j as u32, b.id().copied(), b.yes(), b.no()))
+                    .collect()
+            })
+            .collect();
+        let hints = (0..self.buckets.len())
+            .map(|i| {
+                self.hints.get(i).map_or_else(Vec::new, |layer| {
+                    (0..layer.len() as u32)
+                        .filter(|&j| layer[j as usize])
+                        .collect()
+                })
+            })
+            .collect();
+        (rows, hints)
+    }
+
+    /// Rebuild a grid of `widths` from its sparse wire form, refusing
+    /// rows that [`check_sparse`] refuses. The grid comes back hinted
+    /// (possibly with no flag set): only merged grids travel this way.
+    pub(crate) fn from_sparse(
+        widths: &[usize],
+        rows: SparseBucketRows,
+        hints: &[Vec<u32>],
+    ) -> Result<Self, ReplicateError> {
+        check_sparse(widths, &rows, hints)?;
+        let mut grid = Layers::new(widths);
+        grid.hints = widths.iter().map(|&w| vec![false; w]).collect();
+        for (i, layer) in rows.into_iter().enumerate() {
+            for (j, id, yes, no) in layer {
+                grid.buckets[i][j as usize] = EsBucket::from_parts(id, yes, no);
+            }
+        }
+        for (i, layer) in hints.iter().enumerate() {
+            for &j in layer {
+                grid.hints[i][j as usize] = true;
+            }
+        }
+        Ok(grid)
+    }
+}
+
+/// The rule every sparse grid decoder applies: one row list and one
+/// hint list per layer of `widths`, each strictly ascending (readers
+/// binary-search them, and the encoder never writes another order) and
+/// in range.
+pub(crate) fn check_sparse(
+    widths: &[usize],
+    rows: &SparseBucketRows,
+    hints: &[Vec<u32>],
+) -> Result<(), ReplicateError> {
+    if rows.len() != widths.len() || hints.len() != widths.len() {
+        return Err(ReplicateError::Corrupt(
+            "sparse bucket rows disagree with the layer schedule".into(),
+        ));
+    }
+    for (i, ((layer, hinted), &w)) in rows.iter().zip(hints).zip(widths).enumerate() {
+        let ascending =
+            layer.windows(2).all(|p| p[0].0 < p[1].0) && hinted.windows(2).all(|p| p[0] < p[1]);
+        let in_range = layer.last().is_none_or(|e| (e.0 as usize) < w)
+            && hinted.last().is_none_or(|&j| (j as usize) < w);
+        if !(ascending && in_range) {
+            return Err(ReplicateError::Corrupt(format!(
+                "layer {i} bucket indices are out of range or not strictly ascending"
+            )));
+        }
+    }
+    Ok(())
+}
 
 /// Baselines remembered at a replication cut, stored inside a
 /// [`crate::atomic::ConcurrentReliable`]: the next delta diffs the mice

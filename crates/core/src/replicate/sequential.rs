@@ -31,39 +31,27 @@
 //! ```
 
 use super::codec::{self, bad_tag, put_seq, wire_struct, PayloadKind, Reader, Wire};
-use crate::bucket::EsBucket;
+use crate::bucket::{EsBucket, Layers};
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::geometry::LayerGeometry;
 use crate::sketch::ReliableSketch;
 use rsk_api::{Key, Replicate, ReplicateError};
 
-/// Persisted bucket: `(ID, YES, NO)`.
-#[derive(Debug, Clone)]
-pub struct BucketState<K> {
-    /// Candidate key, if the bucket is occupied.
-    pub id: Option<K>,
-    /// Positive votes.
-    pub yes: u64,
-    /// Negative votes (certified collision volume).
-    pub no: u64,
-}
-
-impl<K: Key> Wire for BucketState<K> {
+/// A persisted bucket: a presence byte, the candidate key's bytes when
+/// present, then `YES` and `NO`.
+impl<K: Key> Wire for EsBucket<K> {
     fn put(&self, out: &mut Vec<u8>) {
-        self.id.is_some().put(out);
-        if let Some(k) = &self.id {
+        self.id().is_some().put(out);
+        if let Some(k) = self.id() {
             k.put_le(out);
         }
-        self.yes.put(out);
-        self.no.put(out);
+        self.yes().put(out);
+        self.no().put(out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
-        Ok(BucketState {
-            id: bool::get(r)?.then(|| r.key()).transpose()?,
-            yes: Wire::get(r)?,
-            no: Wire::get(r)?,
-        })
+        let id = bool::get(r)?.then(|| r.key()).transpose()?;
+        Ok(EsBucket::from_parts(id, Wire::get(r)?, Wire::get(r)?))
     }
 }
 
@@ -226,7 +214,7 @@ impl<K: Key> EmergencyState<K> {
 
 /// A complete, self-describing checkpoint of a [`ReliableSketch`].
 #[derive(Debug, Clone)]
-pub struct SketchSnapshot<K> {
+pub struct SketchSnapshot<K: Key> {
     /// The configuration the sketch was built from.
     pub config: ReliableConfig,
     /// Materialized layer widths (persisted explicitly so snapshots of
@@ -235,7 +223,7 @@ pub struct SketchSnapshot<K> {
     /// Materialized lock thresholds.
     pub lambdas: Vec<u64>,
     /// Bucket fields, layer by layer.
-    pub layers: Vec<Vec<BucketState<K>>>,
+    pub layers: Vec<Vec<EsBucket<K>>>,
     /// Mice-filter counter rows, if the filter exists.
     pub filter_rows: Option<Vec<Vec<u64>>>,
     /// Emergency-store contents.
@@ -273,27 +261,14 @@ impl<K: Key> SketchSnapshot<K> {
 impl<K: Key> ReliableSketch<K> {
     /// Capture a plain-data checkpoint of the sketch's full logical state.
     pub fn snapshot(&self) -> SketchSnapshot<K> {
-        let (filter, layers, emergency, _stats, hints) = self.peer_parts();
         SketchSnapshot {
             config: self.config().clone(),
             widths: self.geometry().widths().to_vec(),
             lambdas: self.geometry().lambdas().to_vec(),
-            layers: layers
-                .iter()
-                .map(|layer| {
-                    layer
-                        .iter()
-                        .map(|b| BucketState {
-                            id: b.id().copied(),
-                            yes: b.yes(),
-                            no: b.no(),
-                        })
-                        .collect()
-                })
-                .collect(),
-            filter_rows: filter.as_ref().map(|f| f.rows_snapshot()),
-            emergency: EmergencyState::capture(emergency),
-            divert_hints: hints.clone(),
+            layers: self.layers.buckets.clone(),
+            filter_rows: self.filter.as_ref().map(|f| f.rows_snapshot()),
+            emergency: EmergencyState::capture(&self.emergency),
+            divert_hints: self.layers.hints.clone(),
         }
     }
 
@@ -340,22 +315,12 @@ impl<K: Key> ReliableSketch<K> {
         }
 
         let mut sketch = ReliableSketch::with_geometry(snapshot.config, geometry);
-        let (filter, layers, emergency, _stats, hints) = sketch.merge_parts();
-
-        super::restore_filter(filter.as_mut(), snapshot.filter_rows.as_deref())?;
-        *layers = snapshot
-            .layers
-            .into_iter()
-            .map(|layer| {
-                layer
-                    .into_iter()
-                    .map(|b| EsBucket::from_parts(b.id, b.yes, b.no))
-                    .collect()
-            })
-            .collect();
-
-        snapshot.emergency.install(emergency)?;
-        *hints = snapshot.divert_hints;
+        super::restore_filter(sketch.filter.as_mut(), snapshot.filter_rows.as_deref())?;
+        snapshot.emergency.install(&mut sketch.emergency)?;
+        sketch.layers = Layers {
+            buckets: snapshot.layers,
+            hints: snapshot.divert_hints,
+        };
         Ok(sketch)
     }
 }

@@ -12,14 +12,19 @@
 //! guarantee (`truth ∈ [value − MPE, value]`, modulo the same 2⁻²⁴
 //! fingerprint-aliasing caveat carried by merged concurrent sketches,
 //! which also operate in fingerprint space).
+//!
+//! Every source reduces to the fingerprint-space bucket grid a merge
+//! builds (a window unions its generations), shipped in the replication
+//! layer's one sparse form: strictly ascending rows, binary-searched.
 
 use super::codec::{self, wire_struct, PayloadKind};
 use crate::atomic::{fingerprint, fp_seed_for, ConcurrentReliable};
-use crate::bucket::EsBucket;
+use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::epoch::EpochedConcurrent;
+use crate::geometry::LayerGeometry;
 use crate::sketch::{walk, ReliableSketch};
 use rsk_api::{Estimate, Key, ReplicateError};
 use rsk_hash::HashFamily;
@@ -79,34 +84,13 @@ impl SlimSummary {
     /// 24-bit fingerprints [`ConcurrentReliable`] uses, so slim payloads
     /// from either source are interchangeable on the collector side).
     pub fn from_sequential<K: Key>(sketch: &ReliableSketch<K>) -> Self {
-        let (filter, layers_k, emergency, _stats, hints) = sketch.peer_parts();
         let fp_seed = fp_seed_for(sketch.config().seed);
-        let layers: Vec<Vec<EsBucket<u64>>> = layers_k
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|b| {
-                        EsBucket::from_parts(
-                            b.id().map(|k| fingerprint(k, fp_seed)),
-                            b.yes(),
-                            b.no(),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let hints = normalize_hints(hints.clone(), &layers);
         distill(
             sketch.config(),
-            sketch.geometry().widths(),
-            sketch.geometry().lambdas(),
-            &layers,
-            &hints,
-            extras_from(emergency, fp_seed),
-            filter
-                .as_ref()
-                .map_or(0, |f| filter_ceiling(&f.rows_snapshot())),
+            sketch.geometry(),
+            &sketch.layers.map_ids(|k| fingerprint(k, fp_seed)),
+            extras_from(&sketch.emergency, fp_seed),
+            sketch.filter.as_ref().map_or(0, filter_ceiling),
             sketch.dropped_value(),
             1,
         )
@@ -114,22 +98,7 @@ impl SlimSummary {
 
     /// Distill a [`ConcurrentReliable`] (overlay and live words unioned).
     pub fn from_concurrent<K: Key>(sketch: &ConcurrentReliable<K>) -> Self {
-        let (layers, hints) = sketch.effective_layers();
-        let hints = normalize_hints(hints, &layers);
-        let fp_seed = fp_seed_for(sketch.config().seed);
-        distill(
-            sketch.config(),
-            sketch.geometry().widths(),
-            sketch.geometry().lambdas(),
-            &layers,
-            &hints,
-            extras_from(&sketch.peer_emergency(), fp_seed),
-            sketch
-                .filter()
-                .map_or(0, |f| filter_ceiling(&f.rows_snapshot())),
-            sketch.dropped_value(),
-            1,
-        )
+        Self::from_generations(&[sketch])
     }
 
     /// Distill a whole [`EpochedConcurrent`] window: both visible
@@ -137,42 +106,36 @@ impl SlimSummary {
     /// [`rsk_api::Merge`]), with the slack accounting for one filter
     /// threshold and one lambda budget per generation.
     pub fn from_epoched<K: Key>(window: &EpochedConcurrent<K>) -> Self {
-        let active = window.active();
-        let fp_seed = fp_seed_for(active.config().seed);
-        let (mut layers, hints) = active.effective_layers();
-        let mut hints = normalize_hints(hints, &layers);
-        let mut filter_slack = active
-            .filter()
-            .map_or(0, |f| filter_ceiling(&f.rows_snapshot()));
-        let mut extras = extras_from(&active.peer_emergency(), fp_seed);
-        let mut dropped = active.dropped_value();
-        let mut gens = 1;
-        if let Some(frozen) = window.frozen() {
-            let (f_layers, f_hints) = frozen.effective_layers();
-            crate::merge::union_layers(
-                &mut layers,
-                &mut hints,
-                &f_layers,
-                &f_hints,
-                active.geometry().lambdas(),
-            );
-            filter_slack += frozen
-                .filter()
-                .map_or(0, |f| filter_ceiling(&f.rows_snapshot()));
-            extras.extend(extras_from(&frozen.peer_emergency(), fp_seed));
-            dropped = dropped.saturating_add(frozen.dropped_value());
-            gens += 1;
+        let generations: Vec<_> = std::iter::once(window.active())
+            .chain(window.frozen())
+            .collect();
+        Self::from_generations(&generations)
+    }
+
+    /// One digest of the union of `generations` (at least one, all of
+    /// one configuration).
+    fn from_generations<K: Key>(generations: &[&ConcurrentReliable<K>]) -> Self {
+        let first = generations[0];
+        let fp_seed = fp_seed_for(first.config().seed);
+        let mut layers = first.effective_layers();
+        let (mut extras, mut filter_slack, mut dropped) = (Vec::new(), 0u64, 0u64);
+        for (n, generation) in generations.iter().enumerate() {
+            if n > 0 {
+                layers.union(&generation.effective_layers(), first.geometry().lambdas());
+            }
+            extras.extend(extras_from(&generation.peer_emergency(), fp_seed));
+            filter_slack =
+                filter_slack.saturating_add(generation.filter().map_or(0, filter_ceiling));
+            dropped = dropped.saturating_add(generation.dropped_value());
         }
         distill(
-            active.config(),
-            active.geometry().widths(),
-            active.geometry().lambdas(),
+            first.config(),
+            first.geometry(),
             &layers,
-            &hints,
             extras,
             filter_slack,
             dropped,
-            gens,
+            generations.len() as u64,
         )
     }
 
@@ -195,12 +158,12 @@ impl SlimSummary {
             let hinted = self.hints[i].binary_search(&j).is_ok();
             (id == Some(fp), yes, no, hinted)
         });
-        let mut est = self.filter_slack + walked;
-        let mut mpe = self.filter_slack + walked_mpe;
+        let mut est = self.filter_slack.saturating_add(walked);
+        let mut mpe = self.filter_slack.saturating_add(walked_mpe);
         for &(efp, value, over) in &self.extras {
             if efp == fp {
-                est += value;
-                mpe += over;
+                est = est.saturating_add(value);
+                mpe = mpe.saturating_add(over);
             }
         }
         Estimate {
@@ -254,26 +217,12 @@ impl SlimSummary {
         if depth == 0 || self.widths.contains(&0) {
             return Err(ReplicateError::Corrupt("degenerate layer schedule".into()));
         }
-        if self.lambdas.len() != depth || self.layers.len() != depth || self.hints.len() != depth {
+        if self.lambdas.len() != depth {
             return Err(ReplicateError::Corrupt(
-                "slim summary row counts disagree with the schedule".into(),
+                "slim summary lock thresholds disagree with the schedule".into(),
             ));
         }
-        // Queries binary-search both rows, and `distill` emits them
-        // strictly ascending: any other order is corrupt.
-        for (i, (layer, hints)) in self.layers.iter().zip(&self.hints).enumerate() {
-            let w = self.widths[i];
-            let ascending =
-                layer.windows(2).all(|p| p[0].0 < p[1].0) && hints.windows(2).all(|p| p[0] < p[1]);
-            let in_range = layer.last().is_none_or(|e| (e.0 as usize) < w)
-                && hints.last().is_none_or(|&j| (j as usize) < w);
-            if !(ascending && in_range) {
-                return Err(ReplicateError::Corrupt(format!(
-                    "slim layer {i} indices are out of range or not strictly ascending"
-                )));
-            }
-        }
-        Ok(())
+        super::check_sparse(&self.widths, &self.layers, &self.hints)
     }
 }
 
@@ -350,17 +299,13 @@ impl SlimShards {
 /// The largest value any one key's filter contribution can reach: the
 /// maximum counter across all rows (a key's query is a min over its
 /// lanes). At most the configured threshold for an unmerged filter.
-fn filter_ceiling(rows: &[Vec<u64>]) -> u64 {
-    rows.iter().flatten().copied().max().unwrap_or(0)
-}
-
-/// Full-grid hints for sources that report none (unmerged sketches).
-fn normalize_hints(hints: Vec<Vec<bool>>, layers: &[Vec<EsBucket<u64>>]) -> Vec<Vec<bool>> {
-    if hints.is_empty() {
-        layers.iter().map(|l| vec![false; l.len()]).collect()
-    } else {
-        hints
-    }
+fn filter_ceiling(filter: &crate::filter::MiceFilter) -> u64 {
+    filter
+        .rows_snapshot()
+        .into_iter()
+        .flatten()
+        .max()
+        .unwrap_or(0)
 }
 
 /// Emergency remainders as `(fingerprint, value, overestimate)` triples
@@ -378,40 +323,16 @@ fn extras_from<K: Key>(store: &EmergencyStore<K>, fp_seed: u32) -> Vec<(u64, u64
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn distill(
     config: &ReliableConfig,
-    widths: &[usize],
-    lambdas: &[u64],
-    layers: &[Vec<EsBucket<u64>>],
-    hints: &[Vec<bool>],
+    geometry: &LayerGeometry,
+    layers: &Layers<u64>,
     mut extras: Vec<(u64, u64, u64)>,
     filter_slack: u64,
     dropped: u64,
     gens: u64,
 ) -> SlimSummary {
-    let slim_layers = layers
-        .iter()
-        .map(|layer| {
-            layer
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .map(|(j, b)| (j as u32, b.id().copied(), b.yes(), b.no()))
-                .collect()
-        })
-        .collect();
-    let slim_hints = hints
-        .iter()
-        .map(|layer| {
-            layer
-                .iter()
-                .enumerate()
-                .filter(|(_, &h)| h)
-                .map(|(j, _)| j as u32)
-                .collect()
-        })
-        .collect();
+    let (slim_layers, slim_hints) = layers.to_sparse();
 
     // Coalesce extras sharing a fingerprint: the digest cannot tell the
     // colliding keys apart, so the group answers with its total value
@@ -421,24 +342,23 @@ fn distill(
     for (fp, value, over) in extras {
         match coalesced.last_mut() {
             Some(last) if last.0 == fp => {
-                last.1 += value;
+                last.1 = last.1.saturating_add(value);
                 last.2 = last.1;
             }
             _ => coalesced.push((fp, value, over.min(value))),
         }
     }
 
-    let total_lambda: u64 = lambdas.iter().sum();
     SlimSummary {
         config: config.clone(),
-        widths: widths.to_vec(),
-        lambdas: lambdas.to_vec(),
+        widths: geometry.widths().to_vec(),
+        lambdas: geometry.lambdas().to_vec(),
         layers: slim_layers,
         hints: slim_hints,
         extras: coalesced,
         filter_slack,
         dropped,
-        slack: filter_slack + gens * total_lambda,
+        slack: filter_slack.saturating_add(gens * geometry.total_lambda()),
     }
 }
 

@@ -20,7 +20,7 @@
 //! Theorem 4 bounds by `Δ`. The property tests at the bottom of this file
 //! machine-check the deterministic part on arbitrary streams.
 
-use crate::bucket::EsBucket;
+use crate::bucket::Layers;
 use crate::config::{ReliableConfig, ReliableConfigBuilder, BUCKET_BYTES};
 use crate::emergency::EmergencyStore;
 use crate::filter::MiceFilter;
@@ -56,21 +56,18 @@ pub struct ReliableSketch<K: Key> {
     geometry: LayerGeometry,
     /// The §3.3 mice filter: the packed type the lock-free sketch shares
     /// between threads, with this sketch as its single writer.
-    filter: Option<MiceFilter>,
-    layers: Vec<Vec<EsBucket<K>>>,
+    pub(crate) filter: Option<MiceFilter>,
+    /// The bucket layers, with the divert hints only [`crate::merge`]
+    /// sets: merged queries keep descending wherever either shard might
+    /// have pushed a key deeper.
+    pub(crate) layers: Layers<K>,
     hashes: HashFamily,
-    emergency: EmergencyStore<K>,
-    stats: SketchStats,
-    /// Per-bucket "may have diverted keys" flags, populated only by
-    /// [`crate::merge`] (empty — zero cost — for ordinary sketches).
-    /// A flagged bucket never satisfies a query's stop conditions, so
-    /// merged queries keep descending wherever either shard might have
-    /// pushed a key deeper; see the module docs of [`crate::merge`].
-    divert_hints: Vec<Vec<bool>>,
+    pub(crate) emergency: EmergencyStore<K>,
+    pub(crate) stats: SketchStats,
     /// The error-certified top-K layer ([`crate::topk`]), fed by
     /// elephant promotion; `None` — zero cost — unless enabled through
     /// [`Self::enable_top_k`].
-    topk: Option<TopKSummary<K>>,
+    pub(crate) topk: Option<TopKSummary<K>>,
 }
 
 impl<K: Key> ReliableSketch<K> {
@@ -98,11 +95,7 @@ impl<K: Key> ReliableSketch<K> {
     /// sequences §3.2 warns against) under otherwise identical machinery.
     pub fn with_geometry(config: ReliableConfig, geometry: LayerGeometry) -> Self {
         let filter = MiceFilter::for_config(&config);
-        let layers = geometry
-            .widths()
-            .iter()
-            .map(|&w| vec![EsBucket::new(); w])
-            .collect();
+        let layers = Layers::new(geometry.widths());
         let hashes = HashFamily::new(geometry.depth(), config.seed);
         let emergency = EmergencyStore::new(config.emergency);
         let stats = SketchStats::new(geometry.depth());
@@ -114,7 +107,6 @@ impl<K: Key> ReliableSketch<K> {
             hashes,
             emergency,
             stats,
-            divert_hints: Vec::new(),
             topk: None,
         }
     }
@@ -141,10 +133,6 @@ impl<K: Key> ReliableSketch<K> {
     /// The attached top-K summary, if enabled.
     pub fn top_k_summary(&self) -> Option<&TopKSummary<K>> {
         self.topk.as_ref()
-    }
-
-    pub(crate) fn top_k_summary_mut(&mut self) -> &mut Option<TopKSummary<K>> {
-        &mut self.topk
     }
 
     /// The configuration this sketch was built from.
@@ -232,7 +220,7 @@ impl<K: Key> ReliableSketch<K> {
                 _ => self.hashes.index(i, key, width),
             };
             let lambda = self.geometry.lambda(i);
-            let b = &mut self.layers[i][j];
+            let b = &mut self.layers.buckets[i][j];
 
             // (2) matching candidate: absorb fully, even when locked
             if b.id() == Some(key) {
@@ -328,19 +316,9 @@ impl<K: Key> ReliableSketch<K> {
     where
         I: IntoIterator<Item = (K, u64)>,
     {
-        let batch_size = batch_size.max(1);
-        let mut buffer = Vec::with_capacity(batch_size);
-        let mut total = 0usize;
-        for item in stream {
-            buffer.push(item);
-            if buffer.len() == batch_size {
-                self.insert_batch(&buffer);
-                total += buffer.len();
-                buffer.clear();
-            }
-        }
-        self.insert_batch(&buffer);
-        total + buffer.len()
+        drain_batched(stream, batch_size, |batch| {
+            self.insert_batch(batch);
+        })
     }
 
     /// Query and return the full trace (estimate, layers visited, hash
@@ -363,19 +341,18 @@ impl<K: Key> ReliableSketch<K> {
         if descend {
             let (e, m, visited) = walk(self.geometry.lambdas(), |i| {
                 let j = self.hashes.index(i, key, self.geometry.width(i));
-                let b = &self.layers[i][j];
-                (b.id() == Some(key), b.yes(), b.no(), self.divert_hint(i, j))
+                self.layers.read(i, j, key)
             });
-            est += e;
-            mpe += m;
+            est = est.saturating_add(e);
+            mpe = mpe.saturating_add(m);
             layers_visited = visited;
             hash_calls += visited as u64;
         }
 
         // remainders recorded by the emergency store (exact or bounded)
         let (ev, eo) = self.emergency.query(key);
-        est += ev;
-        mpe += eo;
+        est = est.saturating_add(ev);
+        mpe = mpe.saturating_add(eo);
 
         let trace = QueryTrace {
             estimate: Estimate {
@@ -394,7 +371,7 @@ impl<K: Key> ReliableSketch<K> {
     pub fn candidates(&self) -> Vec<(K, Estimate)> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for layer in &self.layers {
+        for layer in self.layers.iter() {
             for b in layer {
                 if let Some(&k) = b.id() {
                     if seen.insert(k) {
@@ -438,34 +415,7 @@ impl<K: Key> ReliableSketch<K> {
     /// f̂]` for every key) but the `MPE ≤ Λ` ceiling becomes
     /// data-dependent; see [`crate::merge`].
     pub fn is_merged(&self) -> bool {
-        !self.divert_hints.is_empty()
-    }
-
-    #[inline]
-    fn divert_hint(&self, layer: usize, index: usize) -> bool {
-        self.divert_hints.get(layer).is_some_and(|l| l[index])
-    }
-
-    // ---- crate-internal access for the merge/snapshot modules ----
-
-    pub(crate) fn merge_parts(&mut self) -> PartsMut<'_, K> {
-        (
-            &mut self.filter,
-            &mut self.layers,
-            &mut self.emergency,
-            &mut self.stats,
-            &mut self.divert_hints,
-        )
-    }
-
-    pub(crate) fn peer_parts(&self) -> Parts<'_, K> {
-        (
-            &self.filter,
-            &self.layers,
-            &self.emergency,
-            &self.stats,
-            &self.divert_hints,
-        )
+        self.layers.is_merged()
     }
 }
 
@@ -476,7 +426,9 @@ impl<K: Key> ReliableSketch<K> {
 /// MPE, and stops at the first bucket that is unlocked (`NO < λᵢ`),
 /// replaceable (`YES == NO`) or the key's own — unless a merge hinted
 /// that the key may have descended past it in some operand (see
-/// [`crate::merge`]). Returns `(estimate, MPE, layers visited)`.
+/// [`crate::merge`]). Returns `(estimate, MPE, layers visited)`; the
+/// sums saturate, because counters restored from a replication payload
+/// are unbounded (a saturated answer is vacuous, never wrapped).
 #[inline]
 pub(crate) fn walk(
     lambdas: &[u64],
@@ -485,8 +437,8 @@ pub(crate) fn walk(
     let (mut est, mut mpe) = (0u64, 0u64);
     for (i, &lambda) in lambdas.iter().enumerate() {
         let (matches, yes, no, hinted) = bucket(i);
-        est += if matches { yes } else { no };
-        mpe += no;
+        est = est.saturating_add(if matches { yes } else { no });
+        mpe = mpe.saturating_add(no);
         if !hinted && (no < lambda || yes == no || matches) {
             return (est, mpe, i + 1);
         }
@@ -494,24 +446,32 @@ pub(crate) fn walk(
     (est, mpe, lambdas.len())
 }
 
-/// Mutable view over the sketch internals shared with the merge and
-/// snapshot modules.
-pub(crate) type PartsMut<'a, K> = (
-    &'a mut Option<MiceFilter>,
-    &'a mut Vec<Vec<EsBucket<K>>>,
-    &'a mut EmergencyStore<K>,
-    &'a mut SketchStats,
-    &'a mut Vec<Vec<bool>>,
-);
-
-/// Shared view over the sketch internals.
-pub(crate) type Parts<'a, K> = (
-    &'a Option<MiceFilter>,
-    &'a Vec<Vec<EsBucket<K>>>,
-    &'a EmergencyStore<K>,
-    &'a SketchStats,
-    &'a Vec<Vec<bool>>,
-);
+/// Drain `stream` into `insert_batch` in batches of `batch_size`
+/// (clamped to ≥ 1), buffering only one batch at a time: the body of
+/// every sketch flavour's `ingest_batched`. Returns the number of items
+/// processed.
+pub(crate) fn drain_batched<K, I>(
+    stream: I,
+    batch_size: usize,
+    mut insert_batch: impl FnMut(&[(K, u64)]),
+) -> usize
+where
+    I: IntoIterator<Item = (K, u64)>,
+{
+    let batch_size = batch_size.max(1);
+    let mut buffer = Vec::with_capacity(batch_size);
+    let mut total = 0usize;
+    for item in stream {
+        buffer.push(item);
+        if buffer.len() == batch_size {
+            insert_batch(&buffer);
+            total += buffer.len();
+            buffer.clear();
+        }
+    }
+    insert_batch(&buffer);
+    total + buffer.len()
+}
 
 impl<K: Key> StreamSummary<K> for ReliableSketch<K> {
     #[inline]
@@ -571,14 +531,9 @@ impl<K: Key> Clear for ReliableSketch<K> {
         if let Some(f) = &mut self.filter {
             f.clear();
         }
-        for layer in &mut self.layers {
-            for b in layer {
-                b.clear();
-            }
-        }
+        self.layers.clear();
         self.emergency.clear();
         self.stats.reset();
-        self.divert_hints.clear();
         if let Some(tk) = &mut self.topk {
             tk.clear();
         }

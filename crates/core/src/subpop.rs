@@ -202,11 +202,10 @@ impl SubpopulationWeight for ReliableSketch<u64> {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             return dense(&keys, 0, dropped, |k| self.query_with_error(k));
         }
-        let (_, _, emergency, _, _) = self.peer_parts();
         let (mut tracked, ceiling) = decode_inputs(
             self.is_merged(),
             self.mpe_ceiling(),
-            emergency,
+            &self.emergency,
             self.top_k_summary(),
         );
         tracked.extend(self.candidates().into_iter().map(|(k, _)| k));

@@ -445,6 +445,38 @@ impl<'a> Reader<'a> {
         Ok(self.bytes(len as usize)?.to_vec())
     }
 
+    /// A `[count: u32]` run of `size`-byte records that ends the frame:
+    /// the count is capped at [`MAX_BATCH`] and cross-checked against
+    /// the bytes that actually arrived before anything is allocated for
+    /// it, so a lying count fails as `CountTooLarge`, `Truncated` or
+    /// `TrailingBytes`, in that order of precedence.
+    fn records<T>(
+        &mut self,
+        size: usize,
+        mut record: impl FnMut(&mut Self) -> Result<T, ProtocolError>,
+    ) -> Result<Vec<T>, ProtocolError> {
+        let count = self.u32()?;
+        if count as usize > MAX_BATCH {
+            return Err(ProtocolError::CountTooLarge(count));
+        }
+        let declared = (count as usize)
+            .checked_mul(size)
+            .ok_or(ProtocolError::CountTooLarge(count))?;
+        let remaining = self.buf.len() - self.pos;
+        if remaining != declared {
+            return Err(if remaining < declared {
+                ProtocolError::Truncated
+            } else {
+                ProtocolError::TrailingBytes
+            });
+        }
+        let mut out = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            out.push(record(self)?);
+        }
+        Ok(out)
+    }
+
     fn finish(self) -> Result<(), ProtocolError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -547,30 +579,10 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
         let (op, mut r) = decode_header(payload)?;
         let req = match op {
-            opcode::INGEST => {
-                let tenant = r.u32()?;
-                let count = r.u32()?;
-                if count as usize > MAX_BATCH {
-                    return Err(ProtocolError::CountTooLarge(count));
-                }
-                // Cross-check the declared count against the bytes that
-                // actually arrived before allocating for it.
-                let declared = (count as usize)
-                    .checked_mul(16)
-                    .ok_or(ProtocolError::CountTooLarge(count))?;
-                if r.buf.len() - r.pos != declared {
-                    return if r.buf.len() - r.pos < declared {
-                        Err(ProtocolError::Truncated)
-                    } else {
-                        Err(ProtocolError::TrailingBytes)
-                    };
-                }
-                let mut items = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    items.push((r.u64()?, r.u64()?));
-                }
-                Self::Ingest { tenant, items }
-            }
+            opcode::INGEST => Self::Ingest {
+                tenant: r.u32()?,
+                items: r.records(16, |r| Ok((r.u64()?, r.u64()?)))?,
+            },
             opcode::QUERY => Self::Query {
                 tenant: r.u32()?,
                 key: r.u64()?,
@@ -603,27 +615,7 @@ impl Request {
                 let tag = r.u8()?;
                 let set = match tag {
                     opcode::KEYSET_EXPLICIT => {
-                        let count = r.u32()?;
-                        if count as usize > MAX_BATCH {
-                            return Err(ProtocolError::CountTooLarge(count));
-                        }
-                        // Cross-check the declared count against the
-                        // bytes that actually arrived before allocating
-                        // for it (the key list ends the frame).
-                        let declared = (count as usize)
-                            .checked_mul(8)
-                            .ok_or(ProtocolError::CountTooLarge(count))?;
-                        if r.buf.len() - r.pos != declared {
-                            return if r.buf.len() - r.pos < declared {
-                                Err(ProtocolError::Truncated)
-                            } else {
-                                Err(ProtocolError::TrailingBytes)
-                            };
-                        }
-                        let mut keys = Vec::with_capacity(count as usize);
-                        for _ in 0..count {
-                            keys.push(r.u64()?);
-                        }
+                        let keys = r.records(8, Reader::u64)?;
                         if !keys.windows(2).all(|w| w[0] < w[1]) {
                             return Err(ProtocolError::NonCanonical(
                                 "explicit key set must be sorted strictly increasing",
@@ -773,37 +765,12 @@ impl Response {
             opcode::MERGED => Self::Merged,
             opcode::SNAPSHOT_REPLY => Self::Snapshot { payload: r.blob()? },
             opcode::REPLICATED => Self::Replicated,
-            opcode::TOP_K_REPLY => {
-                let epoch = r.u64()?;
-                let slack = r.u64()?;
-                let floor = r.u64()?;
-                let count = r.u32()?;
-                if count as usize > MAX_BATCH {
-                    return Err(ProtocolError::CountTooLarge(count));
-                }
-                // Cross-check the declared count against the bytes that
-                // actually arrived before allocating for it.
-                let declared = (count as usize)
-                    .checked_mul(24)
-                    .ok_or(ProtocolError::CountTooLarge(count))?;
-                if r.buf.len() - r.pos != declared {
-                    return if r.buf.len() - r.pos < declared {
-                        Err(ProtocolError::Truncated)
-                    } else {
-                        Err(ProtocolError::TrailingBytes)
-                    };
-                }
-                let mut entries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    entries.push((r.u64()?, r.u64()?, r.u64()?));
-                }
-                Self::TopK {
-                    epoch,
-                    slack,
-                    floor,
-                    entries,
-                }
-            }
+            opcode::TOP_K_REPLY => Self::TopK {
+                epoch: r.u64()?,
+                slack: r.u64()?,
+                floor: r.u64()?,
+                entries: r.records(24, |r| Ok((r.u64()?, r.u64()?, r.u64()?)))?,
+            },
             opcode::SUBPOP_REPLY => Self::Subpop {
                 estimate: r.u64()?,
                 lo: r.u64()?,

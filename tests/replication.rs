@@ -261,6 +261,131 @@ fn wire_refuses_a_snapshot_of_a_foreign_spec() {
     large.shutdown();
 }
 
+/// Filter rows, overlay rows and emergency entries arrive in a payload as
+/// unbounded counters, and no decoder can tell a crafted one from a
+/// merged one. Every certified read over them saturates instead of
+/// overflowing: the answers turn vacuous, but never panic and never
+/// wrap below the truth.
+#[test]
+fn crafted_counters_saturate_instead_of_overflowing() {
+    use reliablesketch::core::replicate::{EmergencyState, EpochedSnapshot};
+    use reliablesketch::core::{Depth, EmergencyPolicy, BUCKET_BYTES};
+
+    const HUGE: u64 = u64::MAX - 1;
+    let cfg = ReliableConfig {
+        memory_bytes: 64 * 1024,
+        emergency: EmergencyPolicy::ExactTable,
+        seed: 31,
+        ..Default::default()
+    };
+    // 100 keys, 400 units each
+    let primary = ConcurrentReliable::<u64>::new(cfg.clone());
+    for i in 0..40_000u64 {
+        primary.insert_concurrent(&(i % 100), 1);
+    }
+    let truth = 400;
+    // ship an edited snapshot the way a hostile peer would
+    let ship = |snapshot| {
+        let crafted = ConcurrentReliable::restore(snapshot).unwrap();
+        let mut replica = ConcurrentReliable::<u64>::new(cfg.clone());
+        replica
+            .apply_bytes(&crafted.snapshot_bytes().unwrap())
+            .unwrap();
+        replica
+    };
+    let contains_truth = |sk: &ConcurrentReliable<u64>| {
+        for k in 0..100u64 {
+            let est = sk.query_with_error(&k);
+            assert!(est.contains(truth), "key {k}: {truth} ∉ {est:?}");
+        }
+    };
+
+    // Mice-filter rows near the top of the range.
+    let mut snapshot = primary.snapshot();
+    for row in snapshot.filter_rows.as_mut().unwrap() {
+        row.fill(HUGE);
+    }
+    contains_truth(&ship(snapshot));
+
+    // The merge overlay of a merged sketch, every row near the top.
+    let mut merged = ConcurrentReliable::<u64>::new(cfg.clone());
+    merged.merge(&primary).unwrap();
+    let mut snapshot = merged.snapshot();
+    for row in snapshot
+        .overlay
+        .as_mut()
+        .unwrap()
+        .layers
+        .iter_mut()
+        .flatten()
+    {
+        (row.2, row.3) = (HUGE, HUGE);
+    }
+    let crafted = snapshot.clone();
+    let replica = ship(snapshot);
+    contains_truth(&replica);
+
+    // Merges, slim digests and windows over the crafted state answer at
+    // least the truth.
+    let mut collector = ConcurrentReliable::<u64>::new(cfg.clone());
+    collector.merge(&replica).unwrap();
+    collector.merge(&replica).unwrap();
+    let digest = SlimSummary::from_bytes(&collector.slim_bytes().unwrap()).unwrap();
+    let window = EpochedConcurrent::restore(EpochedSnapshot {
+        epoch: 1,
+        active: crafted.clone(),
+        frozen: Some(crafted),
+    })
+    .unwrap();
+    let mut replica_window = EpochedConcurrent::<u64>::new(cfg.clone());
+    replica_window
+        .apply_bytes(&window.snapshot_bytes().unwrap())
+        .unwrap();
+    let window_digest = SlimSummary::from_bytes(&replica_window.slim_bytes().unwrap()).unwrap();
+    for k in 0..100u64 {
+        for (name, est) in [
+            ("collector", collector.query_with_error(&k)),
+            ("digest", digest.query_with_error(&k)),
+            ("window", replica_window.query_with_error(&k)),
+            ("window digest", window_digest.query_with_error(&k)),
+        ] {
+            assert!(est.value >= truth, "{name}, key {k}: {est:?}");
+        }
+    }
+
+    // An exact emergency table near the top, with the failure gauges
+    // saturated, keeps taking failures.
+    let tight = ReliableConfig {
+        memory_bytes: 4 * BUCKET_BYTES,
+        lambda: 2,
+        depth: Depth::Fixed(2),
+        mice_filter: None,
+        emergency: EmergencyPolicy::ExactTable,
+        lambda_floor_one: true,
+        seed: 10,
+        ..Default::default()
+    };
+    let mut snapshot = ConcurrentReliable::<u64>::new(tight.clone()).snapshot();
+    snapshot.failures = u64::MAX;
+    snapshot.emergency = EmergencyState::Exact {
+        entries: (0..7u64).map(|k| (k, HUGE)).collect(),
+        failures: u64::MAX,
+    };
+    let crafted = ConcurrentReliable::restore(snapshot).unwrap();
+    let mut replica = ConcurrentReliable::<u64>::new(tight);
+    replica
+        .apply_bytes(&crafted.snapshot_bytes().unwrap())
+        .unwrap();
+    for i in 0..2_000u64 {
+        replica.insert_concurrent(&(i % 7), 1);
+    }
+    assert_eq!(replica.insertion_failures(), u64::MAX);
+    for k in 0..7u64 {
+        let est = replica.query_with_error(&k);
+        assert!(est.value >= 2_000 / 7, "key {k}: {est:?}");
+    }
+}
+
 /// The acceptance pin: a tenant window replicated over real loopback
 /// TCP — one full snapshot, then two delta ships straddling an epoch
 /// seal — answers every probed key within its certified bound on the
