@@ -230,7 +230,10 @@ impl<K: Key> ShardedReliable<K> {
 
     /// Total insertion failures across shards.
     pub fn insertion_failures(&self) -> u64 {
-        self.shards.iter().map(|s| s.insertion_failures()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.insertion_failures())
+            .fold(0, u64::saturating_add)
     }
 
     /// Total CAS retries across shards (contention gauge; 0 when every

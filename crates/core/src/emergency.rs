@@ -11,145 +11,142 @@
 //! [`crate::config::EmergencyPolicy`]:
 //!
 //! * **Disabled** — count failures, drop the value (the paper's accuracy
-//!   evaluation runs this way to show the raw structure);
+//!   evaluation runs this way to show the raw structure). Point answers
+//!   are not charged for the dropped value, so once an insertion has
+//!   failed they can undercount by up to [`EmergencyStore::dropped_value`];
 //! * **ExactTable** — unbounded hash map, exact remainders (CPU servers);
-//! * **SpaceSaving** — bounded table with the classic Metwally et al.
-//!   overwrite-the-minimum rule; its per-key overestimate is bounded by
-//!   the minimum counter, which we surface in the MPE.
+//! * **SpaceSaving** — a bounded [`TopKSummary`] (promotion threshold 0)
+//!   over the remainders, the Stream-Summary the certified top-K layer
+//!   runs. A remainder joins at `miss_bound + v` with error `miss_bound`;
+//!   a tracked key answers its `(count, error)`, and every other key — one
+//!   the summary rejected or evicted included — answers
+//!   `(miss_bound, miss_bound)`. So the virtual layer certifies every key,
+//!   as Theorem 4's argument needs.
+//!
+//! The store's layout is private to this module. The subset queries and
+//! the slim digest read it through two accessors: `tracked`, the per-key
+//! rows, and `untracked_ceiling`, the bound on every other key.
 
-use rsk_api::{Key, MergeError};
+use crate::replicate::EmergencyState;
+use crate::topk::TopKSummary;
+use rsk_api::{Estimate, Key, MergeError, ReplicateError};
 use std::collections::HashMap;
 
 /// Side store for insertion-failure remainders.
 #[derive(Debug, Clone)]
-pub enum EmergencyStore<K: Key> {
-    /// Drop remainders; only statistics are kept.
-    Disabled {
-        /// Number of failed insert operations.
-        failures: u64,
-        /// Total value dropped.
-        dropped_value: u64,
-    },
-    /// Exact hash table of remainders.
-    Exact {
-        /// Remainder per key.
-        table: HashMap<K, u64>,
-        /// Number of failed insert operations.
-        failures: u64,
-    },
-    /// Bounded SpaceSaving-style table.
-    SpaceSaving {
-        /// `(key, count, overestimate)` slots.
-        slots: Vec<(K, u64, u64)>,
-        /// Capacity in slots.
-        capacity: usize,
-        /// Number of failed insert operations.
-        failures: u64,
-    },
+pub struct EmergencyStore<K: Key> {
+    /// Failed insert operations.
+    failures: u64,
+    /// Value dropped by failed inserts (nonzero only under `Disabled`).
+    dropped_value: u64,
+    table: Table<K>,
+}
+
+/// Where a policy keeps its remainders.
+#[derive(Debug, Clone)]
+enum Table<K: Key> {
+    /// `Disabled`: nowhere.
+    None,
+    /// `ExactTable`: every remainder, by key.
+    Exact(HashMap<K, u64>),
+    /// `SpaceSaving(n)`: a threshold-0 summary of `n` slots.
+    SpaceSaving(TopKSummary<K>),
 }
 
 impl<K: Key> EmergencyStore<K> {
     /// Build from the configured policy.
     pub fn new(policy: crate::config::EmergencyPolicy) -> Self {
         use crate::config::EmergencyPolicy::*;
-        match policy {
-            Disabled => Self::Disabled {
-                failures: 0,
-                dropped_value: 0,
-            },
-            ExactTable => Self::Exact {
-                table: HashMap::new(),
-                failures: 0,
-            },
-            SpaceSaving(cap) => Self::SpaceSaving {
-                slots: Vec::with_capacity(cap.max(1)),
-                capacity: cap.max(1),
-                failures: 0,
-            },
+        let table = match policy {
+            Disabled => Table::None,
+            ExactTable => Table::Exact(HashMap::new()),
+            SpaceSaving(slots) => Table::SpaceSaving(TopKSummary::new(slots, 0)),
+        };
+        Self {
+            failures: 0,
+            dropped_value: 0,
+            table,
         }
     }
 
     /// Record a failed remainder. Every sum saturates: a store restored
     /// from a replication payload may hold counters near `u64::MAX`.
     pub fn record(&mut self, key: &K, value: u64) {
-        match self {
-            Self::Disabled {
-                failures,
-                dropped_value,
-            } => {
-                *failures = failures.saturating_add(1);
-                *dropped_value = dropped_value.saturating_add(value);
-            }
-            Self::Exact { table, failures } => {
-                *failures = failures.saturating_add(1);
+        self.failures = self.failures.saturating_add(1);
+        match &mut self.table {
+            Table::None => self.dropped_value = self.dropped_value.saturating_add(value),
+            Table::Exact(table) => {
                 let slot = table.entry(*key).or_insert(0);
                 *slot = slot.saturating_add(value);
             }
-            Self::SpaceSaving {
-                slots,
-                capacity,
-                failures,
-            } => {
-                *failures = failures.saturating_add(1);
-                if let Some(slot) = slots.iter_mut().find(|s| s.0 == *key) {
-                    slot.1 = slot.1.saturating_add(value);
-                    return;
-                }
-                if slots.len() < *capacity {
-                    slots.push((*key, value, 0));
-                    return;
-                }
-                // overwrite the minimum (Metwally et al. 2005): the evicted
-                // count becomes the newcomer's overestimate
-                let (idx, _) = slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.1)
-                    .expect("capacity ≥ 1");
-                let min = slots[idx].1;
-                slots[idx] = (*key, min.saturating_add(value), min);
+            Table::SpaceSaving(summary) => {
+                // an untracked key's earlier remainders sum to at most the
+                // miss bound
+                let miss = summary.miss_bound();
+                summary.offer(key, value, || Estimate {
+                    value: miss.saturating_add(value),
+                    max_possible_error: miss,
+                });
             }
         }
     }
 
-    /// The stored remainder estimate and its overestimate bound for `key`.
+    /// The stored remainder estimate and its overestimate bound for
+    /// `key`: its tracked row, or the untracked ceiling on both fields.
     pub fn query(&self, key: &K) -> (u64, u64) {
-        match self {
-            Self::Disabled { .. } => (0, 0),
-            Self::Exact { table, .. } => (table.get(key).copied().unwrap_or(0), 0),
-            Self::SpaceSaving { slots, .. } => slots
-                .iter()
-                .find(|s| s.0 == *key)
-                .map(|s| (s.1, s.2))
-                .unwrap_or((0, 0)),
+        match &self.table {
+            Table::None => (0, 0),
+            Table::Exact(table) => (table.get(key).copied().unwrap_or(0), 0),
+            Table::SpaceSaving(summary) => summary.get(key).unwrap_or_else(|| {
+                let miss = summary.miss_bound();
+                (miss, miss)
+            }),
+        }
+    }
+
+    /// The remainders tracked by key, as `(key, value, overestimate)` rows
+    /// with `truth ∈ [value − overestimate, value]` (SpaceSaving rows by
+    /// count, descending).
+    pub(crate) fn tracked(&self) -> Vec<(K, u64, u64)> {
+        match &self.table {
+            Table::None => Vec::new(),
+            Table::Exact(table) => table.iter().map(|(k, &v)| (*k, v, 0)).collect(),
+            Table::SpaceSaving(summary) => summary
+                .entries_desc()
+                .into_iter()
+                .map(|e| (e.key, e.count, e.error))
+                .collect(),
+        }
+    }
+
+    /// Upper bound on the remainder of any key [`Self::tracked`] omits:
+    /// the summary's miss bound under SpaceSaving, 0 otherwise. (Value
+    /// `Disabled` drops is not charged here; see [`Self::dropped_value`].)
+    pub(crate) fn untracked_ceiling(&self) -> u64 {
+        match &self.table {
+            Table::SpaceSaving(summary) => summary.miss_bound(),
+            _ => 0,
         }
     }
 
     /// Number of failed insert operations observed.
     pub fn failures(&self) -> u64 {
-        match self {
-            Self::Disabled { failures, .. }
-            | Self::Exact { failures, .. }
-            | Self::SpaceSaving { failures, .. } => *failures,
-        }
+        self.failures
     }
 
     /// Total value dropped (only nonzero under `Disabled`).
     pub fn dropped_value(&self) -> u64 {
-        match self {
-            Self::Disabled { dropped_value, .. } => *dropped_value,
-            _ => 0,
-        }
+        self.dropped_value
     }
 
     /// Modeled memory footprint in bytes (key + 64-bit counter per entry;
     /// SpaceSaving also carries the overestimate field).
     pub fn memory_bytes(&self) -> usize {
         let key = core::mem::size_of::<K>();
-        match self {
-            Self::Disabled { .. } => 0,
-            Self::Exact { table, .. } => table.len() * (key + 8),
-            Self::SpaceSaving { capacity, .. } => capacity * (key + 16),
+        match &self.table {
+            Table::None => 0,
+            Table::Exact(table) => table.len() * (key + 8),
+            Table::SpaceSaving(summary) => summary.capacity() * (key + 16),
         }
     }
 
@@ -158,100 +155,100 @@ impl<K: Key> EmergencyStore<K> {
     ///
     /// * `Disabled` — failure and dropped-value counters add;
     /// * `Exact` — remainder tables add key-wise;
-    /// * `SpaceSaving` — `self` keeps its capacity; each foreign slot is
-    ///   added to a matching slot (counts and overestimates add), appended
-    ///   if there is room, or folded over the minimum slot with the
-    ///   classic Metwally rule, preserving the `truth ⩾ count −
-    ///   overestimate` lower-bound contract.
+    /// * `SpaceSaving` — [`TopKSummary::merge_from`]: a key on one side
+    ///   only is charged the other side's miss bound, which keeps every
+    ///   key, tracked or not, certified against the combined remainders.
     ///
     /// # Errors
-    /// [`MergeError::Incompatible`] for mixed policies.
+    /// [`MergeError::Incompatible`] for mixed policies or SpaceSaving
+    /// capacities; `self` is then unchanged.
     pub fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        match (self, other) {
-            (
-                Self::Disabled {
-                    failures,
-                    dropped_value,
-                },
-                Self::Disabled {
-                    failures: f2,
-                    dropped_value: d2,
-                },
-            ) => {
-                *failures = failures.saturating_add(*f2);
-                *dropped_value = dropped_value.saturating_add(*d2);
-                Ok(())
-            }
-            (
-                Self::Exact { table, failures },
-                Self::Exact {
-                    table: t2,
-                    failures: f2,
-                },
-            ) => {
-                *failures = failures.saturating_add(*f2);
-                for (k, v) in t2 {
+        match (&mut self.table, &other.table) {
+            (Table::None, Table::None) => {}
+            (Table::Exact(table), Table::Exact(theirs)) => {
+                for (k, v) in theirs {
                     let slot = table.entry(*k).or_insert(0);
                     *slot = slot.saturating_add(*v);
                 }
-                Ok(())
             }
-            (
-                Self::SpaceSaving {
-                    slots,
-                    capacity,
-                    failures,
-                },
-                Self::SpaceSaving {
-                    slots: s2,
-                    failures: f2,
-                    ..
-                },
-            ) => {
-                *failures = failures.saturating_add(*f2);
-                for (key, count, over) in s2 {
-                    if let Some(slot) = slots.iter_mut().find(|s| s.0 == *key) {
-                        slot.1 = slot.1.saturating_add(*count);
-                        slot.2 = slot.2.saturating_add(*over);
-                    } else if slots.len() < *capacity {
-                        slots.push((*key, *count, *over));
-                    } else {
-                        let (idx, _) = slots
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| s.1)
-                            .expect("capacity ≥ 1");
-                        let min = slots[idx].1;
-                        slots[idx] = (*key, min.saturating_add(*count), min.saturating_add(*over));
-                    }
-                }
-                Ok(())
+            (Table::SpaceSaving(summary), Table::SpaceSaving(theirs)) => {
+                summary.merge_from(theirs)?;
             }
-            _ => Err(MergeError::Incompatible("emergency policy mismatch".into())),
+            _ => return Err(MergeError::Incompatible("emergency policy mismatch".into())),
         }
+        self.failures = self.failures.saturating_add(other.failures);
+        self.dropped_value = self.dropped_value.saturating_add(other.dropped_value);
+        Ok(())
     }
 
     /// Reset, keeping the policy.
     pub fn clear(&mut self) {
-        match self {
-            Self::Disabled {
-                failures,
-                dropped_value,
-            } => {
-                *failures = 0;
-                *dropped_value = 0;
-            }
-            Self::Exact { table, failures } => {
-                table.clear();
-                *failures = 0;
-            }
-            Self::SpaceSaving {
-                slots, failures, ..
-            } => {
-                slots.clear();
-                *failures = 0;
-            }
+        self.failures = 0;
+        self.dropped_value = 0;
+        match &mut self.table {
+            Table::None => {}
+            Table::Exact(table) => table.clear(),
+            Table::SpaceSaving(summary) => summary.clear(),
         }
+    }
+
+    /// The replication form of this store's contents.
+    pub(crate) fn capture(&self) -> EmergencyState<K> {
+        let failures = self.failures;
+        match &self.table {
+            Table::None => EmergencyState::Disabled {
+                failures,
+                dropped_value: self.dropped_value,
+            },
+            Table::Exact(table) => EmergencyState::Exact {
+                entries: table.iter().map(|(k, v)| (*k, *v)).collect(),
+                failures,
+            },
+            Table::SpaceSaving(_) => EmergencyState::SpaceSaving {
+                slots: self.tracked(),
+                failures,
+            },
+        }
+    }
+
+    /// Replace the contents with `state`, captured from a store of the
+    /// same policy. SpaceSaving rows rebuild the summary in any order: a
+    /// threshold-0 summary's miss bound is its minimum count when full
+    /// and 0 otherwise, so the rows alone restore the certificate.
+    ///
+    /// # Errors
+    /// [`ReplicateError::Incompatible`] for another policy's state, and
+    /// [`ReplicateError::Corrupt`] for SpaceSaving rows that repeat a key
+    /// or outnumber the slots; `self` is then unchanged.
+    pub(crate) fn install(&mut self, state: EmergencyState<K>) -> Result<(), ReplicateError> {
+        let (failures, dropped_value, table) = match (&self.table, state) {
+            (
+                Table::None,
+                EmergencyState::Disabled {
+                    failures,
+                    dropped_value,
+                },
+            ) => (failures, dropped_value, Table::None),
+            (Table::Exact(_), EmergencyState::Exact { entries, failures }) => {
+                (failures, 0, Table::Exact(entries.into_iter().collect()))
+            }
+            (Table::SpaceSaving(summary), EmergencyState::SpaceSaving { slots, failures }) => {
+                let summary = TopKSummary::from_rows(summary.capacity(), 0, 0, slots)
+                    .map_err(ReplicateError::Corrupt)?;
+                (failures, 0, Table::SpaceSaving(summary))
+            }
+            _ => {
+                return Err(ReplicateError::Incompatible(
+                    "snapshot emergency policy mismatch".into(),
+                ))
+            }
+        };
+        *self = Self {
+            failures,
+            dropped_value,
+            table,
+        };
+        Ok(())
     }
 }
 
@@ -291,7 +288,8 @@ mod tests {
         e.record(&2, 5);
         e.record(&3, 1); // evicts key 2 (min count 5): count 6, over 5
         assert_eq!(e.query(&1), (10, 0));
-        assert_eq!(e.query(&2), (0, 0));
+        // evicted key 2 (truth 5) answers the miss bound, the min count 6
+        assert_eq!(e.query(&2), (6, 6));
         assert_eq!(e.query(&3), (6, 5));
         // overestimate bound holds: true 1 ∈ [6−5, 6]
         let (est, over) = e.query(&3);
@@ -310,10 +308,51 @@ mod tests {
         }
         for (&k, &f) in &truth {
             let (est, over) = e.query(&k);
-            if est > 0 {
-                assert!(est >= f.min(est), "estimate must include count");
-                assert!(est.saturating_sub(over) <= f, "lower bound exceeds truth");
-            }
+            assert!(est >= f, "estimate must include count");
+            assert!(est.saturating_sub(over) <= f, "lower bound exceeds truth");
+        }
+    }
+
+    #[test]
+    fn spacesaving_rows_restore_the_certificate_in_any_order() {
+        let mut e = EmergencyStore::<u64>::new(EmergencyPolicy::SpaceSaving(3));
+        for i in 0..40u64 {
+            e.record(&(i % 7), 1 + i % 4);
+        }
+        let EmergencyState::SpaceSaving {
+            mut slots,
+            failures,
+        } = e.capture()
+        else {
+            panic!("policy-shaped capture");
+        };
+        slots.reverse();
+        let mut back = EmergencyStore::<u64>::new(EmergencyPolicy::SpaceSaving(3));
+        back.install(EmergencyState::SpaceSaving {
+            slots: slots.clone(),
+            failures,
+        })
+        .unwrap();
+        for k in 0..8u64 {
+            assert_eq!(back.query(&k), e.query(&k), "key {k}");
+        }
+        let sorted = |store: &EmergencyStore<u64>| {
+            let mut rows = store.tracked();
+            rows.sort_unstable();
+            rows
+        };
+        assert_eq!(sorted(&back), sorted(&e));
+        // a repeated key or one row too many is refused, untouched
+        for bad in [
+            vec![slots[0], slots[0]],
+            [slots.clone(), vec![(99, 1, 0)]].concat(),
+        ] {
+            let refused = back.install(EmergencyState::SpaceSaving {
+                slots: bad,
+                failures,
+            });
+            assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
+            assert_eq!(sorted(&back), sorted(&e));
         }
     }
 

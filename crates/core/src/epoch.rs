@@ -282,7 +282,9 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
 
     /// Insertion failures across the visible window (active + frozen).
     pub fn insertion_failures(&self) -> u64 {
-        self.active.insertion_failures() + self.frozen.as_ref().map_or(0, G::insertion_failures)
+        self.active
+            .insertion_failures()
+            .saturating_add(self.frozen.as_ref().map_or(0, G::insertion_failures))
     }
 
     /// Worst-case MPE over the window: one per-generation ceiling per

@@ -21,7 +21,8 @@
 //!   packed into `AtomicU64` lanes; the sequential and lock-free sketches
 //!   run this one type ([`filter::AtomicMiceFilter`] is an alias);
 //! * [`emergency::EmergencyStore`] — the §3.3 emergency solution for
-//!   insertion failures (exact table or SpaceSaving);
+//!   insertion failures (exact table, or a SpaceSaving
+//!   [`topk::TopKSummary`] whose miss bound certifies evicted keys);
 //! * [`ReliableSketch`] — the full layered structure with the lock
 //!   mechanism, mice filter and emergency store; its module holds
 //!   Algorithm 2's layer walk, the one copy of the query stop rule that

@@ -275,7 +275,7 @@ impl<K: Key> ConcurrentReliable<K> {
                 OverlayState { layers, hints }
             }),
             filter_rows: self.filter().map(|f| f.rows_snapshot()),
-            emergency: EmergencyState::capture(&self.peer_emergency()),
+            emergency: self.emergency.lock().capture(),
             failures: self.insertion_failures(),
         }
     }
@@ -284,8 +284,9 @@ impl<K: Key> ConcurrentReliable<K> {
     ///
     /// # Errors
     /// [`ReplicateError::Corrupt`] for invalid configurations, malformed
-    /// schedules, out-of-range or out-of-order bucket entries or
-    /// filter-shape mismatches; [`ReplicateError::Incompatible`] for an
+    /// schedules, out-of-range or out-of-order bucket entries,
+    /// filter-shape mismatches or SpaceSaving rows that repeat a key or
+    /// outnumber the slots; [`ReplicateError::Incompatible`] for an
     /// emergency policy mismatch.
     pub fn restore(snapshot: ConcurrentSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
@@ -313,7 +314,7 @@ impl<K: Key> ConcurrentReliable<K> {
                 sk.array.store_bucket(i, j as usize, fp, yes, no);
             }
         }
-        snapshot.emergency.install(sk.emergency.get_mut())?;
+        sk.emergency.get_mut().install(snapshot.emergency)?;
         *sk.failures.get_mut() = snapshot.failures;
         Ok(sk)
     }
@@ -372,7 +373,7 @@ impl<K: Key> ConcurrentReliable<K> {
             config: self.config().clone(),
             words,
             filter_diff,
-            emergency: EmergencyState::capture(&self.peer_emergency()),
+            emergency: self.emergency.lock().capture(),
             failures: self.insertion_failures(),
         };
         self.set_replica_cut(ReplicaCut {
@@ -408,7 +409,7 @@ impl<K: Key> ConcurrentReliable<K> {
         // Stage the emergency replacement on a clone so shape errors
         // surface before any write reaches the live sketch.
         let mut staged = self.peer_emergency();
-        delta.emergency.install(&mut staged)?;
+        staged.install(delta.emergency)?;
 
         if let Some(diffs) = &delta.filter_diff {
             self.filter

@@ -33,7 +33,6 @@
 use super::codec::{self, bad_tag, put_seq, wire_struct, PayloadKind, Reader, Wire};
 use crate::bucket::{EsBucket, Layers};
 use crate::config::ReliableConfig;
-use crate::emergency::EmergencyStore;
 use crate::geometry::LayerGeometry;
 use crate::sketch::ReliableSketch;
 use rsk_api::{Key, Replicate, ReplicateError};
@@ -130,88 +129,6 @@ impl<K: Key> Wire for EmergencyState<K> {
     }
 }
 
-impl<K: Key> EmergencyState<K> {
-    /// Capture the contents of a live store.
-    pub(crate) fn capture(store: &EmergencyStore<K>) -> Self {
-        match store {
-            EmergencyStore::Disabled {
-                failures,
-                dropped_value,
-            } => EmergencyState::Disabled {
-                failures: *failures,
-                dropped_value: *dropped_value,
-            },
-            EmergencyStore::Exact { table, failures } => EmergencyState::Exact {
-                entries: table.iter().map(|(k, v)| (*k, *v)).collect(),
-                failures: *failures,
-            },
-            EmergencyStore::SpaceSaving {
-                slots, failures, ..
-            } => EmergencyState::SpaceSaving {
-                slots: slots.clone(),
-                failures: *failures,
-            },
-        }
-    }
-
-    /// Install captured contents into a freshly built store of the same
-    /// policy, rejecting shape mismatches without touching `store`.
-    pub(crate) fn install(self, store: &mut EmergencyStore<K>) -> Result<(), ReplicateError> {
-        match (store, self) {
-            (
-                EmergencyStore::Disabled {
-                    failures,
-                    dropped_value,
-                },
-                EmergencyState::Disabled {
-                    failures: f,
-                    dropped_value: d,
-                },
-            ) => {
-                *failures = f;
-                *dropped_value = d;
-            }
-            (
-                EmergencyStore::Exact { table, failures },
-                EmergencyState::Exact {
-                    entries,
-                    failures: f,
-                },
-            ) => {
-                *table = entries.into_iter().collect();
-                *failures = f;
-            }
-            (
-                EmergencyStore::SpaceSaving {
-                    slots,
-                    capacity,
-                    failures,
-                },
-                EmergencyState::SpaceSaving {
-                    slots: s,
-                    failures: f,
-                },
-            ) => {
-                if s.len() > *capacity {
-                    return Err(ReplicateError::Corrupt(format!(
-                        "snapshot carries {} SpaceSaving slots, capacity {}",
-                        s.len(),
-                        capacity
-                    )));
-                }
-                *slots = s;
-                *failures = f;
-            }
-            _ => {
-                return Err(ReplicateError::Incompatible(
-                    "snapshot emergency policy mismatch".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A complete, self-describing checkpoint of a [`ReliableSketch`].
 #[derive(Debug, Clone)]
 pub struct SketchSnapshot<K: Key> {
@@ -267,7 +184,7 @@ impl<K: Key> ReliableSketch<K> {
             lambdas: self.geometry().lambdas().to_vec(),
             layers: self.layers.buckets.clone(),
             filter_rows: self.filter.as_ref().map(|f| f.rows_snapshot()),
-            emergency: EmergencyState::capture(&self.emergency),
+            emergency: self.emergency.capture(),
             divert_hints: self.layers.hints.clone(),
         }
     }
@@ -278,8 +195,9 @@ impl<K: Key> ReliableSketch<K> {
     /// Returns [`ReplicateError::Corrupt`] for snapshots whose
     /// configuration fails validation, whose schedule is malformed, or
     /// whose contents do not match the schedule (wrong layer count or
-    /// width, filter shape mismatch), and
-    /// [`ReplicateError::Incompatible`] for an emergency policy mismatch.
+    /// width, filter shape mismatch, SpaceSaving rows that repeat a key
+    /// or outnumber the slots), and [`ReplicateError::Incompatible`] for
+    /// an emergency policy mismatch.
     pub fn restore(snapshot: SketchSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
             .config
@@ -316,7 +234,7 @@ impl<K: Key> ReliableSketch<K> {
 
         let mut sketch = ReliableSketch::with_geometry(snapshot.config, geometry);
         super::restore_filter(sketch.filter.as_mut(), snapshot.filter_rows.as_deref())?;
-        snapshot.emergency.install(&mut sketch.emergency)?;
+        sketch.emergency.install(snapshot.emergency)?;
         sketch.layers = Layers {
             buckets: snapshot.layers,
             hints: snapshot.divert_hints,

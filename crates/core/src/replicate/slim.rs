@@ -13,6 +13,13 @@
 //! fingerprint-aliasing caveat carried by merged concurrent sketches,
 //! which also operate in fingerprint space).
 //!
+//! The emergency store travels in two parts. Its tracked rows become
+//! *extras* keyed by fingerprint, and each raises only the upper end of
+//! an answer (value and MPE alike): a key that shares a row's
+//! fingerprint reads an upper bound, never another key's remainder as
+//! exact. The bound on every untracked key (a SpaceSaving store's miss
+//! bound) joins `filter_slack`, which every answer already carries.
+//!
 //! Every source reduces to the fingerprint-space bucket grid a merge
 //! builds (a window unions its generations), shipped in the replication
 //! layer's one sparse form: strictly ascending rows, binary-searched.
@@ -22,7 +29,6 @@ use crate::atomic::{fingerprint, fp_seed_for, ConcurrentReliable};
 use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
-use crate::emergency::EmergencyStore;
 use crate::epoch::EpochedConcurrent;
 use crate::geometry::LayerGeometry;
 use crate::sketch::{walk, ReliableSketch};
@@ -49,13 +55,17 @@ pub struct SlimSummary {
     pub layers: super::SparseBucketRows,
     /// Divert-hinted bucket indices per layer, ascending.
     pub hints: Vec<Vec<u32>>,
-    /// Emergency remainders: `(fingerprint, value, overestimate)`,
-    /// fingerprint-collision groups pessimized to `overestimate = value`.
+    /// Emergency remainders as `(fingerprint, value, overestimate)`
+    /// rows, ascending; a digest distills every row with
+    /// `overestimate = value`, so rows raise only the upper end.
     pub extras: Vec<(u64, u64, u64)>,
     /// Σ of the source generations' observed filter counter ceilings,
-    /// substituted for the unknown per-key filter contributions. At most
-    /// the configured threshold per unmerged generation; grows
-    /// counter-wise under merges (filters add without re-capping).
+    /// substituted for the unknown per-key filter contributions, plus
+    /// each generation's emergency untracked ceiling (a SpaceSaving
+    /// store's miss bound). Every answer carries it on value and MPE.
+    /// The filter part is at most the configured threshold per unmerged
+    /// generation and grows counter-wise under merges (filters add
+    /// without re-capping).
     pub filter_slack: u64,
     /// Total value the source dropped through failed insertions under
     /// [`crate::EmergencyPolicy::Disabled`] (zero in any configuration
@@ -89,8 +99,12 @@ impl SlimSummary {
             sketch.config(),
             sketch.geometry(),
             &sketch.layers.map_ids(|k| fingerprint(k, fp_seed)),
-            extras_from(&sketch.emergency, fp_seed),
-            sketch.filter.as_ref().map_or(0, filter_ceiling),
+            sketch.emergency.tracked(),
+            sketch
+                .filter
+                .as_ref()
+                .map_or(0, filter_ceiling)
+                .saturating_add(sketch.emergency.untracked_ceiling()),
             sketch.dropped_value(),
             1,
         )
@@ -116,17 +130,18 @@ impl SlimSummary {
     /// one configuration).
     fn from_generations<K: Key>(generations: &[&ConcurrentReliable<K>]) -> Self {
         let first = generations[0];
-        let fp_seed = fp_seed_for(first.config().seed);
         let mut layers = first.effective_layers();
         let (mut extras, mut filter_slack, mut dropped) = (Vec::new(), 0u64, 0u64);
         for (n, generation) in generations.iter().enumerate() {
             if n > 0 {
                 layers.union(&generation.effective_layers(), first.geometry().lambdas());
             }
-            extras.extend(extras_from(&generation.peer_emergency(), fp_seed));
-            filter_slack =
-                filter_slack.saturating_add(generation.filter().map_or(0, filter_ceiling));
-            dropped = dropped.saturating_add(generation.dropped_value());
+            let emergency = generation.emergency.lock();
+            extras.extend(emergency.tracked());
+            filter_slack = filter_slack
+                .saturating_add(generation.filter().map_or(0, filter_ceiling))
+                .saturating_add(emergency.untracked_ceiling());
+            dropped = dropped.saturating_add(emergency.dropped_value());
         }
         distill(
             first.config(),
@@ -179,13 +194,14 @@ impl SlimSummary {
 
     /// Conservative planning figure for how much wider this digest's
     /// answers run than the source's certified answers:
-    /// `Σ filter ceilings + generations × Σ λ_i`, fixed at distill time.
+    /// `filter_slack + generations × Σ λ_i`, fixed at distill time.
     ///
     /// For a single-generation source, any key that descends past the
     /// mice filter gets the *identical* layer walk, so its answer exceeds
-    /// the source's by at most the filter substitution (≤ the first
-    /// term); the `generations × Σ λ_i` term budgets the walk a mouse key
-    /// (answered from the filter alone at the source) performs here.
+    /// the source's by at most the filter and emergency substitutions
+    /// (≤ the first term, barring extras aliased by fingerprint); the
+    /// `generations × Σ λ_i` term budgets the walk a mouse key (answered
+    /// from the filter alone at the source) performs here.
     /// Union digests — epoched windows with a frozen generation, merged
     /// sources — additionally inherit the same data-dependent pessimism
     /// as [`rsk_api::Merge`]. The certified interval returned by
@@ -308,46 +324,27 @@ fn filter_ceiling(filter: &crate::filter::MiceFilter) -> u64 {
         .unwrap_or(0)
 }
 
-/// Emergency remainders as `(fingerprint, value, overestimate)` triples
-/// (keys are unique within one store; cross-store and cross-key
-/// fingerprint collisions are coalesced pessimistically by [`distill`]).
-fn extras_from<K: Key>(store: &EmergencyStore<K>, fp_seed: u32) -> Vec<(u64, u64, u64)> {
-    let fp = |k: &K| fingerprint(k, fp_seed);
-    match store {
-        EmergencyStore::Disabled { .. } => Vec::new(),
-        EmergencyStore::Exact { table, .. } => table.iter().map(|(k, &v)| (fp(k), v, 0)).collect(),
-        EmergencyStore::SpaceSaving { slots, .. } => slots
-            .iter()
-            .map(|(k, v, over)| (fp(k), *v, *over))
-            .collect(),
-    }
-}
-
-fn distill(
+/// Build the digest. `extras` are the sources' tracked emergency rows;
+/// each travels as `(fingerprint, value, value)`, charged to the value
+/// and the MPE alike: the digest cannot tell keys that share a
+/// fingerprint apart, so a row only ever raises the upper end.
+fn distill<K: Key>(
     config: &ReliableConfig,
     geometry: &LayerGeometry,
     layers: &Layers<u64>,
-    mut extras: Vec<(u64, u64, u64)>,
+    extras: Vec<(K, u64, u64)>,
     filter_slack: u64,
     dropped: u64,
     gens: u64,
 ) -> SlimSummary {
     let (slim_layers, slim_hints) = layers.to_sparse();
-
-    // Coalesce extras sharing a fingerprint: the digest cannot tell the
-    // colliding keys apart, so the group answers with its total value
-    // and an overestimate of that same total (interval stays certified).
-    extras.sort_unstable_by_key(|e| e.0);
-    let mut coalesced: Vec<(u64, u64, u64)> = Vec::with_capacity(extras.len());
-    for (fp, value, over) in extras {
-        match coalesced.last_mut() {
-            Some(last) if last.0 == fp => {
-                last.1 = last.1.saturating_add(value);
-                last.2 = last.1;
-            }
-            _ => coalesced.push((fp, value, over.min(value))),
-        }
-    }
+    let fp_seed = fp_seed_for(config.seed);
+    let mut extras: Vec<(u64, u64, u64)> = extras
+        .into_iter()
+        .map(|(k, value, _)| (fingerprint(&k, fp_seed), value, value))
+        .collect();
+    // a deterministic payload, whatever the stores' iteration order
+    extras.sort_unstable();
 
     SlimSummary {
         config: config.clone(),
@@ -355,7 +352,7 @@ fn distill(
         lambdas: geometry.lambdas().to_vec(),
         layers: slim_layers,
         hints: slim_hints,
-        extras: coalesced,
+        extras,
         filter_slack,
         dropped,
         slack: filter_slack.saturating_add(gens * geometry.total_lambda()),

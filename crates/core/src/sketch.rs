@@ -222,9 +222,11 @@ impl<K: Key> ReliableSketch<K> {
             let lambda = self.geometry.lambda(i);
             let b = &mut self.layers.buckets[i][j];
 
-            // (2) matching candidate: absorb fully, even when locked
+            // (2) matching candidate: absorb fully, even when locked.
+            // Here and in (4) the add saturates: a restored payload's
+            // counters are unbounded.
             if b.id() == Some(key) {
-                *b.yes_mut() += v;
+                *b.yes_mut() = b.yes().saturating_add(v);
                 let trace = InsertTrace {
                     stop: StopLayer::Layer(i),
                     hash_calls,
@@ -245,7 +247,7 @@ impl<K: Key> ReliableSketch<K> {
             }
 
             // (4) negative vote and possible replacement
-            *b.no_mut() += v;
+            *b.no_mut() = b.no().saturating_add(v);
             if b.no() >= b.yes() {
                 b.set_candidate(*key);
                 b.swap_votes();

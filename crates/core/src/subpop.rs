@@ -22,7 +22,8 @@
 //!   entries, emergency remainders), then charge every possibly-present
 //!   untracked key its certified per-key ceiling — the top-K layer's
 //!   [`TopKSummary::miss_bound`](crate::topk::TopKSummary::miss_bound)
-//!   when enabled, the sketch's `mpe_ceiling` otherwise. An unbounded
+//!   when enabled, the sketch's `mpe_ceiling` plus the emergency
+//!   store's untracked ceiling otherwise. An unbounded
 //!   predicate saturates `hi` to a vacuous-but-sound [`u64::MAX`].
 //!
 //! ## Soundness
@@ -30,10 +31,12 @@
 //! The dense path inherits the point-query guarantee verbatim. The
 //! decode path's untracked-key charge rests on a structural fact of the
 //! query walk (`ReliableSketch::query_traced`): for a key that is a
-//! candidate nowhere, every term added to the estimate — the mice-filter
-//! count, each visited bucket's `NO` counter, the emergency remainder —
-//! is also added to the MPE, so `f̂ = MPE ≤ mpe_ceiling` and therefore
-//! `truth ≤ f̂ ≤ mpe_ceiling`. Three documented caveats:
+//! candidate nowhere and untracked by the emergency store, every term
+//! added to the estimate — the mice-filter count, each visited bucket's
+//! `NO` counter, the emergency store's untracked ceiling `u` (a
+//! SpaceSaving store's miss bound, 0 otherwise) — is also added to the
+//! MPE, so `f̂ = MPE ≤ mpe_ceiling + u` and therefore
+//! `truth ≤ f̂ ≤ mpe_ceiling + u`. Three documented caveats:
 //!
 //! * **Merged sketches** (`is_merged()`): the `MPE ≤ Λ` ceiling becomes
 //!   data-dependent, so the untracked charge degrades to [`u64::MAX`]
@@ -48,9 +51,7 @@
 //! * **Dropped mass**: under [`crate::EmergencyPolicy::Disabled`] a
 //!   failed insert's value leaves the sketch entirely, so the total
 //!   dropped value is charged once onto `hi` (zero in any configuration
-//!   that keeps the paper's guarantee intact). A SpaceSaving emergency
-//!   store's *evicted* remainders inherit the point-query caveat: the
-//!   per-key answer already misses them, and so does the sum.
+//!   that keeps the paper's guarantee intact).
 //!
 //! The oracle-differential suite (`tests/subpop_oracle.rs`) races every
 //! flavour × predicate shape × stream family against exact ground-truth
@@ -64,7 +65,7 @@ use crate::emergency::EmergencyStore;
 use crate::epoch::EpochedConcurrent;
 use crate::sketch::ReliableSketch;
 use crate::topk::TopKSummary;
-use rsk_api::{CertifiedWeight, ErrorSensing, Estimate, Key, KeySet, SubpopulationWeight};
+use rsk_api::{CertifiedWeight, ErrorSensing, Estimate, KeySet, SubpopulationWeight};
 use std::collections::HashSet;
 
 /// Largest predicate cardinality evaluated member-by-member (the dense
@@ -137,33 +138,10 @@ fn decode(
     }
 }
 
-/// Keys the emergency store can enumerate (exact remainders and
-/// SpaceSaving slots; nothing under `Disabled`).
-fn emergency_keys<K: Key>(e: &EmergencyStore<K>) -> Vec<K> {
-    match e {
-        EmergencyStore::Disabled { .. } => Vec::new(),
-        EmergencyStore::Exact { table, .. } => table.keys().copied().collect(),
-        EmergencyStore::SpaceSaving { slots, .. } => slots.iter().map(|s| s.0).collect(),
-    }
-}
-
-/// Ceiling on the emergency remainder of a key *not* in the store: a
-/// full SpaceSaving table may have folded an evicted key's remainder
-/// into its minimum slot (Metwally's rule bounds it by that slot's
-/// count); exact tables and never-full tables track every recorded key.
-fn emergency_untracked_ceiling<K: Key>(e: &EmergencyStore<K>) -> u64 {
-    match e {
-        EmergencyStore::SpaceSaving {
-            slots, capacity, ..
-        } if slots.len() >= *capacity => slots.iter().map(|s| s.1).min().unwrap_or(0),
-        _ => 0,
-    }
-}
-
 /// Decode inputs of one generation: its enumerable tracked keys
 /// (emergency remainders and `top_k`'s entries) and its per-untracked-key
 /// ceiling — `top_k`'s miss bound when a summary is given, else
-/// `mpe_ceiling` plus the emergency store's untracked remainder, and
+/// `mpe_ceiling` plus the emergency store's untracked ceiling, and
 /// vacuous once `merged`.
 fn decode_inputs(
     merged: bool,
@@ -171,11 +149,11 @@ fn decode_inputs(
     emergency: &EmergencyStore<u64>,
     top_k: Option<&TopKSummary<u64>>,
 ) -> (Vec<u64>, u64) {
-    let mut tracked = emergency_keys(emergency);
+    let mut tracked: Vec<u64> = emergency.tracked().into_iter().map(|(k, ..)| k).collect();
     let mut ceiling = if merged {
         u64::MAX
     } else {
-        mpe_ceiling.saturating_add(emergency_untracked_ceiling(emergency))
+        mpe_ceiling.saturating_add(emergency.untracked_ceiling())
     };
     if let Some(tk) = top_k {
         ceiling = ceiling.min(tk.miss_bound());
@@ -190,7 +168,7 @@ fn concurrent_inputs(
     g: &ConcurrentReliable<u64>,
     top_k: Option<&TopKSummary<u64>>,
 ) -> (Vec<u64>, u64) {
-    decode_inputs(g.is_merged(), g.mpe_ceiling(), &g.peer_emergency(), top_k)
+    decode_inputs(g.is_merged(), g.mpe_ceiling(), &g.emergency.lock(), top_k)
 }
 
 impl SubpopulationWeight for ReliableSketch<u64> {

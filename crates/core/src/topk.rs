@@ -155,6 +155,15 @@ impl<K: Key> TopKSummary<K> {
         self.index.contains_key(key)
     }
 
+    /// The certified `(count, error)` pair of a monitored key.
+    #[inline]
+    pub(crate) fn get(&self, key: &K) -> Option<(u64, u64)> {
+        self.index.get(key).map(|&slot| {
+            let entry = &self.entries[slot];
+            (self.buckets[entry.bucket].count, entry.error)
+        })
+    }
+
     /// Smallest monitored count (0 when empty).
     #[inline]
     pub fn min_count(&self) -> u64 {
@@ -299,15 +308,44 @@ impl<K: Key> TopKSummary<K> {
             merged.truncate(self.capacity);
         }
         let threshold = self.threshold.max(other.threshold);
-        self.reset_slabs();
-        self.threshold = threshold;
-        self.floor = floor;
+        *self = Self::from_rows(self.capacity, threshold, floor, merged)
+            .map_err(MergeError::Incompatible)?;
+        Ok(())
+    }
+
+    /// A summary holding `(key, count, error)` rows, in
+    /// [`Self::entries_desc`] order or any other: a stable sort by count
+    /// restores the order `entries_desc` lists, ties included, so a
+    /// captured summary rebuilds with the same eviction order.
+    ///
+    /// # Errors
+    /// A description of the fault when a key repeats or the rows
+    /// outnumber `capacity`.
+    pub(crate) fn from_rows(
+        capacity: usize,
+        threshold: u64,
+        floor: u64,
+        mut rows: Vec<(K, u64, u64)>,
+    ) -> Result<Self, String> {
+        let mut summary = Self::new(capacity, threshold);
+        if rows.len() > summary.capacity {
+            return Err(format!(
+                "{} summary rows for {} slots",
+                rows.len(),
+                summary.capacity
+            ));
+        }
+        summary.floor = floor;
+        rows.sort_by_key(|&(_, count, _)| core::cmp::Reverse(count));
         // ascending pushes keep the rebuild O(n): each key lands at the
         // top of the bucket list
-        for &(key, count, error) in merged.iter().rev() {
-            self.push_highest(key, count, error);
+        for &(key, count, error) in rows.iter().rev() {
+            if summary.contains(&key) {
+                return Err("a key repeats among the summary rows".into());
+            }
+            summary.push_highest(key, count, error);
         }
-        Ok(())
+        Ok(summary)
     }
 
     /// Forget everything (capacity and threshold survive).

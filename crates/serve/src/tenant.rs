@@ -75,7 +75,11 @@ impl SketchSpec {
 /// interpret it (see `docs/PROTOCOL.md` § Certification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CertifiedAnswer {
-    /// Point estimate (never an undercount beyond `slack`).
+    /// Point estimate: never an undercount beyond `slack` while no
+    /// insertion has failed. Tenants run `EmergencyPolicy::Disabled`,
+    /// which charges a failed insertion's dropped remainder to no point
+    /// answer, so after a failure the estimate can undercount by up to
+    /// the window's dropped value as well.
     pub value: u64,
     /// Maximum possible overcount baked into `value`.
     pub max_possible_error: u64,

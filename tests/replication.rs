@@ -384,6 +384,51 @@ fn crafted_counters_saturate_instead_of_overflowing() {
         let est = replica.query_with_error(&k);
         assert!(est.value >= 2_000 / 7, "key {k}: {est:?}");
     }
+
+    // A raw sequential sketch whose candidates' YES counters sit near the
+    // top keeps absorbing inserts of a candidate key.
+    let raw = ReliableConfig {
+        memory_bytes: 16 * 1024,
+        mice_filter: None,
+        seed: 32,
+        ..Default::default()
+    };
+    let mut primary = ReliableSketch::<u64>::new(raw.clone());
+    for i in 0..2_000u64 {
+        primary.insert(&(i % 100), 1);
+    }
+    let mut snapshot = primary.snapshot();
+    for bucket in snapshot.layers.iter_mut().flatten() {
+        if let Some(&id) = bucket.id() {
+            bucket.insert(&id, HUGE - bucket.yes());
+        }
+    }
+    let mut replica = ReliableSketch::<u64>::new(raw);
+    replica.apply_bytes(&snapshot.to_bytes()).unwrap();
+    for _ in 0..5 {
+        replica.insert(&3, 1);
+    }
+    let est = replica.query_with_error(&3);
+    assert!(est.value >= 25, "key 3: {est:?}");
+
+    // Failure gauges sum saturating across a window's generations and
+    // across shards.
+    let gauged = |failures| {
+        let mut snapshot = ConcurrentReliable::<u64>::new(cfg.clone()).snapshot();
+        snapshot.failures = failures;
+        snapshot
+    };
+    let window = EpochedConcurrent::restore(EpochedSnapshot {
+        epoch: 1,
+        active: gauged(1),
+        frozen: Some(gauged(u64::MAX)),
+    })
+    .unwrap();
+    assert_eq!(window.insertion_failures(), u64::MAX);
+    let mut snapshot = ShardedReliable::<u64>::new(cfg.clone(), 2).snapshot();
+    snapshot.shards = vec![gauged(u64::MAX), gauged(1)];
+    let sharded = ShardedReliable::restore(snapshot).unwrap();
+    assert_eq!(sharded.insertion_failures(), u64::MAX);
 }
 
 /// The acceptance pin: a tenant window replicated over real loopback
