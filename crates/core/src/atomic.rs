@@ -15,10 +15,12 @@
 //!   within 12 bits (enforced at construction).
 //! * **CAS capture of the lock-in rule.** One insertion step — vote,
 //!   lock-divert, or candidate replacement with the `YES`/`NO` swap — is
-//!   computed as a pure function on the packed word (`step_word`) and
-//!   committed with a single compare-and-swap, so every bucket transition
-//!   is atomic and the per-bucket invariants (`YES ≥ NO` for candidates,
-//!   `NO ≤ λ_i`) hold under any interleaving.
+//!   Algorithm 1's one per-bucket rule, [`crate::bucket::step`], run on
+//!   the unpacked word with the count ceiling [`COUNT_MAX`] and committed
+//!   with a single compare-and-swap, so every bucket transition is atomic
+//!   and the per-bucket invariants (`YES ≥ NO` for candidates,
+//!   `NO ≤ λ_i`) hold under any interleaving. The layer loop around it is
+//!   the sequential sketch's too (`sketch::descend`).
 //! * **Relaxed counters for stats.** Items, CAS retries, failures and
 //!   saturation events are `Relaxed` atomics off the decision path.
 //!
@@ -63,12 +65,12 @@
 //! * Fingerprinting adds a `2⁻²⁴` per-colliding-pair chance of two keys
 //!   aliasing inside one bucket (the paper's own 32-bit `ID` field makes
 //!   the same trade against `u64` keys, at `2⁻³²`).
-//! * `count` saturates at `2²⁸ − 1` per bucket. The step
-//!   `step_word → (word′, leftover, clipped)` returns the excess it
-//!   clipped, and the walk sends it down the failure path with any
-//!   leftover past the last layer: an insertion failure, kept by the
-//!   emergency store or counted in `dropped_value()`. Saturation events
-//!   are also counted in [`AtomicStats::saturations`].
+//! * `count` saturates at `2²⁸ − 1` per bucket (the sequential sketch's
+//!   `YES` at `u64::MAX`). The step returns the excess it clipped, and
+//!   the descent sends it down the failure path as it does any leftover
+//!   past the last layer: an insertion failure, kept by the emergency
+//!   store or counted in `dropped_value()`. Saturation events are also
+//!   counted in [`AtomicStats::saturations`].
 //! * With a mice filter configured, racing inserts of one key may read
 //!   the CU minimum across lanes mid-update; the per-key estimate can
 //!   then trail the truth by at most
@@ -109,12 +111,12 @@
 //! assert!(est.max_possible_error <= 25);
 //! ```
 
-use crate::bucket::{EsBucket, Layers};
+use crate::bucket::{step, EsBucket, Layers};
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
-use crate::sketch::{drain_batched, walk};
+use crate::sketch::{descend, drain_batched, walk};
 use crate::topk::TopKSummary;
 use parking_lot::Mutex;
 use rsk_api::{
@@ -154,42 +156,18 @@ fn unpack(word: u64) -> (u64, u64, u64) {
     )
 }
 
-/// One Algorithm-1 layer step as a pure function on the packed word.
-///
-/// Returns `(new_word, leftover, clipped)`: the committed bucket state,
-/// the value that must descend to the next layer, and the excess the
-/// `count` field could not hold past [`COUNT_MAX`]. Value is conserved:
-/// `YES + NO` grows by `value − leftover − clipped`. A step that clips
-/// leaves no leftover, so the caller hands the clipped amount straight
-/// to the failure path instead of a lower layer (the query stops at the
-/// matching bucket and would never read it there).
-///
-/// The three branches mirror [`crate::ReliableSketch::insert_traced`]:
-/// matching candidates absorb fully (even when locked); a triggered lock
-/// absorbs `λ − NO` and diverts the rest; otherwise the value votes `NO`
-/// and replaces the candidate when `NO ≥ YES` (swapping the counters).
-/// An empty bucket needs no special case — the replacement branch turns
-/// `(0, 0, 0)` into `(fp, v, 0)` exactly like a first insertion.
+/// [`step`] on a packed word: unpack, step with the count ceiling
+/// [`COUNT_MAX`], pack. Returns `(new_word, leftover, clipped)`: the
+/// committed bucket state, the value that must descend to the next
+/// layer, and the excess the `count` field could not hold. The new `NO`
+/// always fits the 12-bit field: a lock stops it at `λ ≤ ERR_MAX`, and a
+/// takeover hands it an old `YES` that no lock guarded, so `YES ≤ λ`.
 #[inline]
 pub(crate) fn step_word(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u64, u64) {
     let (bfp, yes, no) = unpack(word);
-    if bfp == fp {
-        let absorbed = value.min(COUNT_MAX - yes);
-        return (pack(fp, yes + absorbed, no), 0, value - absorbed);
-    }
-    if no.saturating_add(value) > lambda && yes > lambda {
-        let room = lambda.saturating_sub(no);
-        return (pack(bfp, yes, no + room), value - room, 0);
-    }
-    let votes = no.saturating_add(value);
-    if votes >= yes {
-        // replacement + swap: the old YES becomes the new NO; both
-        // branches reaching here imply old YES ≤ λ ≤ ERR_MAX
-        let kept = votes.min(COUNT_MAX);
-        (pack(fp, kept, yes), 0, votes - kept)
-    } else {
-        (pack(bfp, yes, votes), 0, 0)
-    }
+    let s = step(bfp == fp, yes, no, value, lambda, COUNT_MAX);
+    let id = if s.takes_over { fp } else { bfp };
+    (pack(id, s.yes, s.no), s.leftover, s.clipped)
 }
 
 /// Relaxed operation counters of an [`AtomicBucketArray`].
@@ -532,13 +510,10 @@ pub struct ConcurrentReliable<K: Key> {
     /// Queries walk the overlay *and* the live atomic words (which keep
     /// absorbing post-merge insertions) like two epoch generations.
     pub(crate) merged: Option<Layers<u64>>,
-    /// Bumped whenever the sealed overlay mutates (every merge funnels
-    /// through [`Self::seal_into_overlay`]); lets a replication cut detect
-    /// that live-word dirty bits no longer tell the whole story and fall
-    /// back to a full snapshot.
-    pub(crate) merge_epoch: u64,
     /// Baselines recorded at the last replication cut (see
-    /// [`crate::replicate`]); `None` until the sketch first ships a delta.
+    /// [`crate::replicate`]); `None` until the sketch first ships a
+    /// delta, and again after every merge, whose overlay the dirty bits
+    /// do not cover: the next ship is then a full snapshot.
     pub(crate) cut: Option<crate::replicate::ReplicaCut>,
 }
 
@@ -594,7 +569,6 @@ impl<K: Key> ConcurrentReliable<K> {
             emergency,
             topk: None,
             merged: None,
-            merge_epoch: 0,
             cut: None,
         }
     }
@@ -718,33 +692,25 @@ impl<K: Key> ConcurrentReliable<K> {
                 return; // absorbed: a mouse never touches a bucket
             }
         }
-        let passed = v;
-        self.descend(key, v, fp, idx0);
+        // one CAS per layer; the leftover past the last layer or a
+        // clipped count is an insertion failure
+        let (_, lost) = descend(self.geometry.depth(), v, |i, v| {
+            let j = if i == 0 {
+                idx0
+            } else {
+                self.hashes.index(i, key, self.geometry.width(i))
+            };
+            self.array.insert_step(i, j, fp, v)
+        });
+        if lost > 0 {
+            add_failures(&self.failures, 1);
+            self.emergency.lock().record(key, lost);
+        }
         // elephant promotion: offer the passed value to the top-K layer
         // after every CAS of this insert committed, so an unmonitored
         // key's claim is seeded from the certified post-insert estimate
         if let Some(tk) = &self.topk {
-            tk.lock().offer(key, passed, || self.query_with_error(key));
-        }
-    }
-
-    /// The bucket-layer walk proper: descend from layer 0 until the value
-    /// is absorbed, recording an emergency entry when every layer locks
-    /// or a saturated count clips. A clipping step leaves no leftover, so
-    /// only the last step's clipped amount can be nonzero.
-    #[inline]
-    fn descend(&self, key: &K, value: u64, fp: u64, idx0: usize) {
-        let (mut v, mut clipped) = self.array.insert_step(0, idx0, fp, value);
-        let mut layer = 1;
-        while v > 0 && layer < self.geometry.depth() {
-            let j = self.hashes.index(layer, key, self.geometry.width(layer));
-            (v, clipped) = self.array.insert_step(layer, j, fp, v);
-            layer += 1;
-        }
-        let lost = v + clipped;
-        if lost > 0 {
-            add_failures(&self.failures, 1);
-            self.emergency.lock().record(key, lost);
+            tk.lock().offer(key, v, || self.query_with_error(key));
         }
     }
 
@@ -850,11 +816,13 @@ impl<K: Key> ConcurrentReliable<K> {
 
     /// Seal the live atomic words into the merged overlay and zero them,
     /// so post-merge insertions accumulate in a fresh generation.
-    /// Operation statistics survive.
+    /// Operation statistics survive. The replication cut is dropped: the
+    /// dirty bits do not cover the overlay, and the merge may have
+    /// widened the filter lanes the cut's baseline copied.
     pub(crate) fn seal_into_overlay(&mut self) {
-        self.merge_epoch += 1;
         self.merged = Some(self.effective_layers());
         self.array.zero_words();
+        self.cut = None;
     }
 
     /// Clone of the peer's emergency store (read under its mutex).
@@ -862,11 +830,12 @@ impl<K: Key> ConcurrentReliable<K> {
         self.emergency.lock().clone()
     }
 
-    /// Record a replication cut: clear the dirty map and remember the
-    /// baselines the next delta diffs against.
-    pub(crate) fn set_replica_cut(&mut self, cut: crate::replicate::ReplicaCut) {
+    /// Record a replication cut: clear the dirty map and copy the filter
+    /// lanes the next delta diffs against.
+    pub(crate) fn set_replica_cut(&mut self) {
         self.array.clear_dirty();
-        self.cut = Some(cut);
+        let filter = self.filter.clone();
+        self.cut = Some(crate::replicate::ReplicaCut { filter });
     }
 }
 
@@ -938,7 +907,6 @@ impl<K: Key> Clear for ConcurrentReliable<K> {
             tk.lock().clear();
         }
         self.merged = None;
-        self.merge_epoch = 0;
         self.cut = None;
     }
 }

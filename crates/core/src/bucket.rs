@@ -14,11 +14,73 @@
 //! * if `ID == e`: `f(e) ∈ [YES − NO, YES]` — answer `YES`, MPE `NO`;
 //! * if `ID != e`: `f(e) ∈ [0, NO]` — answer `NO`, MPE `NO`.
 //!
-//! The standalone bucket here implements exactly Figure 1's workflow; the
-//! layered sketch in [`crate::sketch`] adds the lock mechanism on top of
-//! the same fields.
+//! [`step`] is Algorithm 1's one per-bucket rule. [`EsBucket`] runs it
+//! with `λ = u64::MAX` (Figure 1's workflow never locks); the layered
+//! sketches run it layer by layer through [`crate::sketch`]'s descent,
+//! the lock-free one on its packed words; the FPGA model runs it in its
+//! pipeline's read stage.
 
 use rsk_api::{Estimate, Key};
+
+/// What one Algorithm-1 step leaves behind: see [`step`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Step {
+    /// The bucket's new `YES`.
+    pub yes: u64,
+    /// The bucket's new `NO`.
+    pub no: u64,
+    /// Does the inserted key replace the candidate (the `YES`/`NO` swap)?
+    pub takes_over: bool,
+    /// Value the bucket diverted: it descends to the next layer.
+    pub leftover: u64,
+    /// Excess `YES` could not hold past the ceiling: the caller sends it
+    /// down the failure path (a query stops at the key's own bucket).
+    pub clipped: u64,
+}
+
+/// Algorithm 1's step on one bucket, as a pure function: insert `value`
+/// into a bucket holding `(YES, NO)` with lock threshold `lambda`,
+/// where `matches` says whether the inserted key is the candidate.
+///
+/// * a matching key adds to `YES`, even when the bucket is locked;
+/// * a lock (`NO + value > λ` and `YES > λ`) absorbs `λ − NO` and
+///   diverts the rest — a merged bucket already above `λ` diverts all;
+/// * any other key votes `NO`, and takes over once `NO ≥ YES`: the old
+///   `YES` becomes the new `NO`. An empty bucket needs no special case,
+///   `(0, 0)` turns into `(value, 0)` like a first insertion.
+///
+/// `YES` saturates at `ceiling` (`u64::MAX`, or the packed word's count
+/// field), and `NO` saturates at `u64::MAX`. Value is conserved:
+/// `YES + NO` grows by `value − leftover − clipped`, and a step that
+/// clips leaves no leftover.
+#[inline]
+pub fn step(matches: bool, yes: u64, no: u64, value: u64, lambda: u64, ceiling: u64) -> Step {
+    let mut out = Step {
+        yes,
+        no,
+        ..Step::default()
+    };
+    if matches {
+        let absorbed = value.min(ceiling.saturating_sub(yes));
+        out.yes = yes + absorbed;
+        out.clipped = value - absorbed;
+    } else if no.saturating_add(value) > lambda && yes > lambda {
+        let room = lambda.saturating_sub(no);
+        out.no = no + room;
+        out.leftover = value - room;
+    } else {
+        let votes = no.saturating_add(value);
+        if votes >= yes {
+            out.yes = votes.min(ceiling);
+            out.no = yes;
+            out.takes_over = true;
+            out.clipped = value - out.yes.saturating_sub(no);
+        } else {
+            out.no = votes;
+        }
+    }
+    out
+}
 
 /// An Error-Sensible Bucket.
 ///
@@ -91,21 +153,32 @@ impl<K: Key> EsBucket<K> {
     }
 
     /// Insert `⟨key, value⟩` (Figure 1: voting phase then replacement
-    /// phase).
+    /// phase) — [`step`] with no lock threshold. The counters saturate at
+    /// `u64::MAX` instead of overflowing.
     #[inline]
     pub fn insert(&mut self, key: &K, value: u64) {
-        if value == 0 {
-            return;
+        if value > 0 {
+            self.apply(key, value, u64::MAX);
         }
-        if self.id.as_ref() == Some(key) {
-            self.yes += value;
-            return;
-        }
-        self.no += value;
-        if self.no >= self.yes {
+    }
+
+    /// Run [`step`] for `key` on this bucket with lock threshold `lambda`
+    /// and commit it; returns `(leftover, clipped)`.
+    #[inline]
+    pub(crate) fn apply(&mut self, key: &K, value: u64, lambda: u64) -> (u64, u64) {
+        let s = step(
+            self.id.as_ref() == Some(key),
+            self.yes,
+            self.no,
+            value,
+            lambda,
+            u64::MAX,
+        );
+        if s.takes_over {
             self.id = Some(*key);
-            core::mem::swap(&mut self.yes, &mut self.no);
         }
+        (self.yes, self.no) = (s.yes, s.no);
+        (s.leftover, s.clipped)
     }
 
     /// Query the value sum of `key`, returning the estimate and its MPE.
@@ -183,34 +256,12 @@ impl<K: Key> EsBucket<K> {
         self.no = y_l.saturating_add(n_w).max(n1.saturating_add(n2));
     }
 
-    // ---- crate-internal accessors used by the layered sketch's lock ----
-
     /// Reassemble a bucket from raw fields (the snapshot module and the
     /// concurrent read-out path, which lifts packed atomic words into
     /// fingerprint-space buckets).
     #[inline]
     pub(crate) fn from_parts(id: Option<K>, yes: u64, no: u64) -> Self {
         Self { id, yes, no }
-    }
-
-    #[inline]
-    pub(crate) fn yes_mut(&mut self) -> &mut u64 {
-        &mut self.yes
-    }
-
-    #[inline]
-    pub(crate) fn no_mut(&mut self) -> &mut u64 {
-        &mut self.no
-    }
-
-    #[inline]
-    pub(crate) fn set_candidate(&mut self, key: K) {
-        self.id = Some(key);
-    }
-
-    #[inline]
-    pub(crate) fn swap_votes(&mut self) {
-        core::mem::swap(&mut self.yes, &mut self.no);
     }
 }
 
@@ -361,6 +412,16 @@ mod tests {
         bk.insert(&2u64, 5); // NO=5 ≥ YES=5 → replace
         assert_eq!(bk.id(), Some(&2));
         assert_eq!((bk.yes(), bk.no()), (5, 5));
+    }
+
+    #[test]
+    fn counters_saturate_instead_of_overflowing() {
+        let mut bk = EsBucket::new();
+        bk.insert(&1u64, u64::MAX);
+        bk.insert(&1u64, 1);
+        assert_eq!((bk.id(), bk.yes(), bk.no()), (Some(&1), u64::MAX, 0));
+        bk.insert(&2u64, u64::MAX); // NO saturates, and the tie takes over
+        assert_eq!((bk.id(), bk.yes(), bk.no()), (Some(&2), u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -349,6 +349,30 @@ impl MiceFilter {
             .collect()
     }
 
+    /// The counters that differ from `base`, a clone of this filter at
+    /// its current lane width (a replication cut's baseline), as
+    /// row-major `(row, index, current value)` triples: a delta's filter
+    /// part.
+    pub(crate) fn changed_since(&self, base: &Self) -> Vec<(u32, u32, u64)> {
+        debug_assert_eq!(self.lane_bits, base.lane_bits, "baseline lanes differ");
+        let (bits, mask) = (self.lane_bits, self.lane_mask());
+        let per_lane = (64 / bits) as usize;
+        let mut out = Vec::new();
+        for (l, (lane, old)) in self.lanes.iter().zip(&base.lanes).enumerate() {
+            let word = lane.load(Ordering::Acquire);
+            let mut changed = word ^ old.load(Ordering::Acquire);
+            let (row, first) = (l / self.lanes_per_row, (l % self.lanes_per_row) * per_lane);
+            while changed != 0 {
+                let slot = changed.trailing_zeros() / bits;
+                let shift = slot * bits;
+                let index = first + slot as usize;
+                out.push((row as u32, index as u32, (word >> shift) & mask));
+                changed &= !(mask << shift);
+            }
+        }
+        out
+    }
+
     /// Overwrite all counters from persisted rows (snapshot restore).
     /// [`Self::store_rows`] re-derives the physical lane width, so even
     /// post-merge counter sums above the configured width restore
@@ -788,6 +812,47 @@ mod tests {
                 if a == f.threshold() {
                     prop_assert!(sat);
                 }
+            }
+        }
+
+        /// A replication delta's filter part: after a copy of the lanes
+        /// and further inserts, the counters listed as changed are the row
+        /// diff of `rows_snapshot()` before and after — and again after a
+        /// merge widened the lanes and a fresh copy was taken.
+        #[test]
+        fn prop_changed_since_equals_row_diff(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u64..64, 1u64..6), 0..150),
+                3,
+            ),
+            bits in 1u32..9,
+        ) {
+            let threshold = (1u64 << bits) - 1;
+            let mut f = MiceFilter::new(200, 2, bits, threshold, 7).unwrap();
+            for (k, v) in &rounds[0] {
+                f.insert(k, *v);
+            }
+            let row_diff = |before: &[Vec<u64>], after: &[Vec<u64>]| {
+                let mut out = Vec::new();
+                for (r, (b, a)) in before.iter().zip(after).enumerate() {
+                    for (j, (&b, &a)) in b.iter().zip(a).enumerate() {
+                        if b != a {
+                            out.push((r as u32, j as u32, a));
+                        }
+                    }
+                }
+                out
+            };
+            for (merge, ops) in [(false, &rounds[1]), (true, &rounds[2])] {
+                if merge {
+                    let twin = f.clone();
+                    f.merge_from(&twin).unwrap();
+                }
+                let (base, before) = (f.clone(), f.rows_snapshot());
+                for (k, v) in ops {
+                    f.insert(k, *v);
+                }
+                prop_assert_eq!(f.changed_since(&base), row_diff(&before, &f.rows_snapshot()));
             }
         }
 

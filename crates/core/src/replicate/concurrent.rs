@@ -7,13 +7,15 @@
 //! entries hold *current* packed fields — applying one is idempotent
 //! replacement, never addition — so a re-shipped delta cannot corrupt a
 //! replica. Capture transparently widens to a full snapshot whenever a
-//! delta could not describe the gap: no prior cut, a merge mutated the
-//! sealed overlay (`merge_epoch` mismatch), or more than one window
-//! rotation since the cut.
+//! delta could not describe the gap: no prior cut, a merge since the
+//! cut (every merge drops the cut when it seals its overlay), or more
+//! than one window rotation since the cut. The cut keeps a copy of the
+//! mice filter's packed lanes, and a delta lists the counters that
+//! differ from it.
 
+use super::check_shape;
 use super::codec::{self, bad_tag, wire_struct, PayloadKind, Reader, Wire};
 use super::sequential::EmergencyState;
-use super::{check_shape, ReplicaCut};
 use crate::atomic::{ConcurrentReliable, COUNT_MAX, ERR_MAX, FP_MASK};
 use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
@@ -233,20 +235,6 @@ fn validate_entries(words: &WordEntries, geometry: &LayerGeometry) -> Result<(),
     Ok(())
 }
 
-/// Counter rows that changed between two row grids of identical shape,
-/// as `(row, index, current value)` triples.
-fn diff_rows(base: &[Vec<u64>], now: &[Vec<u64>]) -> Vec<(u32, u32, u64)> {
-    let mut out = Vec::new();
-    for (r, (b_row, n_row)) in base.iter().zip(now).enumerate() {
-        for (j, (&b, &n)) in b_row.iter().zip(n_row).enumerate() {
-            if b != n {
-                out.push((r as u32, j as u32, n));
-            }
-        }
-    }
-    out
-}
-
 impl<K: Key> ConcurrentReliable<K> {
     /// Capture a plain-data mirror of the sketch's full logical state
     /// (live packed words, sealed overlay, filter counters, emergency
@@ -323,28 +311,26 @@ impl<K: Key> ConcurrentReliable<K> {
     /// [`Self::delta`] can ship only what changes from here.
     fn full_cut(&mut self) -> ConcurrentSnapshot<K> {
         let snapshot = self.snapshot();
-        let cut = ReplicaCut {
-            filter_rows: snapshot.filter_rows.clone(),
-            merge_epoch: self.merge_epoch,
-        };
-        self.set_replica_cut(cut);
+        self.set_replica_cut();
         snapshot
     }
 
     /// Cut a replication payload: the buckets dirtied since the last cut
     /// (plus filter/emergency/failure state), or a full snapshot when no
-    /// cut exists yet or a merge has mutated the sealed overlay since.
+    /// cut exists yet or a merge has dropped it since.
     /// Exclusive (`&mut`): producers must be quiescent across the cut,
     /// as for [`rsk_api::Merge`].
     pub fn delta(&mut self) -> GenPayload<K> {
-        let need_full = match &self.cut {
-            None => true,
-            Some(cut) => cut.merge_epoch != self.merge_epoch,
-        };
-        if need_full {
+        let Some(cut) = &self.cut else {
             return GenPayload::Full(self.full_cut());
-        }
-
+        };
+        let filter_diff = match (self.filter(), &cut.filter) {
+            (Some(f), Some(base)) => Some(f.changed_since(base)),
+            (None, None) => None,
+            // filter presence cannot change over a sketch's lifetime;
+            // a disagreeing cut is stale — recover with a full payload
+            _ => return GenPayload::Full(self.full_cut()),
+        };
         let dirty = self.array().dirty_indices();
         let words = dirty
             .iter()
@@ -358,17 +344,6 @@ impl<K: Key> ConcurrentReliable<K> {
                     .collect()
             })
             .collect();
-        let rows_now = self.filter().map(|f| f.rows_snapshot());
-        let filter_diff = match (
-            &rows_now,
-            self.cut.as_ref().and_then(|c| c.filter_rows.as_ref()),
-        ) {
-            (Some(now), Some(base)) => Some(diff_rows(base, now)),
-            (None, None) => None,
-            // filter presence cannot change over a sketch's lifetime;
-            // a disagreeing cut is stale — recover with a full payload
-            _ => return GenPayload::Full(self.full_cut()),
-        };
         let delta = ConcurrentDelta {
             config: self.config().clone(),
             words,
@@ -376,10 +351,7 @@ impl<K: Key> ConcurrentReliable<K> {
             emergency: self.emergency.lock().capture(),
             failures: self.insertion_failures(),
         };
-        self.set_replica_cut(ReplicaCut {
-            filter_rows: rows_now,
-            merge_epoch: self.merge_epoch,
-        });
+        self.set_replica_cut();
         GenPayload::Delta(delta)
     }
 

@@ -25,8 +25,8 @@
 //!   *current* packed fields — applying a delta is idempotent
 //!   replacement, never addition). [`EpochedDelta`] and [`ShardedDelta`]
 //!   lift this to windows and shard groups. When a delta cannot describe
-//!   the gap (first ship, a merge mutated the sealed overlay, more than
-//!   one window rotation), the capture side transparently falls back to
+//!   the gap (first ship, a merge since the last cut, more than one
+//!   window rotation), the capture side transparently falls back to
 //!   a full snapshot — payloads are self-describing, so the apply side
 //!   never needs to know in advance.
 //! * **Slim summaries** — [`SlimSummary`] distills a sketch into a
@@ -184,14 +184,13 @@ pub(crate) fn check_sparse(
 }
 
 /// Baselines remembered at a replication cut, stored inside a
-/// [`crate::atomic::ConcurrentReliable`]: the next delta diffs the mice
-/// filter against `filter_rows` and falls back to a full snapshot when
-/// `merge_epoch` no longer matches (a merge mutated the sealed overlay,
-/// which the dirty bitmap does not cover).
+/// [`crate::atomic::ConcurrentReliable`]: the next delta lists the mice
+/// filter counters that differ from `filter`, a copy of its packed
+/// lanes. A merge drops the cut (the dirty bitmap does not cover its
+/// overlay), so the baseline never meets lanes a merge widened.
 #[derive(Debug)]
 pub(crate) struct ReplicaCut {
-    pub(crate) filter_rows: Option<Vec<Vec<u64>>>,
-    pub(crate) merge_epoch: u64,
+    pub(crate) filter: Option<MiceFilter>,
 }
 
 /// The check every full-payload apply runs first: a payload whose

@@ -2,14 +2,19 @@
 //! in layers under Double Exponential Control, with the lock mechanism
 //! diverting error-increasing insertions downward.
 //!
-//! * **Insert** follows Algorithm 1 layer by layer. Note one fidelity
-//!   detail: the paper's pseudocode (lines 10–11) updates `B.NO` before
-//!   computing the leftover, which as literally written subtracts zero; we
-//!   implement the prose semantics — the bucket absorbs `λ_i − NO_old`, the
-//!   remainder `v − (λ_i − NO_old)` moves to the next layer.
-//! * **Query** follows Algorithm 2, accumulating `YES`/`NO` contributions
-//!   and the Maximum Possible Error (`Σ NO`), stopping at the first
-//!   unlocked / replaceable / matching bucket.
+//! * **Insert** follows Algorithm 1 layer by layer: `descend` runs the
+//!   one per-bucket rule, [`crate::bucket::step`], on the key's bucket in
+//!   each layer until the value comes to rest, for this sketch and the
+//!   lock-free one alike. Note one fidelity detail: the paper's
+//!   pseudocode (lines 10–11) updates `B.NO` before computing the
+//!   leftover, which as literally written subtracts zero; we implement
+//!   the prose semantics — the bucket absorbs `λ_i − NO_old`, the
+//!   remainder `v − (λ_i − NO_old)` moves to the next layer. The
+//!   leftover past the last layer and any count `step` clips at
+//!   `u64::MAX` are insertion failures.
+//! * **Query** follows Algorithm 2 ([`walk`]), accumulating `YES`/`NO`
+//!   contributions and the Maximum Possible Error (`Σ NO`), stopping at
+//!   the first unlocked / replaceable / matching bucket.
 //!
 //! ### The guarantee
 //!
@@ -191,96 +196,50 @@ impl<K: Key> ReliableSketch<K> {
         trace
     }
 
-    /// The Algorithm-1 walk; returns the trace together with the value
+    /// The Algorithm-1 insert; returns the trace together with the value
     /// that cleared the mice filter (0 when fully absorbed — a mouse).
     fn insert_passed_at(&mut self, key: &K, value: u64, idx0: Option<usize>) -> (InsertTrace, u64) {
+        let mut trace = InsertTrace {
+            stop: StopLayer::Filter,
+            hash_calls: 0,
+            failed_remainder: 0,
+        };
         let mut v = value;
-        let mut hash_calls = 0u64;
-
         if let Some(f) = &self.filter {
-            hash_calls += f.hash_calls();
+            trace.hash_calls = f.hash_calls();
             v = f.insert(key, v);
             if v == 0 {
-                let trace = InsertTrace {
-                    stop: StopLayer::Filter,
-                    hash_calls,
-                    failed_remainder: 0,
-                };
                 self.stats.record_insert(&trace);
                 return (trace, 0);
             }
         }
-        let passed = v;
-
-        for i in 0..self.geometry.depth() {
-            hash_calls += 1;
-            let width = self.geometry.width(i);
+        let (visited, lost) = descend(self.geometry.depth(), v, |i, v| {
             let j = match (i, idx0) {
                 (0, Some(j)) => j,
-                _ => self.hashes.index(i, key, width),
+                _ => self.hashes.index(i, key, self.geometry.width(i)),
             };
-            let lambda = self.geometry.lambda(i);
-            let b = &mut self.layers.buckets[i][j];
-
-            // (2) matching candidate: absorb fully, even when locked.
-            // Here and in (4) the add saturates: a restored payload's
-            // counters are unbounded.
-            if b.id() == Some(key) {
-                *b.yes_mut() = b.yes().saturating_add(v);
-                let trace = InsertTrace {
-                    stop: StopLayer::Layer(i),
-                    hash_calls,
-                    failed_remainder: 0,
-                };
-                self.stats.record_insert(&trace);
-                return (trace, passed);
-            }
-
-            // (3) lock triggered: absorb up to λ_i − NO, divert the rest.
-            // `NO ≤ λ_i` holds for ordinary sketches, but a merged bucket
-            // can already sit above the threshold (room = 0, full divert).
-            if b.no().saturating_add(v) > lambda && b.yes() > lambda {
-                let room = lambda.saturating_sub(b.no());
-                *b.no_mut() += room;
-                v -= room;
-                continue;
-            }
-
-            // (4) negative vote and possible replacement
-            *b.no_mut() = b.no().saturating_add(v);
-            if b.no() >= b.yes() {
-                b.set_candidate(*key);
-                b.swap_votes();
-            }
-            let trace = InsertTrace {
-                stop: StopLayer::Layer(i),
-                hash_calls,
-                failed_remainder: 0,
-            };
-            self.stats.record_insert(&trace);
-            return (trace, passed);
+            self.layers.buckets[i][j].apply(key, v, self.geometry.lambda(i))
+        });
+        trace.hash_calls += visited as u64;
+        trace.stop = StopLayer::Layer(visited - 1);
+        // the leftover past the last layer, or a count the ceiling
+        // clipped: an insertion failure
+        if lost > 0 {
+            self.emergency.record(key, lost);
+            trace.stop = StopLayer::Failed;
+            trace.failed_remainder = lost;
         }
-
-        // all layers exhausted: insertion failure
-        self.emergency.record(key, v);
-        let trace = InsertTrace {
-            stop: StopLayer::Failed,
-            hash_calls,
-            failed_remainder: v,
-        };
         self.stats.record_insert(&trace);
-        (trace, passed)
+        (trace, v)
     }
 
     /// Insert a batch of items, amortizing the layer-0 hash over a tight
-    /// precompute loop per 64-item chunk (the dominant hash on mouse-free
-    /// streams, since most items stop in the first layer or two).
+    /// precompute loop per 64-item chunk (the dominant hash: most items
+    /// that clear the mice filter stop in the first layer or two).
     ///
     /// Semantically identical to calling [`rsk_api::StreamSummary::insert`]
     /// per item in order — same buckets, same traces, same stats — so the
-    /// batched and item-at-a-time paths are interchangeable. With a mice
-    /// filter configured, the filter hashes first and absorbs most items,
-    /// so the batch path degrades gracefully to the plain loop there.
+    /// batched and item-at-a-time paths are interchangeable.
     /// `tests/simd_parity.rs` pins the batched path bit-identical to the
     /// item loop.
     ///
@@ -288,22 +247,14 @@ impl<K: Key> ReliableSketch<K> {
     pub fn insert_batch(&mut self, items: &[(K, u64)]) -> u64 {
         const CHUNK: usize = 64;
         let mut failed = 0u64;
-        if self.filter.is_some() {
-            for &(k, v) in items {
-                if v > 0 && self.insert_traced_at(&k, v, None).stop == StopLayer::Failed {
-                    failed += 1;
-                }
-            }
-            return failed;
-        }
         let w0 = self.geometry.width(0);
         let mut idx0 = [0usize; CHUNK];
         for chunk in items.chunks(CHUNK) {
             for (slot, (k, _)) in idx0.iter_mut().zip(chunk) {
                 *slot = self.hashes.index(0, k, w0);
             }
-            for (s, &(k, v)) in chunk.iter().enumerate() {
-                if v > 0 && self.insert_traced_at(&k, v, Some(idx0[s])).stop == StopLayer::Failed {
+            for (&(k, v), &j) in chunk.iter().zip(&idx0) {
+                if v > 0 && self.insert_traced_at(&k, v, Some(j)).stop == StopLayer::Failed {
                     failed += 1;
                 }
             }
@@ -422,8 +373,9 @@ impl<K: Key> ReliableSketch<K> {
 }
 
 /// Algorithm 2's layer walk, the one copy of its stop rule that every
-/// bucket-layer read calls. `bucket(i)` reads the key's bucket in layer
-/// `i` as `(matches, YES, NO, hinted)`. The walk adds `YES` (the key's
+/// bucket-layer read calls, the FPGA model's in `rsk-dataplane`
+/// included. `bucket(i)` reads the key's bucket in layer `i` as
+/// `(matches, YES, NO, hinted)`. The walk adds `YES` (the key's
 /// own bucket) or `NO` (anyone else's) to the estimate and `NO` to the
 /// MPE, and stops at the first bucket that is unlocked (`NO < λᵢ`),
 /// replaceable (`YES == NO`) or the key's own — unless a merge hinted
@@ -432,7 +384,7 @@ impl<K: Key> ReliableSketch<K> {
 /// sums saturate, because counters restored from a replication payload
 /// are unbounded (a saturated answer is vacuous, never wrapped).
 #[inline]
-pub(crate) fn walk(
+pub fn walk(
     lambdas: &[u64],
     mut bucket: impl FnMut(usize) -> (bool, u64, u64, bool),
 ) -> (u64, u64, usize) {
@@ -446,6 +398,31 @@ pub(crate) fn walk(
         }
     }
     (est, mpe, lambdas.len())
+}
+
+/// Algorithm 1's layer descent, the one copy of its loop that every
+/// bucket-layer insert calls. `step_at(i, v)` runs
+/// [`crate::bucket::step`] for value `v` on the key's bucket in layer
+/// `i`, commits it and returns `(leftover, clipped)`. The descent ends
+/// at the first step that leaves no leftover — a clipping step leaves
+/// none — or past the last of `depth` layers. Returns `(layers visited,
+/// value lost)`: the leftover past the last layer or the clipped excess,
+/// which the caller sends down the failure path.
+#[inline]
+pub(crate) fn descend(
+    depth: usize,
+    value: u64,
+    mut step_at: impl FnMut(usize, u64) -> (u64, u64),
+) -> (usize, u64) {
+    let mut v = value;
+    for i in 0..depth {
+        let (leftover, clipped) = step_at(i, v);
+        if leftover == 0 {
+            return (i + 1, clipped);
+        }
+        v = leftover;
+    }
+    (depth, v)
 }
 
 /// Drain `stream` into `insert_batch` in batches of `batch_size`
@@ -665,7 +642,8 @@ mod tests {
     #[test]
     fn forced_failures_are_counted() {
         // one bucket per layer, two layers, no filter, tiny λ: three
-        // mutually colliding heavy keys must overflow the structure
+        // mutually colliding heavy keys must overflow the structure, and
+        // a candidate's YES clipped at u64::MAX fails by the clipped unit
         let cfg = ReliableConfig {
             memory_bytes: 2 * BUCKET_BYTES,
             lambda: 2,
@@ -677,12 +655,19 @@ mod tests {
             lambda_floor_one: true,
             seed: 4,
         };
-        let mut sk: ReliableSketch<u64> = ReliableSketch::new(cfg);
-        for i in 0..300u64 {
-            sk.insert(&(i % 3), 1);
+        let colliding: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 3, 1)).collect();
+        let saturating = vec![(7u64, u64::MAX), (7, 1)];
+        for (stream, exact) in [(colliding, None), (saturating, Some((1, 1)))] {
+            let mut sk: ReliableSketch<u64> = ReliableSketch::new(cfg.clone());
+            for &(k, v) in &stream {
+                sk.insert(&k, v);
+            }
+            assert!(sk.insertion_failures() > 0);
+            assert!(sk.dropped_value() > 0);
+            if let Some(exact) = exact {
+                assert_eq!((sk.insertion_failures(), sk.dropped_value()), exact);
+            }
         }
-        assert!(sk.insertion_failures() > 0);
-        assert!(sk.dropped_value() > 0);
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! *forwarding (bypass) network* rather than stalls, since stalls would
 //! break the one-key-per-clock line rate.
 //!
+//! Each read stage runs Algorithm 1's one per-bucket rule,
+//! [`rsk_core::bucket::step`], and the query is the software's Algorithm-2
+//! walk, [`rsk_core::sketch::walk`]: what this model adds is the pipeline
+//! and its forwarding of in-flight writes.
+//!
 //! The simulator models the paper's stage layout:
 //!
 //! ```text
@@ -28,6 +33,8 @@
 //! to [`rsk_core::ReliableSketch`] built on the same geometry and seed.
 
 use rsk_api::{Estimate, Key};
+use rsk_core::bucket::step;
+use rsk_core::sketch::walk;
 use rsk_core::LayerGeometry;
 use rsk_hash::HashFamily;
 
@@ -43,6 +50,8 @@ struct Txn<K: Key> {
     key: K,
     /// Value still to be placed (0 once the insertion finished).
     remaining: u64,
+    /// Excess a saturated `YES` clipped: bound for the emergency stack.
+    clipped: u64,
     /// Bucket indices per layer, computed by the hash stages.
     indices: Vec<usize>,
     /// Write scheduled for the current layer's write stage, if any.
@@ -132,6 +141,7 @@ impl<K: Key> FpgaPipeline<K> {
         Txn {
             key,
             remaining: value,
+            clipped: 0,
             indices: (0..self.widths.len())
                 .map(|i| self.hashes.index(i, &key, self.widths[i]))
                 .collect(),
@@ -183,29 +193,22 @@ impl<K: Key> FpgaPipeline<K> {
                 continue;
             }
             let j = txn.indices[layer];
-            let lambda = self.lambdas[layer];
-            let mut bucket = match forwarded {
+            let (id, yes, no) = match forwarded {
                 Some((fj, state)) if fj == j => state,
                 _ => self.memory[layer][j],
             };
-
-            // Algorithm 1, one layer step
-            if bucket.0 == Some(txn.key) {
-                bucket.1 += txn.remaining;
-                txn.remaining = 0;
-            } else if bucket.2.saturating_add(txn.remaining) > lambda && bucket.1 > lambda {
-                let absorbed = lambda.saturating_sub(bucket.2);
-                bucket.2 += absorbed;
-                txn.remaining -= absorbed;
-            } else {
-                bucket.2 += txn.remaining;
-                txn.remaining = 0;
-                if bucket.2 >= bucket.1 {
-                    bucket.0 = Some(txn.key);
-                    core::mem::swap(&mut bucket.1, &mut bucket.2);
-                }
-            }
-            txn.pending = Some((layer, j, bucket));
+            let s = step(
+                id == Some(txn.key),
+                yes,
+                no,
+                txn.remaining,
+                self.lambdas[layer],
+                u64::MAX,
+            );
+            let id = if s.takes_over { Some(txn.key) } else { id };
+            txn.remaining = s.leftover;
+            txn.clipped = s.clipped;
+            txn.pending = Some((layer, j, (id, s.yes, s.no)));
         }
 
         // 2. commit write stages (end of clock); take() so every pending
@@ -223,10 +226,12 @@ impl<K: Key> FpgaPipeline<K> {
             }
         }
 
-        // 3. retire the last stage (emergency commit) and shift
+        // 3. retire the last stage (emergency commit: the leftover past
+        // the last layer, or a clipped count) and shift
         if let Some(txn) = self.stages.last().cloned().flatten() {
-            if txn.remaining > 0 {
-                self.emergency.push((txn.key, txn.remaining));
+            let lost = txn.remaining + txn.clipped;
+            if lost > 0 {
+                self.emergency.push((txn.key, lost));
             }
         }
         for s in (1..self.stages.len()).rev() {
@@ -279,6 +284,7 @@ impl<K: Key> FpgaPipeline<K> {
             .map(|&(key, value)| Txn {
                 key,
                 remaining: value,
+                clipped: 0,
                 indices: vec![0; self.widths.len()],
                 pending: None,
             })
@@ -302,28 +308,20 @@ impl<K: Key> FpgaPipeline<K> {
     }
 
     /// Algorithm-2 query over the committed memory (plus the emergency
-    /// stack), for comparing against the software implementation.
+    /// stack), for comparing against the software implementation. Sums
+    /// saturate, as the software's do.
     pub fn query(&self, key: &K) -> Estimate {
-        let mut est = 0u64;
-        let mut mpe = 0u64;
-        for i in 0..self.widths.len() {
-            let j = self.hashes.index(i, key, self.widths[i]);
-            let b = &self.memory[i][j];
-            let matches = b.0.as_ref() == Some(key);
-            est += if matches { b.1 } else { b.2 };
-            mpe += b.2;
-            if b.2 < self.lambdas[i] || b.1 == b.2 || matches {
-                break;
-            }
-        }
-        let rem: u64 = self
+        let (est, mpe, _) = walk(&self.lambdas, |i| {
+            let (id, yes, no) = self.memory[i][self.hashes.index(i, key, self.widths[i])];
+            (id.as_ref() == Some(key), yes, no, false)
+        });
+        let rem = self
             .emergency
             .iter()
             .filter(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .sum();
+            .fold(0u64, |sum, (_, v)| sum.saturating_add(*v));
         Estimate {
-            value: est + rem,
+            value: est.saturating_add(rem),
             max_possible_error: mpe,
         }
     }
@@ -469,6 +467,18 @@ mod tests {
         for k in 0..3u64 {
             assert!(p.query(&k).value >= 100, "stack remainders not counted");
         }
+    }
+
+    #[test]
+    fn saturated_count_clips_to_the_emergency_stack() {
+        // YES saturates at u64::MAX; the clipped unit fails into the
+        // stack exactly as the software sketch fails it
+        let geometry = LayerGeometry::custom(vec![4, 2], vec![8, 3]).unwrap();
+        let items = [(7u64, u64::MAX), (7, 1)];
+        check_against_software(&geometry, 1, &items);
+        let mut hw = FpgaPipeline::<u64>::new(&geometry, 1);
+        hw.run(&items);
+        assert_eq!(hw.emergency_stack(), &[(7, 1)]);
     }
 
     proptest! {

@@ -11,7 +11,9 @@
 //!   saturated subtraction, two-branch updates). Running this model over a
 //!   packet stream exercises the *same algorithm the switch runs*, which
 //!   is what Figure 20's accuracy-vs-SRAM curves measure. A resource
-//!   estimator regenerates Table 4's rows from the program layout.
+//!   estimator regenerates Table 4's rows from the program layout. The
+//!   switch bucket grid, its stage step and its readout are written once
+//!   here and serve both Tofino models.
 //! * [`fpga`] — a pipeline/resource model of the Verilog implementation:
 //!   41-cycle fully pipelined insertion at 339 MHz, with per-module
 //!   LUT/register/BRAM accounting that regenerates Table 3 and scales
@@ -19,11 +21,14 @@
 //! * [`fpga_pipeline`] — a **cycle-level simulator** of that pipeline:
 //!   one key per clock, read-after-write hazards resolved by a modeled
 //!   forwarding network, differentially tested for exact functional
-//!   equivalence with the software sketch.
+//!   equivalence with the software sketch. Its read stage runs the
+//!   software's one bucket step ([`rsk_core::bucket::step`]) and its
+//!   query the software's Algorithm-2 walk ([`rsk_core::sketch::walk`]).
 //! * [`tofino_pipeline`] — a **slot-level model of recirculation
 //!   asynchrony** (§5.2 Challenge II): lock flags land one recirculation
 //!   pass late, duplicate recirculations and delayed descents included;
-//!   collapses to the behavioural model at zero latency.
+//!   it shares the behavioural model's switch grid and collapses to it
+//!   at zero latency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

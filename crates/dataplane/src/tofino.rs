@@ -22,6 +22,12 @@
 //! replacement happens slightly later — one reason the paper's testbed
 //! needs somewhat more SRAM for zero outliers than the CPU experiments
 //! (Fig 20 vs Fig 4).
+//!
+//! This encoding is written once: the switch bucket grid here holds the
+//! bucket type, its stage A/B step and its readout for both Tofino
+//! models. [`TofinoReliable`] sets a lock flag the moment a packet hits
+//! the threshold; [`crate::TofinoPipeline`] schedules it one
+//! recirculation later.
 
 use rsk_api::{Algorithm, Clear, Estimate, Key, MemoryFootprint, StreamSummary};
 use rsk_core::{Depth, ReliableConfig};
@@ -50,24 +56,25 @@ impl<K> Default for SwitchBucket<K> {
     }
 }
 
-/// The pipeline-constrained ReliableSketch variant.
+/// The switch program's bucket layers, their stage A/B step and their
+/// readout: the one encoding of §5.2 that both Tofino models run. The
+/// models differ only in when a threshold hit sets its lock flag —
+/// [`TofinoReliable`] at once, [`crate::TofinoPipeline`] one
+/// recirculation later.
 #[derive(Debug, Clone)]
-pub struct TofinoReliable<K: Key> {
+pub(crate) struct SwitchGrid<K> {
     geometry: LayerGeometry,
     layers: Vec<Vec<SwitchBucket<K>>>,
     hashes: HashFamily,
-    recirculations: u64,
-    failures: u64,
-    dropped: u64,
+    /// Packets that re-entered the pipeline to set a lock flag.
+    pub(crate) recirculations: u64,
+    /// Passes whose value fell past the last layer.
+    pub(crate) failures: u64,
 }
 
-impl<K: Key> TofinoReliable<K> {
-    /// Build from SRAM bytes and tolerance `Λ`, mirroring the CPU config
-    /// defaults (`R_w = 2`, `R_λ = 2.5`) but without the mice filter —
-    /// the switch program implements the raw layered structure, and the
-    /// stage budget caps the depth at 6 double-stages (Table 4 uses 12
-    /// SALUs = 2 per layer).
-    pub fn new(sram_bytes: usize, lambda: u64, seed: u64) -> Self {
+impl<K: Key> SwitchGrid<K> {
+    /// The grid [`TofinoReliable::new`] describes.
+    pub(crate) fn new(sram_bytes: usize, lambda: u64, seed: u64) -> Self {
         let config = ReliableConfig {
             memory_bytes: sram_bytes,
             lambda,
@@ -89,38 +96,85 @@ impl<K: Key> TofinoReliable<K> {
             hashes,
             recirculations: 0,
             failures: 0,
-            dropped: 0,
         }
     }
 
-    /// Packets that had to re-enter the pipeline to set lock flags —
-    /// the switch-side cost of Challenge II.
-    pub fn recirculations(&self) -> u64 {
-        self.recirculations
+    /// One pipeline pass of `⟨key, v⟩` from `start_layer` (ingress uses
+    /// 0; a recirculated packet resumes below its lock layer). The pass
+    /// ends where the value comes to rest, past the last layer (a
+    /// failure, counted here), or at a threshold hit: the packet pushed
+    /// `NO` of bucket `(layer, index)` to `λ` and recirculates to set its
+    /// lock flag, carrying `overflow` on. A hit is counted as a
+    /// recirculation and returned as `(layer, index, overflow)`. A zero
+    /// value places nothing.
+    pub(crate) fn pass(
+        &mut self,
+        key: &K,
+        v: u64,
+        start_layer: usize,
+    ) -> Option<(usize, usize, u64)> {
+        if v == 0 {
+            return None;
+        }
+        for i in start_layer..self.geometry.depth() {
+            let lambda = self.geometry.lambda(i);
+            let j = self.hashes.index(i, key, self.geometry.width(i));
+            let b = &mut self.layers[i][j];
+
+            // stage A: (ID, DIFF) — two-branch SALU
+            if b.id.as_ref() == Some(key) {
+                b.diff = b.diff.saturating_add(v);
+                return None;
+            }
+            if b.id.is_none() || (b.diff == 0 && !b.locked) {
+                // replacement deferred to the packet that sees DIFF == 0
+                b.id = Some(*key);
+                b.diff = v;
+                return None;
+            }
+            if b.locked {
+                // a locked bucket passes the whole value on (NO stays
+                // frozen at λ)
+                continue;
+            }
+
+            // stage B: NO with saturated-subtraction DIFF update
+            b.diff = b.diff.saturating_sub(v);
+            let room = lambda - b.no;
+            if v < room {
+                b.no += v;
+                return None;
+            }
+            // Challenge II: the packet that pushes NO to the threshold
+            // recirculates to set the lock flag; overflow beyond λ
+            // moves on
+            b.no = lambda;
+            self.recirculations += 1;
+            return Some((i, j, v - room));
+        }
+        // fell off the last stage: control-plane territory
+        self.failures += 1;
+        None
     }
 
-    /// Insertions whose value was not fully placed (handled by the
-    /// control plane in the real deployment).
-    pub fn insertion_failures(&self) -> u64 {
-        self.failures
-    }
-
-    /// The layer schedule in use.
-    pub fn geometry(&self) -> &LayerGeometry {
-        &self.geometry
+    /// Set the lock flag of bucket `(layer, index)`.
+    pub(crate) fn lock(&mut self, layer: usize, index: usize) {
+        self.layers[layer][index].locked = true;
     }
 
     /// Query with the certified error interval (mirrors Algorithm 2 on
-    /// the re-encoded fields: `YES = DIFF + NO`).
-    pub fn query_with_error(&self, key: &K) -> Estimate {
+    /// the re-encoded fields: `YES = DIFF + NO`, and the lock flag, not
+    /// `NO = λ`, says whether to read on).
+    pub(crate) fn query_with_error(&self, key: &K) -> Estimate {
         let mut est = 0u64;
         let mut mpe = 0u64;
         for i in 0..self.geometry.depth() {
             let j = self.hashes.index(i, key, self.geometry.width(i));
             let b = &self.layers[i][j];
             let matches = b.id.as_ref() == Some(key);
-            est += if matches { b.diff + b.no } else { b.no };
-            mpe += b.no;
+            let yes = b.diff.saturating_add(b.no);
+            est = est.saturating_add(if matches { yes } else { b.no });
+            mpe = mpe.saturating_add(b.no);
             if !b.locked || b.diff == 0 || matches {
                 break;
             }
@@ -130,6 +184,59 @@ impl<K: Key> TofinoReliable<K> {
             max_possible_error: mpe,
         }
     }
+
+    /// Empty every bucket and zero the counters.
+    pub(crate) fn clear(&mut self) {
+        self.layers
+            .iter_mut()
+            .flatten()
+            .for_each(|b| *b = SwitchBucket::default());
+        self.recirculations = 0;
+        self.failures = 0;
+    }
+}
+
+/// The pipeline-constrained ReliableSketch variant: lock flags land
+/// synchronously.
+#[derive(Debug, Clone)]
+pub struct TofinoReliable<K: Key> {
+    grid: SwitchGrid<K>,
+}
+
+impl<K: Key> TofinoReliable<K> {
+    /// Build from SRAM bytes and tolerance `Λ`, mirroring the CPU config
+    /// defaults (`R_w = 2`, `R_λ = 2.5`) but without the mice filter —
+    /// the switch program implements the raw layered structure, and the
+    /// stage budget caps the depth at 6 double-stages (Table 4 uses 12
+    /// SALUs = 2 per layer).
+    pub fn new(sram_bytes: usize, lambda: u64, seed: u64) -> Self {
+        Self {
+            grid: SwitchGrid::new(sram_bytes, lambda, seed),
+        }
+    }
+
+    /// Packets that had to re-enter the pipeline to set lock flags —
+    /// the switch-side cost of Challenge II.
+    pub fn recirculations(&self) -> u64 {
+        self.grid.recirculations
+    }
+
+    /// Insertions whose value was not fully placed (handled by the
+    /// control plane in the real deployment).
+    pub fn insertion_failures(&self) -> u64 {
+        self.grid.failures
+    }
+
+    /// The layer schedule in use.
+    pub fn geometry(&self) -> &LayerGeometry {
+        &self.grid.geometry
+    }
+
+    /// Query with the certified error interval (mirrors Algorithm 2 on
+    /// the re-encoded fields: `YES = DIFF + NO`).
+    pub fn query_with_error(&self, key: &K) -> Estimate {
+        self.grid.query_with_error(key)
+    }
 }
 
 /// Stage budget: Table 4's 12 stateful ALUs at 2 per layer.
@@ -137,56 +244,13 @@ pub const SWITCH_LAYERS: usize = 6;
 
 impl<K: Key> StreamSummary<K> for TofinoReliable<K> {
     fn insert(&mut self, key: &K, value: u64) {
-        if value == 0 {
-            return;
+        // the recirculated pass sets the flag, then carries the overflow
+        // on below the lock layer
+        let mut hit = self.grid.pass(key, value, 0);
+        while let Some((layer, index, overflow)) = hit {
+            self.grid.lock(layer, index);
+            hit = self.grid.pass(key, overflow, layer + 1);
         }
-        let mut v = value;
-        for i in 0..self.geometry.depth() {
-            let lambda = self.geometry.lambda(i);
-            let j = self.hashes.index(i, key, self.geometry.width(i));
-            let b = &mut self.layers[i][j];
-
-            // stage A: (ID, DIFF) — two-branch SALU
-            if b.id.as_ref() == Some(key) {
-                b.diff += v;
-                return;
-            }
-            if b.id.is_none() || (b.diff == 0 && !b.locked) {
-                // replacement deferred to the packet that sees DIFF == 0
-                b.id = Some(*key);
-                b.diff = v;
-                return;
-            }
-
-            if b.locked {
-                // locked bucket passes the whole value on (flag already set;
-                // NO stays frozen at λ)
-                v = v.max(1);
-                continue;
-            }
-
-            // stage B: NO with saturated-subtraction DIFF update
-            b.diff = b.diff.saturating_sub(v);
-            let new_no = b.no + v;
-            if new_no >= lambda {
-                // Challenge II: first packet over the threshold recirculates
-                // to set the lock flag; overflow beyond λ moves on
-                let overflow = new_no - lambda;
-                b.no = lambda;
-                b.locked = true;
-                self.recirculations += 1;
-                if overflow == 0 {
-                    return;
-                }
-                v = overflow;
-                continue;
-            }
-            b.no = new_no;
-            return;
-        }
-        // fell off the last stage: control-plane territory
-        self.failures += 1;
-        self.dropped += v;
     }
 
     fn query(&self, key: &K) -> u64 {
@@ -196,7 +260,7 @@ impl<K: Key> StreamSummary<K> for TofinoReliable<K> {
 
 impl<K: Key> MemoryFootprint for TofinoReliable<K> {
     fn memory_bytes(&self) -> usize {
-        self.geometry.total_buckets() * BUCKET_BYTES
+        self.geometry().total_buckets() * BUCKET_BYTES
     }
 }
 
@@ -208,14 +272,7 @@ impl<K: Key> Algorithm for TofinoReliable<K> {
 
 impl<K: Key> Clear for TofinoReliable<K> {
     fn clear(&mut self) {
-        for layer in &mut self.layers {
-            for b in layer {
-                *b = SwitchBucket::default();
-            }
-        }
-        self.recirculations = 0;
-        self.failures = 0;
-        self.dropped = 0;
+        self.grid.clear();
     }
 }
 

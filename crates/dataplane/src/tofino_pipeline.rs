@@ -22,8 +22,13 @@
 //!   packet can know another flag-write is in flight), and their values
 //!   descend late as well.
 //!
-//! With `recirc_latency = 0` the model collapses to the behavioural one
-//! (verified by a differential test). Accuracy semantics under the
+//! The buckets, their stage A/B step and their readout are the
+//! behavioural model's own (the switch grid in `tofino`): this model
+//! differs only in what a threshold hit does, so with
+//! `recirc_latency = 0` it collapses to the behavioural one (verified by
+//! a differential test).
+//!
+//! Accuracy semantics under the
 //! switch encoding are *two-sided*: overshoot remains covered by the
 //! reported MPE (answers are sums of `NO`-style registers), but the
 //! threshold-crossing path — saturated subtraction of the full arriving
@@ -38,40 +43,16 @@
 //! recirculation passes, which this model quantifies.
 
 use rsk_api::{Estimate, Key};
-use rsk_core::{Depth, LayerGeometry, ReliableConfig};
-use rsk_hash::HashFamily;
 use std::collections::VecDeque;
 
-use crate::tofino::SWITCH_LAYERS;
+use crate::tofino::SwitchGrid;
 
-/// One bucket as laid out on the switch (see `tofino`): `(ID, DIFF)` in
-/// stage A, `NO` + lock flag in stage B.
-#[derive(Debug, Clone)]
-struct Bucket<K> {
-    id: Option<K>,
-    diff: u64,
-    no: u64,
-    locked: bool,
-}
-
-impl<K> Default for Bucket<K> {
-    fn default() -> Self {
-        Self {
-            id: None,
-            diff: 0,
-            no: 0,
-            locked: false,
-        }
-    }
-}
-
-/// A packet on its recirculation pass: apply the flag, then resume the
-/// insertion from `layer` with the remaining `value`.
+/// A packet on its recirculation pass: set the flag of bucket `flag`,
+/// then resume the insertion below its layer with the remaining `value`.
 #[derive(Debug, Clone)]
 struct Recirculated<K> {
     due_slot: u64,
     flag: (usize, usize),
-    resume_layer: usize,
     key: K,
     value: u64,
 }
@@ -79,16 +60,11 @@ struct Recirculated<K> {
 /// Slot-accurate Tofino variant with asynchronous lock flags.
 #[derive(Debug, Clone)]
 pub struct TofinoPipeline<K: Key> {
-    geometry: LayerGeometry,
-    layers: Vec<Vec<Bucket<K>>>,
-    hashes: HashFamily,
+    grid: SwitchGrid<K>,
     recirc_latency: u64,
     in_flight: VecDeque<Recirculated<K>>,
     slot: u64,
     ingress_packets: u64,
-    recirculations: u64,
-    failures: u64,
-    dropped: u64,
 }
 
 impl<K: Key> TofinoPipeline<K> {
@@ -96,44 +72,24 @@ impl<K: Key> TofinoPipeline<K> {
     /// recirculation latency in pipeline slots (switch reality: roughly
     /// one pipeline length; 0 collapses to the synchronous model).
     pub fn new(sram_bytes: usize, lambda: u64, seed: u64, recirc_latency: u64) -> Self {
-        let config = ReliableConfig {
-            memory_bytes: sram_bytes,
-            lambda,
-            mice_filter: None,
-            depth: Depth::Fixed(SWITCH_LAYERS),
-            seed,
-            ..Default::default()
-        };
-        let geometry = config.geometry();
-        let layers = geometry
-            .widths()
-            .iter()
-            .map(|&w| vec![Bucket::default(); w])
-            .collect();
-        let hashes = HashFamily::new(geometry.depth(), seed);
         Self {
-            geometry,
-            layers,
-            hashes,
+            grid: SwitchGrid::new(sram_bytes, lambda, seed),
             recirc_latency,
             in_flight: VecDeque::new(),
             slot: 0,
             ingress_packets: 0,
-            recirculations: 0,
-            failures: 0,
-            dropped: 0,
         }
     }
 
     /// Total recirculation passes (each consumed a pipeline slot).
     pub fn recirculations(&self) -> u64 {
-        self.recirculations
+        self.grid.recirculations
     }
 
     /// Pipeline slots consumed: ingress packets + recirculation passes —
     /// the denominator of the effective line rate.
     pub fn slots_consumed(&self) -> u64 {
-        self.ingress_packets + self.recirculations
+        self.ingress_packets + self.recirculations()
     }
 
     /// Fraction of pipeline capacity lost to recirculation.
@@ -141,13 +97,13 @@ impl<K: Key> TofinoPipeline<K> {
         if self.ingress_packets == 0 {
             0.0
         } else {
-            self.recirculations as f64 / self.slots_consumed() as f64
+            self.recirculations() as f64 / self.slots_consumed() as f64
         }
     }
 
     /// Values that fell past the last layer (control-plane territory).
     pub fn insertion_failures(&self) -> u64 {
-        self.failures
+        self.grid.failures
     }
 
     /// Ingest one packet (one ingress slot), first letting any due
@@ -156,9 +112,7 @@ impl<K: Key> TofinoPipeline<K> {
         self.slot += 1;
         self.ingress_packets += 1;
         self.drain_due();
-        if value > 0 {
-            self.pass(*key, value, 0);
-        }
+        self.pass(*key, value, 0);
     }
 
     /// Let every in-flight recirculated packet land (end of stream).
@@ -175,81 +129,30 @@ impl<K: Key> TofinoPipeline<K> {
             }
             let p = self.in_flight.pop_front().expect("front exists");
             let (layer, index) = p.flag;
-            self.layers[layer][index].locked = true;
-            if p.value > 0 {
-                self.pass(p.key, p.value, p.resume_layer);
-            }
+            self.grid.lock(layer, index);
+            self.pass(p.key, p.value, layer + 1);
         }
     }
 
-    /// One pipeline pass from `start_layer` (ingress uses 0; a
-    /// recirculated packet resumes below its lock layer).
-    fn pass(&mut self, key: K, mut v: u64, start_layer: usize) {
-        for i in start_layer..self.geometry.depth() {
-            let lambda = self.geometry.lambda(i);
-            let j = self.hashes.index(i, &key, self.geometry.width(i));
-            let b = &mut self.layers[i][j];
-
-            // stage A: (ID, DIFF)
-            if b.id.as_ref() == Some(&key) {
-                b.diff += v;
-                return;
-            }
-            if b.id.is_none() || (b.diff == 0 && !b.locked) {
-                b.id = Some(key);
-                b.diff = v;
-                return;
-            }
-            if b.locked {
-                v = v.max(1);
-                continue;
-            }
-
-            // stage B: NO with saturated subtraction on DIFF
-            b.diff = b.diff.saturating_sub(v);
-            let new_no = b.no + v;
-            if new_no >= lambda {
-                // Challenge II, asynchronously: clamp NO, schedule the
-                // flag write one recirculation away, and carry the
-                // overflow on the second pass
-                let overflow = new_no - lambda;
-                b.no = lambda;
-                self.recirculations += 1;
-                self.in_flight.push_back(Recirculated {
-                    due_slot: self.slot.saturating_add(self.recirc_latency),
-                    flag: (i, j),
-                    resume_layer: i + 1,
-                    key,
-                    value: overflow,
-                });
-                return; // this pass ends; the overflow re-enters later
-            }
-            b.no = new_no;
-            return;
+    /// One pipeline pass from `start_layer`. Challenge II,
+    /// asynchronously: a threshold hit schedules its flag write one
+    /// recirculation away and carries the overflow on the second pass,
+    /// so packets in the window still see the bucket unlocked.
+    fn pass(&mut self, key: K, v: u64, start_layer: usize) {
+        if let Some((layer, index, overflow)) = self.grid.pass(&key, v, start_layer) {
+            self.in_flight.push_back(Recirculated {
+                due_slot: self.slot.saturating_add(self.recirc_latency),
+                flag: (layer, index),
+                key,
+                value: overflow,
+            });
         }
-        self.failures += 1;
-        self.dropped += v;
     }
 
-    /// Query with the certified interval (identical readout to the
-    /// behavioural model).
+    /// Query with the certified interval (the behavioural model's
+    /// readout).
     pub fn query_with_error(&self, key: &K) -> Estimate {
-        let mut est = 0u64;
-        let mut mpe = 0u64;
-        for i in 0..self.geometry.depth() {
-            let j = self.hashes.index(i, key, self.geometry.width(i));
-            let b = &self.layers[i][j];
-            let matches = b.id.as_ref() == Some(key);
-            est += if matches { b.diff + b.no } else { b.no };
-            mpe += b.no;
-            if !b.locked || b.diff == 0 || matches {
-                break;
-            }
-        }
-        Estimate {
-            value: est,
-            max_possible_error: mpe,
-        }
+        self.grid.query_with_error(key)
     }
 }
 

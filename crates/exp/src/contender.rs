@@ -889,17 +889,29 @@ impl rsk_api::Algorithm for ContenderSketch {
     }
 }
 
-/// The deterministic concurrent lineup for accuracy scenarios: atomic
-/// filtered + raw at 1 worker, sharded at every worker count of the
-/// context, a windowed configuration, and a merged overlay. Honors the
-/// context's `--contenders` filter.
-pub fn concurrent_contenders(ctx: &ExpContext, lambda: u64) -> Vec<Contender> {
+/// The deterministic concurrent lineup: atomic filtered + raw at 1
+/// worker, sharded at the context's largest worker count, a windowed
+/// configuration, and a merged overlay. The sharded contender answers
+/// bit-identically at every worker count (`tests/concurrent_ingest.rs`
+/// pins it), so accuracy tables carry one row of it;
+/// `every_worker_count` registers it at each count of the context
+/// instead, for the tables that set the counts side by side (Figure 10's
+/// throughput, the concurrent-path target). Honors the context's
+/// `--contenders` filter.
+pub fn concurrent_contenders(
+    ctx: &ExpContext,
+    lambda: u64,
+    every_worker_count: bool,
+) -> Vec<Contender> {
     let mut v = vec![
         Contender::atomic(lambda, false, 1),
         Contender::atomic(lambda, true, 1),
     ];
-    for &w in &ctx.workers {
-        v.push(Contender::sharded(lambda, DEFAULT_SHARDS, w));
+    let largest = ctx.workers.iter().max();
+    for w in &ctx.workers {
+        if every_worker_count || Some(w) == largest {
+            v.push(Contender::sharded(lambda, DEFAULT_SHARDS, *w));
+        }
     }
     v.push(Contender::epoched(lambda, 1));
     v.push(Contender::merged(lambda));
@@ -925,7 +937,7 @@ pub fn dataplane_contenders(ctx: &ExpContext, lambda_bytes: u64) -> Vec<Contende
 /// table (`Ours` first, as the figures' reference series).
 pub fn full_registry(ctx: &ExpContext, baselines: &[Baseline], lambda: u64) -> Vec<Contender> {
     let mut v = sequential_registry(ctx, baselines, lambda);
-    v.extend(concurrent_contenders(ctx, lambda));
+    v.extend(concurrent_contenders(ctx, lambda, false));
     if ctx.keep("OursSlim") {
         v.push(Contender::slim(lambda));
     }

@@ -28,7 +28,7 @@
 //!   documented `(arrays − 1) × threshold` filter slack must bound every
 //!   undershoot, and the Λ ceiling must hold, under a real thread race.
 
-use crate::contender::Contender;
+use crate::contender::{concurrent_contenders, Contender};
 use crate::scenario::Scenario;
 use crate::ExpContext;
 use rsk_api::ConcurrentSummary;
@@ -50,11 +50,11 @@ pub fn concurrent(ctx: &ExpContext) -> Vec<Table> {
 }
 
 /// Contenders this module races: both sequential references plus the
-/// deterministic concurrent lineup.
+/// deterministic concurrent lineup, sharded at every worker count.
 fn lineup(ctx: &ExpContext) -> Vec<Contender> {
     let mut v = vec![Contender::ours(25), Contender::ours_raw(25)];
     v.retain(|c| ctx.keep(c.label()));
-    v.extend(ctx.concurrent_registry(25));
+    v.extend(concurrent_contenders(ctx, 25, true));
     v
 }
 

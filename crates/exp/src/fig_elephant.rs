@@ -180,7 +180,7 @@ mod tests {
         assert_eq!(ts.len(), 2);
         for t in &ts {
             // Ours + 4 competitors + concurrent lineup + slim digest
-            assert_eq!(t.len(), 5 + 5 + crate::DEFAULT_WORKERS.len());
+            assert_eq!(t.len(), 5 + 5 + 1);
             assert!(t.to_csv().contains("\nOursMerged,"));
         }
     }

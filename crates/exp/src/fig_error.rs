@@ -82,12 +82,12 @@ mod tests {
         let t9 = fig9(&ctx);
         assert_eq!(t8.len(), 2);
         assert_eq!(t9.len(), 2);
-        // Ours + 5 baselines + concurrent lineup (2 atomic + 3 sharded +
-        // epoch + merged with the default worker set) + slim digest
-        assert_eq!(t8[0].len(), 6 + 5 + crate::DEFAULT_WORKERS.len());
+        // Ours + 5 baselines + concurrent lineup (2 atomic + 1 sharded at
+        // the largest default worker count + epoch + merged) + slim digest
+        assert_eq!(t8[0].len(), 6 + 5 + 1);
         let csv = t8[0].to_csv();
         assert!(csv.contains("\nOursAtomic,"));
-        assert!(csv.contains("\nOurs(x4)@2w,"));
+        assert!(csv.contains("\nOurs(x4)@4w,"));
     }
 
     #[test]

@@ -80,7 +80,7 @@ mod tests {
         assert_eq!(ts.len(), 2);
         for t in &ts {
             // Ours + 8 baselines + concurrent lineup + slim digest
-            assert_eq!(t.len(), 9 + 5 + crate::DEFAULT_WORKERS.len());
+            assert_eq!(t.len(), 9 + 5 + 1);
         }
         assert!(ts[1].to_csv().contains("\nOursEpoch,"));
     }

@@ -185,7 +185,7 @@ mod tests {
         assert_eq!(ts.len(), SUBSET_SIZES.len() + 2);
 
         // every table row-covers the full registry plus OursTopK
-        let rows = 9 + 5 + crate::DEFAULT_WORKERS.len() + 1;
+        let rows = 9 + 5 + 1 + 1;
         for t in &ts {
             assert_eq!(t.len(), rows, "{}", t.title());
         }

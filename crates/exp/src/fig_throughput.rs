@@ -10,7 +10,7 @@
 //! up. Absolute Mpps differ per host; ratios are the result. The table
 //! is volatile: committed reports elide it, CSVs keep the measurements.
 
-use crate::contender::Contender;
+use crate::contender::{concurrent_contenders, Contender};
 use crate::scenario::Scenario;
 use crate::ExpContext;
 use rsk_baselines::factory::Baseline;
@@ -49,7 +49,7 @@ pub fn fig10(ctx: &ExpContext) -> Vec<Table> {
             contenders.push(Contender::baseline(b));
         }
     }
-    contenders.extend(ctx.concurrent_registry(25));
+    contenders.extend(concurrent_contenders(ctx, 25, true));
     // the truly contended configuration belongs here: wall-clock is what
     // multi-worker atomic ingestion is for
     for &w in &ctx.workers {

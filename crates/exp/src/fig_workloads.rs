@@ -121,12 +121,7 @@ mod tests {
         let ts = workloads(&ctx);
         assert_eq!(ts.len(), 4);
         for t in &ts {
-            assert_eq!(
-                t.len(),
-                9 + 5 + crate::DEFAULT_WORKERS.len(),
-                "{}",
-                t.title()
-            );
+            assert_eq!(t.len(), 9 + 5 + 1, "{}", t.title());
             let csv = t.to_csv();
             assert!(csv.contains("\nOursMerged,"), "{}", t.title());
             assert!(csv.contains("\nOursSlim,"), "{}", t.title());

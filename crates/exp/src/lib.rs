@@ -158,9 +158,10 @@ impl ExpContext {
         contender::sequential_registry(self, baselines, lambda)
     }
 
-    /// The deterministic concurrent lineup alone.
+    /// The deterministic concurrent lineup alone, with one sharded row
+    /// (see [`contender::concurrent_contenders`]).
     pub fn concurrent_registry(&self, lambda: u64) -> Vec<Contender> {
-        contender::concurrent_contenders(self, lambda)
+        contender::concurrent_contenders(self, lambda, false)
     }
 
     /// The dataplane models (read-only registrations; byte-domain Λ).
@@ -249,14 +250,14 @@ mod tests {
         let ctx = ExpContext::default();
         let reg = ctx.registry(&Baseline::ACCURACY_SET, 25);
         assert_eq!(reg[0].label(), "Ours");
-        // Ours + 8 baselines + (2 atomic + 3 sharded + epoch + merged)
+        // Ours + 8 baselines + (2 atomic + 1 sharded + epoch + merged)
         // + the OursSlim query-only digest
-        assert_eq!(reg.len(), 9 + 5 + DEFAULT_WORKERS.len());
+        assert_eq!(reg.len(), 9 + 5 + 1);
         assert_eq!(reg.last().unwrap().label(), "OursSlim");
         let sk = reg[0].sketch_factory()(64 * 1024, 1);
         assert_eq!(sk.name(), "Ours");
         assert!(reg.iter().any(|c| c.label() == "OursAtomic"));
-        assert!(reg.iter().any(|c| c.label() == "Ours(x4)@2w"));
+        assert!(reg.iter().any(|c| c.label() == "Ours(x4)@4w"));
     }
 
     #[test]

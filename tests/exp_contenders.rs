@@ -26,9 +26,9 @@ fn every_registered_contender_runs_a_quick_error_scenario() {
         &reliablesketch::baselines::factory::Baseline::ACCURACY_SET,
         25,
     );
-    // Ours + 8 baselines + 2 atomic + one sharded row per worker count +
-    // epoched + merged + slim digest
-    assert_eq!(registry.len(), 9 + 5 + ctx.workers.len());
+    // Ours + 8 baselines + 2 atomic + one sharded row (at the largest
+    // worker count) + epoched + merged + slim digest
+    assert_eq!(registry.len(), 9 + 5 + 1);
     for c in &registry {
         let inst = c.run(128 * 1024, ctx.seed, &sc.stream);
         let rep = sc.evaluate(inst.as_ref());
@@ -140,7 +140,13 @@ fn registry_filters_apply() {
         contenders: Some(vec!["x4".into()]),
         ..quick_ctx(1_000)
     };
-    let reg = ctx.concurrent_registry(25);
-    let labels: Vec<&str> = reg.iter().map(|c| c.label()).collect();
-    assert_eq!(labels, vec!["Ours(x4)@2w", "Ours(x4)@8w"]);
+    let labels = |reg: Vec<rsk_exp::contender::Contender>| -> Vec<String> {
+        reg.iter().map(|c| c.label().to_string()).collect()
+    };
+    // accuracy tables carry one sharded row, at the largest count
+    assert_eq!(labels(ctx.concurrent_registry(25)), vec!["Ours(x4)@8w"]);
+    assert_eq!(
+        labels(rsk_exp::contender::concurrent_contenders(&ctx, 25, true)),
+        vec!["Ours(x4)@2w", "Ours(x4)@8w"]
+    );
 }
