@@ -91,6 +91,14 @@ use rsk_hash::SplitMix64;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The shard `key` routes to among `shards`: a multiply-shift of the
+/// key's 32-bit digest under `router_seed`. The sharded sketch and its
+/// slim digest both route through it, so they agree on every key.
+#[inline]
+pub(crate) fn route<K: Key>(key: &K, router_seed: u32, shards: usize) -> usize {
+    ((u64::from(key.hash32(router_seed)) * shards as u64) >> 32) as usize
+}
+
 /// Key-partitioned lock-free ReliableSketch for shared (`&self`)
 /// ingestion from many threads.
 pub struct ShardedReliable<K: Key> {
@@ -169,7 +177,7 @@ impl<K: Key> ShardedReliable<K> {
     /// The shard a key routes to (diagnostics and tests).
     #[inline]
     pub fn shard_of(&self, key: &K) -> usize {
-        ((key.hash32(self.router_seed) as u64 * self.shards.len() as u64) >> 32) as usize
+        route(key, self.router_seed, self.shards.len())
     }
 
     /// Direct access to shard `i` (diagnostics and tests).

@@ -200,10 +200,11 @@ impl<K: Key> EmergencyStore<K> {
                 failures,
                 dropped_value: self.dropped_value,
             },
-            Table::Exact(table) => EmergencyState::Exact {
-                entries: table.iter().map(|(k, v)| (*k, *v)).collect(),
-                failures,
-            },
+            Table::Exact(table) => {
+                let mut entries: Vec<(K, u64)> = table.iter().map(|(k, v)| (*k, *v)).collect();
+                entries.sort_by_cached_key(|(k, _)| key_bytes(k));
+                EmergencyState::Exact { entries, failures }
+            }
             Table::SpaceSaving(_) => EmergencyState::SpaceSaving {
                 slots: self.tracked(),
                 failures,
@@ -212,14 +213,17 @@ impl<K: Key> EmergencyStore<K> {
     }
 
     /// Replace the contents with `state`, captured from a store of the
-    /// same policy. SpaceSaving rows rebuild the summary in any order: a
-    /// threshold-0 summary's miss bound is its minimum count when full
-    /// and 0 otherwise, so the rows alone restore the certificate.
+    /// same policy. Exact rows travel strictly ascending by key bytes, the
+    /// one order [`Self::capture`] writes. SpaceSaving rows rebuild the
+    /// summary in any order: a threshold-0 summary's miss bound is its
+    /// minimum count when full and 0 otherwise, so the rows alone restore
+    /// the certificate.
     ///
     /// # Errors
     /// [`ReplicateError::Incompatible`] for another policy's state, and
-    /// [`ReplicateError::Corrupt`] for SpaceSaving rows that repeat a key
-    /// or outnumber the slots; `self` is then unchanged.
+    /// [`ReplicateError::Corrupt`] for exact rows out of that order (a
+    /// repeated key included) or SpaceSaving rows that repeat a key or
+    /// outnumber the slots; `self` is then unchanged.
     pub(crate) fn install(&mut self, state: EmergencyState<K>) -> Result<(), ReplicateError> {
         let (failures, dropped_value, table) = match (&self.table, state) {
             (
@@ -230,6 +234,14 @@ impl<K: Key> EmergencyStore<K> {
                 },
             ) => (failures, dropped_value, Table::None),
             (Table::Exact(_), EmergencyState::Exact { entries, failures }) => {
+                if !entries
+                    .windows(2)
+                    .all(|p| key_bytes(&p[0].0) < key_bytes(&p[1].0))
+                {
+                    return Err(ReplicateError::Corrupt(
+                        "exact emergency rows are not strictly ascending by key".into(),
+                    ));
+                }
                 (failures, 0, Table::Exact(entries.into_iter().collect()))
             }
             (Table::SpaceSaving(summary), EmergencyState::SpaceSaving { slots, failures }) => {
@@ -250,6 +262,14 @@ impl<K: Key> EmergencyStore<K> {
         };
         Ok(())
     }
+}
+
+/// A key's byte form: exact-table rows travel sorted by it, so one table
+/// always encodes to the same bytes.
+fn key_bytes<K: Key>(key: &K) -> Vec<u8> {
+    let mut out = Vec::with_capacity(K::BYTES);
+    key.put_le(&mut out);
+    out
 }
 
 #[cfg(test)]

@@ -235,6 +235,22 @@ fn validate_entries(words: &WordEntries, geometry: &LayerGeometry) -> Result<(),
     Ok(())
 }
 
+/// Reject a failure gauge below the failures its emergency state counts.
+/// No capture writes one: an insert bumps the gauge before it records its
+/// remainder, and a capture reads the remainders before the gauge, so a
+/// capture taken during ingest can only carry a gauge above its rows.
+/// Queries consult the emergency store only while the gauge is non-zero,
+/// so a lower gauge would hide recorded remainders from every answer.
+fn check_gauge<K>(failures: u64, emergency: &EmergencyState<K>) -> Result<(), ReplicateError> {
+    if failures < emergency.failures() {
+        return Err(ReplicateError::Corrupt(format!(
+            "failure gauge {failures} is below the {} failures the emergency state counts",
+            emergency.failures()
+        )));
+    }
+    Ok(())
+}
+
 impl<K: Key> ConcurrentReliable<K> {
     /// Capture a plain-data mirror of the sketch's full logical state
     /// (live packed words, sealed overlay, filter counters, emergency
@@ -273,14 +289,16 @@ impl<K: Key> ConcurrentReliable<K> {
     /// # Errors
     /// [`ReplicateError::Corrupt`] for invalid configurations, malformed
     /// schedules, out-of-range or out-of-order bucket entries,
-    /// filter-shape mismatches or SpaceSaving rows that repeat a key or
-    /// outnumber the slots; [`ReplicateError::Incompatible`] for an
-    /// emergency policy mismatch.
+    /// filter-shape mismatches, exact emergency rows out of order,
+    /// SpaceSaving rows that repeat a key or outnumber the slots, or a
+    /// failure gauge below the emergency state's failures;
+    /// [`ReplicateError::Incompatible`] for an emergency policy mismatch.
     pub fn restore(snapshot: ConcurrentSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
             .config
             .validate()
             .map_err(ReplicateError::Corrupt)?;
+        check_gauge(snapshot.failures, &snapshot.emergency)?;
         if let Some(&l) = snapshot.lambdas.iter().find(|&&l| l > ERR_MAX) {
             return Err(ReplicateError::Corrupt(format!(
                 "layer threshold {l} exceeds the packed error field ({ERR_MAX})"
@@ -365,7 +383,8 @@ impl<K: Key> ConcurrentReliable<K> {
     /// [`ReplicateError::Incompatible`] when the delta's configuration
     /// (or filter/emergency shape) does not match this sketch;
     /// [`ReplicateError::Corrupt`] for entries that do not fit the
-    /// schedule or the packed word.
+    /// schedule or the packed word, exact emergency rows out of order,
+    /// or a failure gauge below the emergency state's failures.
     pub fn apply_delta(&mut self, delta: ConcurrentDelta<K>) -> Result<(), ReplicateError> {
         if delta.config != *self.config() {
             return Err(ReplicateError::Incompatible(
@@ -373,6 +392,7 @@ impl<K: Key> ConcurrentReliable<K> {
             ));
         }
         validate_entries(&delta.words, self.geometry())?;
+        check_gauge(delta.failures, &delta.emergency)?;
         if self.filter().is_some() != delta.filter_diff.is_some() {
             return Err(ReplicateError::Incompatible(
                 "delta filter presence mismatch".into(),

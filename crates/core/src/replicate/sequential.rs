@@ -66,7 +66,8 @@ pub enum EmergencyState<K> {
     },
     /// Contents of the `ExactTable` policy.
     Exact {
-        /// `(key, remainder)` pairs.
+        /// `(key, remainder)` pairs, strictly ascending by the key's byte
+        /// form.
         entries: Vec<(K, u64)>,
         /// Failed insert operations.
         failures: u64,
@@ -78,6 +79,17 @@ pub enum EmergencyState<K> {
         /// Failed insert operations.
         failures: u64,
     },
+}
+
+impl<K> EmergencyState<K> {
+    /// The failed insert operations the state counts.
+    pub(crate) fn failures(&self) -> u64 {
+        match self {
+            EmergencyState::Disabled { failures, .. }
+            | EmergencyState::Exact { failures, .. }
+            | EmergencyState::SpaceSaving { failures, .. } => *failures,
+        }
+    }
 }
 
 impl<K: Key> Wire for EmergencyState<K> {
@@ -195,9 +207,9 @@ impl<K: Key> ReliableSketch<K> {
     /// Returns [`ReplicateError::Corrupt`] for snapshots whose
     /// configuration fails validation, whose schedule is malformed, or
     /// whose contents do not match the schedule (wrong layer count or
-    /// width, filter shape mismatch, SpaceSaving rows that repeat a key
-    /// or outnumber the slots), and [`ReplicateError::Incompatible`] for
-    /// an emergency policy mismatch.
+    /// width, filter shape mismatch, exact emergency rows out of order,
+    /// SpaceSaving rows that repeat a key or outnumber the slots), and
+    /// [`ReplicateError::Incompatible`] for an emergency policy mismatch.
     pub fn restore(snapshot: SketchSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
             .config

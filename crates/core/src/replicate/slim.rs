@@ -27,7 +27,7 @@
 use super::codec::{self, wire_struct, PayloadKind};
 use crate::atomic::{fingerprint, fp_seed_for, ConcurrentReliable};
 use crate::bucket::Layers;
-use crate::concurrent::ShardedReliable;
+use crate::concurrent::{route, ShardedReliable};
 use crate::config::ReliableConfig;
 use crate::epoch::EpochedConcurrent;
 use crate::geometry::LayerGeometry;
@@ -272,9 +272,7 @@ impl SlimShards {
     /// Point query with a certified interval, routed to the owning
     /// shard's digest.
     pub fn query_with_error<K: Key>(&self, key: &K) -> Estimate {
-        let shard =
-            ((u64::from(key.hash32(self.router_seed)) * self.shards.len() as u64) >> 32) as usize;
-        self.shards[shard].query_with_error(key)
+        self.shards[route(key, self.router_seed, self.shards.len())].query_with_error(key)
     }
 
     /// Worst-case per-answer widening: the maximum of the shard slacks

@@ -189,7 +189,7 @@ impl<K: Key> ReliableSketch<K> {
         // post-insert estimate (an upper bound on its full mass)
         if passed > 0 && self.topk.is_some() {
             if let Some(mut tk) = self.topk.take() {
-                tk.offer(key, passed, || self.query_traced(key).estimate);
+                tk.offer(key, passed, || self.query_unrecorded(key).estimate);
                 self.topk = Some(tk);
             }
         }
@@ -277,6 +277,15 @@ impl<K: Key> ReliableSketch<K> {
     /// Query and return the full trace (estimate, layers visited, hash
     /// calls).
     pub fn query_traced(&self, key: &K) -> QueryTrace {
+        let trace = self.query_unrecorded(key);
+        self.stats.record_query(&trace);
+        trace
+    }
+
+    /// [`Self::query_traced`] without counting it in [`Self::stats`]: the
+    /// top-K layer's seed estimate is part of an insert, not a query.
+    #[inline]
+    fn query_unrecorded(&self, key: &K) -> QueryTrace {
         let mut est = 0u64;
         let mut mpe = 0u64;
         let mut hash_calls = 0u64;
@@ -307,16 +316,14 @@ impl<K: Key> ReliableSketch<K> {
         est = est.saturating_add(ev);
         mpe = mpe.saturating_add(eo);
 
-        let trace = QueryTrace {
+        QueryTrace {
             estimate: Estimate {
                 value: est,
                 max_possible_error: mpe,
             },
             layers_visited,
             hash_calls,
-        };
-        self.stats.record_query(&trace);
-        trace
+        }
     }
 
     /// Keys currently held as bucket candidates, with their estimates —
@@ -759,6 +766,17 @@ mod tests {
         }
         assert_eq!(sk.stats().queries(), 1000);
         assert!(sk.stats().avg_query_hash_calls() >= 2.0);
+
+        // the top-K layer's seed estimates are part of an insert: 64
+        // elephants rotate through 16 slots, seeding again and again
+        let mut tk = small_sketch(64 * 1024, 25).with_top_k(16);
+        for i in 0..50_000u64 {
+            tk.insert(&(i % 64), 1);
+        }
+        assert!(tk.top_k_summary().is_some_and(|s| s.is_full()));
+        assert_eq!(tk.stats().queries(), 0);
+        tk.query(&3);
+        assert_eq!(tk.stats().queries(), 1);
     }
 
     #[test]

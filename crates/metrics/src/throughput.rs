@@ -3,9 +3,10 @@
 //! The paper measures 10 M inserts and 10 M queries on a pinned CPU with
 //! `-O2`. Absolute numbers depend on the host; the harness reports Mpps
 //! for *every algorithm under the same conditions*, which preserves the
-//! ratios the paper's Figure 10 is about. Criterion benches in
-//! `rsk-bench` provide the statistically rigorous version; this module is
-//! the cheap single-shot variant the `repro` binary uses.
+//! ratios the paper's Figure 10 is about. This module is the cheap
+//! single-shot measurement the `repro` binary uses; the benchmark
+//! (`BENCHMARK.json` and `perfbench/`) reports the median and spread of
+//! repeated runs, end to end and per layer.
 
 use rsk_api::StreamSummary;
 use rsk_stream::Item;

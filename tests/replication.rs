@@ -431,6 +431,162 @@ fn crafted_counters_saturate_instead_of_overflowing() {
     assert_eq!(sharded.insertion_failures(), u64::MAX);
 }
 
+/// A 2 KB sketch whose exact emergency table fills on `zipfish_stream`.
+fn overloaded_exact_config() -> ReliableConfig {
+    ReliableConfig {
+        memory_bytes: 2 * 1024,
+        emergency: reliablesketch::core::EmergencyPolicy::ExactTable,
+        seed: 5,
+        ..Default::default()
+    }
+}
+
+/// One history fed to two `ExactTable` sketches encodes to the same
+/// bytes in every payload family: the exact table travels sorted by key
+/// bytes, not in its hash map's per-instance order. Rows that repeat a
+/// key or leave that order are refused.
+#[test]
+fn exact_table_payloads_are_canonical() {
+    use reliablesketch::core::replicate::EmergencyState;
+
+    let cfg = overloaded_exact_config();
+    let stream = zipfish_stream(60_000, 3);
+    let (first, second) = stream.split_at(stream.len() / 2);
+    let payloads = || {
+        let mut seq = ReliableSketch::<u64>::new(cfg.clone());
+        let mut conc = ConcurrentReliable::<u64>::new(cfg.clone());
+        let mut window = EpochedConcurrent::<u64>::new(cfg.clone());
+        let mut sharded = ShardedReliable::<u64>::new(cfg.clone(), 2);
+        let mut out = Vec::new();
+        // the first cuts are full payloads; after the rotation the window
+        // ships a rotation delta, the others plain deltas
+        for (round, items) in [first, second].into_iter().enumerate() {
+            if round == 1 {
+                window.rotate();
+            }
+            for (k, v) in items {
+                seq.insert(k, *v);
+                conc.insert_concurrent(k, *v);
+                window.insert_shared(k, *v);
+                sharded.insert_shared(k, *v);
+            }
+            out.extend([
+                ("sequential", seq.snapshot_bytes().unwrap()),
+                ("concurrent", conc.snapshot_bytes().unwrap()),
+                ("concurrent cut", conc.delta_bytes().unwrap()),
+                ("window", window.snapshot_bytes().unwrap()),
+                ("window cut", window.delta_bytes().unwrap()),
+                ("sharded", sharded.snapshot_bytes().unwrap()),
+                ("sharded cut", sharded.delta_bytes().unwrap()),
+            ]);
+        }
+        for failures in [
+            seq.insertion_failures(),
+            conc.insertion_failures(),
+            window.active().insertion_failures(),
+            window.frozen().unwrap().insertion_failures(),
+            sharded.shard(0).insertion_failures(),
+            sharded.shard(1).insertion_failures(),
+        ] {
+            assert!(failures > 0, "every exact table must hold rows");
+        }
+        (out, seq, conc)
+    };
+    let (a, seq, conc) = payloads();
+    let (b, _, _) = payloads();
+    for (i, ((name, x), (_, y))) in a.iter().zip(&b).enumerate() {
+        assert!(x == y, "payload {i} ({name}): one history, two encodings");
+    }
+
+    // a repeated key, or two rows swapped, is refused
+    let EmergencyState::Exact { entries: rows, .. } = seq.snapshot().emergency else {
+        panic!("an ExactTable sketch captures exact rows");
+    };
+    assert!(rows.len() >= 2);
+    let mut repeated = rows.clone();
+    repeated.insert(1, (rows[0].0, 1));
+    let mut swapped = rows.clone();
+    swapped.swap(0, 1);
+    for entries in [repeated, swapped] {
+        let edit = |emergency: &mut EmergencyState<u64>| {
+            let EmergencyState::Exact { entries: e, .. } = emergency else {
+                unreachable!()
+            };
+            *e = entries.clone();
+        };
+        let mut snapshot = seq.snapshot();
+        edit(&mut snapshot.emergency);
+        let mut replica = ReliableSketch::<u64>::new(cfg.clone());
+        let refused = replica.apply_bytes(&snapshot.to_bytes());
+        assert!(
+            matches!(refused, Err(ReplicateError::Corrupt(_))),
+            "{refused:?}"
+        );
+        let mut snapshot = conc.snapshot();
+        edit(&mut snapshot.emergency);
+        let refused = ConcurrentReliable::restore(snapshot);
+        assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
+    }
+}
+
+/// A failure gauge below the failures its emergency rows count comes from
+/// no capture, and it would hide those rows from every query: snapshots
+/// and deltas that carry one are refused. A gauge above its rows, as a
+/// capture taken during ingest may carry, still applies.
+#[test]
+fn a_failure_gauge_below_its_emergency_rows_is_refused() {
+    use reliablesketch::core::replicate::GenPayload;
+
+    let cfg = overloaded_exact_config();
+    let stream = zipfish_stream(60_000, 4);
+    let (first, second) = stream.split_at(stream.len() / 2);
+    let mut primary = ConcurrentReliable::<u64>::new(cfg.clone());
+    let mut replica = ConcurrentReliable::<u64>::new(cfg.clone());
+    for (k, v) in first {
+        primary.insert_concurrent(k, *v);
+    }
+    let rows = primary.insertion_failures();
+    assert!(rows > 0);
+    let snapshot = primary.snapshot();
+    for gauge in [0, rows - 1] {
+        let mut low = snapshot.clone();
+        low.failures = gauge;
+        let refused = ConcurrentReliable::restore(low);
+        assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
+    }
+    let mut high = snapshot;
+    high.failures = rows + 1;
+    assert_eq!(
+        ConcurrentReliable::restore(high)
+            .unwrap()
+            .insertion_failures(),
+        rows + 1
+    );
+
+    replica
+        .apply_bytes(&primary.delta_bytes().unwrap())
+        .unwrap();
+    for (k, v) in second {
+        primary.insert_concurrent(k, *v);
+    }
+    let GenPayload::Delta(delta) = primary.delta() else {
+        panic!("a cut exists, so the second ship is a delta");
+    };
+    let before = replica.snapshot_bytes().unwrap();
+    let mut low = delta.clone();
+    low.failures = 0;
+    let refused = replica.apply_delta(low);
+    assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
+    assert!(
+        replica.snapshot_bytes().unwrap() == before,
+        "refusal mutated"
+    );
+    replica.apply_delta(delta).unwrap();
+    for (k, _) in &stream {
+        assert_eq!(replica.query_with_error(k), primary.query_with_error(k));
+    }
+}
+
 /// The acceptance pin: a tenant window replicated over real loopback
 /// TCP — one full snapshot, then two delta ships straddling an epoch
 /// seal — answers every probed key within its certified bound on the
