@@ -21,8 +21,10 @@
 //!   and the per-bucket invariants (`YES ≥ NO` for candidates,
 //!   `NO ≤ λ_i`) hold under any interleaving. The layer loop around it is
 //!   the sequential sketch's too (`sketch::descend`).
-//! * **Relaxed counters for stats.** Items, CAS retries, failures and
-//!   saturation events are `Relaxed` atomics off the decision path.
+//! * **Relaxed counters for stats.** CAS retries, failures and
+//!   saturation events are `Relaxed` atomics off the decision path, each
+//!   written only by the step that retried, failed or saturated: no
+//!   shared counter is written on every insert.
 //!
 //! ### What survives concurrency
 //!
@@ -173,17 +175,11 @@ pub(crate) fn step_word(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u6
 /// Relaxed operation counters of an [`AtomicBucketArray`].
 #[derive(Debug, Default)]
 pub struct AtomicStats {
-    items: AtomicU64,
     retries: AtomicU64,
     saturations: AtomicU64,
 }
 
 impl AtomicStats {
-    /// Insert operations started.
-    pub fn items(&self) -> u64 {
-        self.items.load(Ordering::Relaxed)
-    }
-
     /// CAS attempts that lost a race and retried (contention gauge).
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
@@ -197,15 +193,13 @@ impl AtomicStats {
     }
 
     fn reset(&self) {
-        self.items.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.saturations.store(0, Ordering::Relaxed);
     }
 
-    /// Add a peer's `(items, retries, saturations)` (the stats half of
-    /// [`rsk_api::Merge`]; a sequential peer reports only items).
-    pub(crate) fn absorb(&self, (items, retries, saturations): (u64, u64, u64)) {
-        self.items.fetch_add(items, Ordering::Relaxed);
+    /// Add a peer's `(retries, saturations)` (the stats half of
+    /// [`rsk_api::Merge`]; a sequential peer reports none).
+    pub(crate) fn absorb(&self, (retries, saturations): (u64, u64)) {
         self.retries.fetch_add(retries, Ordering::Relaxed);
         self.saturations.fetch_add(saturations, Ordering::Relaxed);
     }
@@ -282,12 +276,6 @@ impl AtomicBucketArray {
     /// Operation statistics.
     pub fn stats(&self) -> &AtomicStats {
         &self.stats
-    }
-
-    /// Record one insert operation (called once per item by the owner).
-    #[inline]
-    pub(crate) fn note_item(&self) {
-        self.stats.items.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Apply one layer step for `fingerprint` at `(layer, index)` with a
@@ -684,7 +672,6 @@ impl<K: Key> ConcurrentReliable<K> {
     /// value it passes through descends into the bucket layers.
     #[inline]
     fn insert_prehashed(&self, key: &K, value: u64, fp: u64, idx0: usize) {
-        self.array.note_item();
         let mut v = value;
         if let Some(f) = &self.filter {
             v = f.insert(key, v);
@@ -1068,10 +1055,6 @@ mod tests {
         for k in 0..500u64 {
             assert_eq!(batched.query_with_error(&k), looped.query_with_error(&k));
         }
-        assert_eq!(
-            batched.array().stats().items(),
-            looped.array().stats().items()
-        );
     }
 
     #[test]
@@ -1214,7 +1197,6 @@ mod tests {
         for k in 0..100u64 {
             assert_eq!(sk.query_with_error(&k).value, 0);
         }
-        assert_eq!(sk.array().stats().items(), 0);
         assert_eq!(sk.insertion_failures(), 0);
     }
 

@@ -435,27 +435,6 @@ impl<K: Key> Algorithm for ShardedReliable<K> {
     }
 }
 
-impl crate::config::ReliableConfigBuilder {
-    /// Build a lock-free [`ConcurrentReliable`] directly.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails validation, or if `Λ` exceeds
-    /// the packed atomic error field (see [`ConcurrentReliable::new`]).
-    pub fn build_concurrent<K: Key>(self) -> ConcurrentReliable<K> {
-        ConcurrentReliable::new(self.build_config())
-    }
-
-    /// Build a key-partitioned [`ShardedReliable`] over `n_shards`
-    /// lock-free shards directly.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails validation or a shard's budget
-    /// slice is too small to construct (see [`ShardedReliable::new`]).
-    pub fn build_sharded<K: Key>(self, n_shards: usize) -> ShardedReliable<K> {
-        ShardedReliable::new(self.build_config(), n_shards)
-    }
-}
-
 /// Salt separating the shard-routing hash from the per-layer families.
 const SHARD_SALT: u32 = 0x05aa_bbcd;
 

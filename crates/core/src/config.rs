@@ -14,7 +14,12 @@
 //! Defaults follow §6.1.1: `R_w = 2`, `R_λ = 2.5`, `Λ = 25`, mice filter
 //! on 20 % of memory with 2-bit counters and 2 arrays.
 
+use crate::epoch::Generation;
 use crate::geometry::LayerGeometry;
+use crate::{
+    ConcurrentReliable, EpochedConcurrent, EpochedReliable, ReliableSketch, ShardedReliable,
+};
+use rsk_api::Key;
 
 /// Modeled size of one Error-Sensible bucket in bytes: 32-bit `YES` +
 /// 16-bit `NO` + 32-bit `ID` (§6.1.1) = 80 bits = 10 bytes.
@@ -116,8 +121,11 @@ pub const DEFAULT_SEED: u64 = 0x5eed_0f5e_ed0f_5eed;
 
 impl ReliableConfig {
     /// Start building a configuration from defaults.
-    pub fn builder() -> ReliableConfigBuilder {
-        ReliableConfigBuilder(Self::default())
+    pub fn builder() -> SketchBuilder {
+        SketchBuilder {
+            config: Self::default(),
+            top_k: None,
+        }
     }
 
     /// Memory reserved for the mice filter, in bytes.
@@ -215,68 +223,106 @@ pub(crate) fn nominal_lambda1(lambda: u64, r_lambda: f64) -> u64 {
     ((lambda as f64) * (r_lambda - 1.0) / r_lambda).floor() as u64
 }
 
-/// Builder for [`ReliableConfig`].
+/// The one builder for every deployment shape: configure the sketch
+/// once (memory, `Λ`, decay rates, depth, mice filter, emergency
+/// policy, seed, top-K layer), then pick the shape with the final
+/// `build_*` call. Obtain one from [`ReliableConfig::builder`] (or the
+/// umbrella crate's `reliablesketch::builder()`).
+///
+/// The top-K capacity is a builder field, not a [`ReliableConfig`] one:
+/// the query layer is orthogonal to the sketch geometry, so payloads
+/// and merge compatibility checks never see it. Every shape that
+/// carries the layer attaches it after construction.
+///
+/// # Examples
+///
+/// ```
+/// use rsk_api::{ConcurrentErrorSensing, ConcurrentSummary, ErrorSensing, StreamSummary};
+/// use rsk_core::ReliableConfig;
+///
+/// // one configuration …
+/// let spec = ReliableConfig::builder()
+///     .memory_bytes(64 * 1024)
+///     .error_tolerance(25)
+///     .seed(7);
+///
+/// // … four deployment shapes
+/// let mut seq = spec.clone().build_sequential::<u64>();
+/// let conc = spec.clone().build_concurrent::<u64>();
+/// let sharded = spec.clone().build_sharded::<u64>(4);
+/// let window = spec.build_epoched_concurrent::<u64>();
+///
+/// seq.insert(&42u64, 10);
+/// conc.insert_concurrent(&42u64, 10);
+/// sharded.insert_shared(&42u64, 10);
+/// window.insert_shared(&42u64, 10);
+///
+/// // every shape certifies the same truth
+/// assert!(seq.query_with_error(&42u64).contains(10));
+/// assert!(conc.query_with_error_concurrent(&42u64).contains(10));
+/// assert!(sharded.query_with_error_concurrent(&42u64).contains(10));
+/// assert!(window.query_with_error_concurrent(&42u64).contains(10));
+/// ```
 #[derive(Debug, Clone)]
-pub struct ReliableConfigBuilder(ReliableConfig);
+#[must_use = "a builder does nothing until a `config` or `build_*` call"]
+pub struct SketchBuilder {
+    config: ReliableConfig,
+    top_k: Option<usize>,
+}
 
-impl ReliableConfigBuilder {
-    /// Total memory budget in bytes.
+impl SketchBuilder {
+    /// Total memory budget in bytes (layers + mice filter).
     pub fn memory_bytes(mut self, bytes: usize) -> Self {
-        self.0.memory_bytes = bytes;
+        self.config.memory_bytes = bytes;
         self
     }
 
-    /// Error tolerance `Λ`.
+    /// Error tolerance `Λ`: the worst estimation error the sketch may
+    /// make on any key while the guarantee holds.
     pub fn error_tolerance(mut self, lambda: u64) -> Self {
-        self.0.lambda = lambda;
+        self.config.lambda = lambda;
         self
     }
 
     /// Width decay rate `R_w`.
     pub fn r_w(mut self, r: f64) -> Self {
-        self.0.r_w = r;
+        self.config.r_w = r;
         self
     }
 
     /// Threshold decay rate `R_λ`.
     pub fn r_lambda(mut self, r: f64) -> Self {
-        self.0.r_lambda = r;
+        self.config.r_lambda = r;
         self
     }
 
     /// Layer-count policy.
     pub fn depth(mut self, d: Depth) -> Self {
-        self.0.depth = d;
+        self.config.depth = d;
         self
     }
 
     /// Enable the mice filter with the given settings.
     pub fn mice_filter(mut self, cfg: MiceFilterConfig) -> Self {
-        self.0.mice_filter = Some(cfg);
+        self.config.mice_filter = Some(cfg);
         self
     }
 
     /// Disable the mice filter (the paper's "Raw" variant).
     pub fn raw(mut self) -> Self {
-        self.0.mice_filter = None;
+        self.config.mice_filter = None;
         self
     }
 
-    /// Emergency store policy.
+    /// Policy for keys that suffer an insertion failure.
     pub fn emergency(mut self, policy: EmergencyPolicy) -> Self {
-        self.0.emergency = policy;
+        self.config.emergency = policy;
         self
     }
 
-    /// Clamp `λ_i ≥ 1`.
-    pub fn lambda_floor_one(mut self, on: bool) -> Self {
-        self.0.lambda_floor_one = on;
-        self
-    }
-
-    /// Hash seed.
+    /// Master hash seed (per-layer and per-shard seeds derive from it).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.0.seed = seed;
+        self.config.seed = seed;
         self
     }
 
@@ -289,34 +335,104 @@ impl ReliableConfigBuilder {
     /// The memory budget and `Λ` still come from the other builder calls;
     /// this only derives the *shape* parameters the proof prescribes.
     pub fn confidence(mut self, n: u64, delta: f64) -> Self {
-        let d = crate::theory::solve_depth(n, self.0.lambda, delta, self.0.r_w, self.0.r_lambda);
+        let c = &self.config;
+        let d = crate::theory::solve_depth(n, c.lambda, delta, c.r_w, c.r_lambda);
+        let slots = crate::theory::emergency_slots(delta, c.r_w, c.r_lambda);
         // the theorem's d counts bucket layers before the emergency store;
         // keep at least the practical recommendation of §3.2 (d ≥ 7)
-        self.0.depth = Depth::Fixed(d.max(7));
-        self.0.emergency = EmergencyPolicy::SpaceSaving(crate::theory::emergency_slots(
-            delta,
-            self.0.r_w,
-            self.0.r_lambda,
-        ));
+        self.config.depth = Depth::Fixed(d.max(7));
+        self.config.emergency = EmergencyPolicy::SpaceSaving(slots);
         self
     }
 
-    /// Finish, panicking on invalid parameters.
-    pub fn build_config(self) -> ReliableConfig {
-        self.0
+    /// Attach an error-certified top-K layer of `capacity` slots: the
+    /// built sketch tracks its elephants in a Space-Saving list whose
+    /// per-entry overestimation is the sketch's certified error, and
+    /// answers [`rsk_api::TopK::certified_top_k`]. Supported by the
+    /// sequential, concurrent and both epoched shapes; the sharded
+    /// shape refuses at build time (shard-local summaries cannot
+    /// certify one global miss floor).
+    pub fn top_k(mut self, capacity: usize) -> Self {
+        self.top_k = Some(capacity);
+        self
+    }
+
+    /// The validated configuration this builder hands every shape.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails validation.
+    pub fn config(self) -> ReliableConfig {
+        self.config
             .validate()
             .unwrap_or_else(|e| panic!("invalid ReliableConfig: {e}"));
-        self.0
+        self.config
     }
 
-    /// Finish without validation (for tests that want pathological configs).
-    pub fn build_config_unchecked(self) -> ReliableConfig {
-        self.0
+    /// The validated configuration and the top-K capacity.
+    fn split(self) -> (ReliableConfig, Option<usize>) {
+        let top_k = self.top_k;
+        (self.config(), top_k)
     }
 
-    /// Build the sketch directly.
-    pub fn build<K: rsk_api::Key>(self) -> crate::ReliableSketch<K> {
-        crate::ReliableSketch::new(self.build_config())
+    /// Single-threaded [`ReliableSketch`] — the paper's reference
+    /// structure.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails validation.
+    pub fn build_sequential<K: Key>(self) -> ReliableSketch<K> {
+        let (config, top_k) = self.split();
+        ReliableSketch::empty(config, top_k)
+    }
+
+    /// Lock-free [`ConcurrentReliable`] for shared-reference ingestion
+    /// from any number of threads.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails validation, or if `Λ` exceeds
+    /// the packed atomic error field (see [`ConcurrentReliable::new`]).
+    pub fn build_concurrent<K: Key>(self) -> ConcurrentReliable<K> {
+        let (config, top_k) = self.split();
+        ConcurrentReliable::empty(config, top_k)
+    }
+
+    /// Key-partitioned [`ShardedReliable`] over `n_shards` lock-free
+    /// shards (deterministic parallel ingestion).
+    ///
+    /// # Panics
+    /// Panics if [`top_k`](Self::top_k) was requested (the sharded
+    /// shape carries no top-K layer), if the configuration fails
+    /// validation, or if a shard's budget slice is too small to
+    /// construct (see [`ShardedReliable::new`]).
+    pub fn build_sharded<K: Key>(self, n_shards: usize) -> ShardedReliable<K> {
+        assert!(
+            self.top_k.is_none(),
+            "the sharded shape does not support a top-K layer"
+        );
+        ShardedReliable::new(self.config(), n_shards)
+    }
+
+    /// Two-generation rotating window over sequential sketches.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails validation.
+    pub fn build_epoched<K: Key>(self) -> EpochedReliable<K> {
+        let (config, top_k) = self.split();
+        top_k
+            .into_iter()
+            .fold(EpochedReliable::new(config), EpochedReliable::with_top_k)
+    }
+
+    /// Two-generation rotating window over lock-free sketches — the
+    /// multi-tenant serving shape (`rsk-serve` builds one per tenant).
+    ///
+    /// # Panics
+    /// Panics as [`Self::build_concurrent`] does.
+    pub fn build_epoched_concurrent<K: Key>(self) -> EpochedConcurrent<K> {
+        let (config, top_k) = self.split();
+        top_k.into_iter().fold(
+            EpochedConcurrent::new(config),
+            EpochedConcurrent::with_top_k,
+        )
     }
 }
 
@@ -347,7 +463,7 @@ mod tests {
 
     #[test]
     fn raw_variant_gives_all_memory_to_layers() {
-        let c = ReliableConfig::builder().raw().build_config();
+        let c = ReliableConfig::builder().raw().config();
         assert_eq!(c.filter_bytes(), 0);
         assert_eq!(c.layer_bytes(), c.memory_bytes);
         assert_eq!(c.filter_threshold(), 0);
@@ -367,7 +483,7 @@ mod tests {
                 counter_bits: 8,
                 ..Default::default()
             })
-            .build_config();
+            .config();
         assert_eq!(c8.filter_threshold(), 15);
         assert_eq!(c8.layer_lambda(), 10);
     }
@@ -381,27 +497,45 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_parameters() {
-        let bad = |f: fn(ReliableConfigBuilder) -> ReliableConfigBuilder| {
-            f(ReliableConfig::builder())
-                .build_config_unchecked()
-                .validate()
-        };
-        assert!(bad(|b| b.memory_bytes(10)).is_err());
-        assert!(bad(|b| b.error_tolerance(0)).is_err());
-        assert!(bad(|b| b.r_w(1.0)).is_err());
-        assert!(bad(|b| b.r_lambda(0.5)).is_err());
-        assert!(bad(|b| b.mice_filter(MiceFilterConfig {
-            memory_fraction: 1.5,
-            ..Default::default()
-        }))
-        .is_err());
+        let bad = |c: ReliableConfig| c.validate().is_err();
+        let d = ReliableConfig::default;
+        assert!(bad(ReliableConfig {
+            memory_bytes: 10,
+            ..d()
+        }));
+        assert!(bad(ReliableConfig { lambda: 0, ..d() }));
+        assert!(bad(ReliableConfig { r_w: 1.0, ..d() }));
+        assert!(bad(ReliableConfig {
+            r_lambda: 0.5,
+            ..d()
+        }));
+        assert!(bad(ReliableConfig {
+            mice_filter: Some(MiceFilterConfig {
+                memory_fraction: 1.5,
+                ..Default::default()
+            }),
+            ..d()
+        }));
         assert!(ReliableConfig::default().validate().is_ok());
     }
 
     #[test]
+    fn setters_reach_the_config() {
+        let c = ReliableConfig::builder()
+            .r_w(3.0)
+            .r_lambda(4.0)
+            .depth(Depth::Fixed(9))
+            .emergency(EmergencyPolicy::ExactTable)
+            .config();
+        assert_eq!((c.r_w, c.r_lambda), (3.0, 4.0));
+        assert_eq!(c.depth, Depth::Fixed(9));
+        assert_eq!(c.emergency, EmergencyPolicy::ExactTable);
+    }
+
+    #[test]
     #[should_panic(expected = "invalid ReliableConfig")]
-    fn build_config_panics_on_invalid() {
-        ReliableConfig::builder().error_tolerance(0).build_config();
+    fn config_panics_on_invalid() {
+        let _ = ReliableConfig::builder().error_tolerance(0).config();
     }
 
     #[test]
@@ -409,7 +543,7 @@ mod tests {
         let c = ReliableConfig::builder()
             .error_tolerance(25)
             .confidence(10_000_000, 1e-10)
-            .build_config();
+            .config();
         match c.depth {
             Depth::Fixed(d) => assert!((7..=32).contains(&d), "depth {d}"),
             Depth::Auto => panic!("confidence must pin the depth"),

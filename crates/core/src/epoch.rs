@@ -59,7 +59,7 @@
 //! ```
 
 use crate::atomic::ConcurrentReliable;
-use crate::config::{ReliableConfig, ReliableConfigBuilder};
+use crate::config::{ReliableConfig, SketchBuilder};
 use crate::sketch::ReliableSketch;
 use crate::topk::TopKSummary;
 use rsk_api::{
@@ -193,9 +193,9 @@ pub type EpochedConcurrent<K> = Epoched<K, ConcurrentReliable<K>>;
 
 impl<K: Key, G: Generation<K>> Epoched<K, G> {
     /// Start building with paper-default parameters (finish with
-    /// [`ReliableConfigBuilder::build_epoched`] or
-    /// [`ReliableConfigBuilder::build_epoched_concurrent`]).
-    pub fn builder() -> ReliableConfigBuilder {
+    /// [`SketchBuilder::build_epoched`] or
+    /// [`SketchBuilder::build_epoched_concurrent`]).
+    pub fn builder() -> SketchBuilder {
         ReliableConfig::builder()
     }
 
@@ -323,18 +323,6 @@ impl<K: Key> EpochedReliable<K> {
         }
         out.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
         out
-    }
-}
-
-impl ReliableConfigBuilder {
-    /// Build an [`EpochedReliable`] window directly.
-    pub fn build_epoched<K: Key>(self) -> EpochedReliable<K> {
-        EpochedReliable::new(self.build_config())
-    }
-
-    /// Build an [`EpochedConcurrent`] window directly.
-    pub fn build_epoched_concurrent<K: Key>(self) -> EpochedConcurrent<K> {
-        EpochedConcurrent::new(self.build_config())
     }
 }
 
@@ -617,7 +605,7 @@ mod tests {
                 .error_tolerance(25)
                 .emergency(EmergencyPolicy::ExactTable)
                 .seed(seed)
-                .build_config(),
+                .config(),
         )
     }
 

@@ -195,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn lambda_floor_one_clamps() {
+    fn floored_lambdas_clamp_to_one() {
         let g = LayerGeometry::derive(1000, 25, 2.0, 2.5, Depth::Fixed(10), true);
         // deep layers get λ = 1 instead of 0 while budget remains
         assert!(g.lambdas().iter().all(|&l| l >= 1) || g.total_lambda() == 25);

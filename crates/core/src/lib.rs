@@ -69,7 +69,7 @@
 //! let mut sk = ReliableSketch::<u64>::builder()
 //!     .memory_bytes(256 * 1024) // 256 KB
 //!     .error_tolerance(25)      // Λ
-//!     .build();
+//!     .build_sequential();
 //!
 //! for i in 0..100_000u64 {
 //!     sk.insert(&(i % 1000), 1);
@@ -105,7 +105,7 @@ pub use atomic::{AtomicBucketArray, ConcurrentReliable, ATOMIC_BUCKET_BYTES};
 pub use bucket::EsBucket;
 pub use concurrent::ShardedReliable;
 pub use config::{
-    Depth, EmergencyPolicy, MiceFilterConfig, ReliableConfig, ReliableConfigBuilder, BUCKET_BYTES,
+    Depth, EmergencyPolicy, MiceFilterConfig, ReliableConfig, SketchBuilder, BUCKET_BYTES,
     DEFAULT_SEED,
 };
 pub use epoch::{EpochedConcurrent, EpochedReliable};

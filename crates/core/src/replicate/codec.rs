@@ -503,7 +503,7 @@ mod tests {
             .memory_bytes(2 * 1024)
             .error_tolerance(25)
             .seed(3)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for i in 0..600u64 {
             sk.insert(&(i % 90), 1 + i % 4);
         }

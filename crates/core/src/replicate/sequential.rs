@@ -18,7 +18,7 @@
 //! let mut sk = ReliableSketch::<u64>::builder()
 //!     .memory_bytes(16 * 1024)
 //!     .error_tolerance(25)
-//!     .build::<u64>();
+//!     .build_sequential::<u64>();
 //! for i in 0..10_000u64 {
 //!     sk.insert(&(i % 100), 1);
 //! }
@@ -297,7 +297,7 @@ mod tests {
             .error_tolerance(25)
             .emergency(EmergencyPolicy::ExactTable)
             .seed(seed)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for i in 0..20_000u64 {
             sk.insert(&(i % 400), 1 + i % 5);
         }
@@ -328,7 +328,7 @@ mod tests {
             .error_tolerance(25)
             .emergency(EmergencyPolicy::ExactTable)
             .seed(10)
-            .build::<u64>();
+            .build_sequential::<u64>();
         replica
             .apply_bytes(&primary.delta_bytes().unwrap())
             .unwrap();
@@ -361,7 +361,7 @@ mod tests {
             .error_tolerance(25)
             .raw()
             .seed(3)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for i in 0..5_000u64 {
             sk.insert(&(i % 100), 1);
         }
@@ -462,7 +462,7 @@ mod tests {
             .error_tolerance(25)
             .emergency(EmergencyPolicy::ExactTable)
             .seed(12)
-            .build::<u64>();
+            .build_sequential::<u64>();
         replica.insert(&3, 4);
         let before = replica.query_with_error(&3);
         assert!(matches!(
@@ -478,7 +478,7 @@ mod tests {
             .memory_bytes(8 * 1024)
             .error_tolerance(25)
             .seed(6)
-            .build::<[u8; 13]>();
+            .build_sequential::<[u8; 13]>();
         let mut tuple = [0u8; 13];
         for i in 0..2_000u64 {
             tuple[0] = (i % 50) as u8;

@@ -26,7 +26,7 @@
 //! machine-check the deterministic part on arbitrary streams.
 
 use crate::bucket::Layers;
-use crate::config::{ReliableConfig, ReliableConfigBuilder, BUCKET_BYTES};
+use crate::config::{ReliableConfig, SketchBuilder, BUCKET_BYTES};
 use crate::emergency::EmergencyStore;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
@@ -47,7 +47,7 @@ use rsk_hash::HashFamily;
 /// let mut sk = ReliableSketch::<u64>::builder()
 ///     .memory_bytes(64 * 1024)
 ///     .error_tolerance(25)
-///     .build();
+///     .build_sequential();
 /// for pkt in 0..1000u64 {
 ///     sk.insert(&(pkt % 10), 1); // ten keys, 100 each
 /// }
@@ -78,7 +78,7 @@ pub struct ReliableSketch<K: Key> {
 impl<K: Key> ReliableSketch<K> {
     /// Start building with paper-default parameters (1 MB, Λ=25, R_w=2,
     /// R_λ=2.5, 20 % 2-bit mice filter).
-    pub fn builder() -> ReliableConfigBuilder {
+    pub fn builder() -> SketchBuilder {
         ReliableConfig::builder()
     }
 
@@ -179,8 +179,11 @@ impl<K: Key> ReliableSketch<K> {
 
     /// [`Self::insert_traced`] with an optional precomputed layer-0 bucket
     /// index — the hook [`Self::insert_batch`] uses to amortize hashing.
-    /// Hash-call accounting is identical either way: a precomputed index
-    /// still cost one evaluation, just in the batch prefix loop.
+    /// Hash-call accounting is identical either way: a walk that reaches
+    /// layer 0 counts one call for it, precomputed or not. The mice filter
+    /// runs first, so when it absorbs the item a precomputed index goes
+    /// unused and is not counted in `hash_calls`, although the batch
+    /// prefix loop evaluated it.
     fn insert_traced_at(&mut self, key: &K, value: u64, idx0: Option<usize>) -> InsertTrace {
         let (trace, passed) = self.insert_passed_at(key, value, idx0);
         // elephant promotion: value cleared the filter (or the sketch is
@@ -283,7 +286,8 @@ impl<K: Key> ReliableSketch<K> {
     }
 
     /// [`Self::query_traced`] without counting it in [`Self::stats`]: the
-    /// top-K layer's seed estimate is part of an insert, not a query.
+    /// top-K layer's seed estimate is part of an insert, and a decode's
+    /// candidate reads ([`Self::candidates`]) are not point queries.
     #[inline]
     fn query_unrecorded(&self, key: &K) -> QueryTrace {
         let mut est = 0u64;
@@ -328,6 +332,7 @@ impl<K: Key> ReliableSketch<K> {
 
     /// Keys currently held as bucket candidates, with their estimates —
     /// the decodable content of the sketch, used for heavy-hitter reports.
+    /// [`Self::stats`] does not count these reads as queries.
     pub fn candidates(&self) -> Vec<(K, Estimate)> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
@@ -335,7 +340,7 @@ impl<K: Key> ReliableSketch<K> {
             for b in layer {
                 if let Some(&k) = b.id() {
                     if seen.insert(k) {
-                        out.push((k, self.query_with_error(&k)));
+                        out.push((k, self.query_unrecorded(&k).estimate));
                     }
                 }
             }
@@ -538,7 +543,7 @@ mod tests {
             .memory_bytes(mem)
             .error_tolerance(lambda)
             .seed(1)
-            .build()
+            .build_sequential()
     }
 
     #[test]
@@ -581,7 +586,7 @@ mod tests {
             .error_tolerance(25)
             .raw()
             .seed(2)
-            .build();
+            .build_sequential();
         assert!(!sk.has_filter());
         assert_eq!(sk.name(), "Ours(Raw)");
         let mut truth: HashMap<u64, u64> = HashMap::new();
@@ -619,7 +624,7 @@ mod tests {
             .error_tolerance(25)
             .emergency(EmergencyPolicy::ExactTable)
             .seed(3)
-            .build();
+            .build_sequential();
         let mut truth: HashMap<u64, u64> = HashMap::new();
         for i in 0..3000u64 {
             let k = i % 101;
@@ -777,6 +782,11 @@ mod tests {
         assert_eq!(tk.stats().queries(), 0);
         tk.query(&3);
         assert_eq!(tk.stats().queries(), 1);
+
+        // a decode reads every candidate, but counts no point query
+        assert!(!tk.candidates().is_empty());
+        assert!(!tk.heavy_hitters(0).is_empty());
+        assert_eq!(tk.stats().queries(), 1);
     }
 
     #[test]
@@ -821,7 +831,7 @@ mod tests {
                 ..Default::default()
             })
             .seed(5)
-            .build();
+            .build_sequential();
         let mut truth: HashMap<u64, u64> = HashMap::new();
         for i in 0..30_000u64 {
             let k = i % 900;
@@ -847,7 +857,7 @@ mod tests {
                 if raw {
                     b = b.raw();
                 }
-                b.build::<u64>()
+                b.build_sequential::<u64>()
             };
             let items: Vec<(u64, u64)> = (0..30_000u64).map(|i| (i % 997, 1 + i % 5)).collect();
             let mut batched = build();
@@ -921,7 +931,7 @@ mod tests {
                 .error_tolerance(25)
                 .seed(seed);
             if raw { b = b.raw(); }
-            let mut sk: ReliableSketch<u64> = b.build();
+            let mut sk: ReliableSketch<u64> = b.build_sequential();
             let mut truth: HashMap<u64, u64> = HashMap::new();
             for (k, v) in ops {
                 sk.insert(&k, v);
@@ -981,7 +991,7 @@ mod tests {
                 .error_tolerance(25)
                 .raw()
                 .seed(seed)
-                .build();
+                .build_sequential();
             for (k, v) in ops {
                 sk.insert(&k, v);
             }

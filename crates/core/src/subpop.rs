@@ -310,7 +310,7 @@ mod tests {
             .error_tolerance(LAMBDA)
             .emergency(EmergencyPolicy::ExactTable)
             .seed(seed)
-            .build_config()
+            .config()
     }
 
     /// Deterministic zipf-ish stream: key i ∈ [0, n_keys) gets mass

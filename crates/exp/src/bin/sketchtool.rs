@@ -191,7 +191,7 @@ fn analyze(flags: &Flags) -> Result<(), String> {
         .error_tolerance(lambda)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(seed)
-        .build::<u64>();
+        .build_sequential::<u64>();
     let t0 = std::time::Instant::now();
     for it in &stream {
         sk.insert(&it.key, it.value);

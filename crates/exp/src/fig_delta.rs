@@ -87,7 +87,7 @@ pub fn delta(ctx: &ExpContext) -> Vec<Table> {
                 if raw {
                     b = b.raw();
                 }
-                let mut sk: ReliableSketch<u64> = b.build();
+                let mut sk: ReliableSketch<u64> = b.build_sequential();
                 for it in &stream {
                     sk.insert(&it.key, it.value);
                 }

@@ -37,7 +37,7 @@ pub fn fig16(ctx: &ExpContext) -> Vec<Table> {
             if raw {
                 b = b.raw();
             }
-            let mut sk: ReliableSketch<u64> = b.build();
+            let mut sk: ReliableSketch<u64> = b.build_sequential();
             for it in &stream {
                 sk.insert_traced(&it.key, it.value);
             }

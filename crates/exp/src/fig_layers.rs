@@ -9,7 +9,7 @@
 //!   CM at equal memory): Ours is capped at Λ, CM's head blows far past
 //!   it.
 
-use crate::{ExpContext, PAPER_ITEMS};
+use crate::ExpContext;
 use rsk_api::StreamSummary;
 use rsk_baselines::CmSketch;
 use rsk_core::{ReliableSketch, StopLayer};
@@ -35,7 +35,7 @@ pub fn fig19a(ctx: &ExpContext) -> Table {
             .memory_bytes(mem)
             .error_tolerance(25)
             .seed(ctx.seed)
-            .build();
+            .build_sequential();
         // track each key's last stop layer (filter = layer 0)
         let mut last_stop: HashMap<u64, usize> = HashMap::new();
         for it in &stream {
@@ -89,7 +89,7 @@ pub fn fig19b(ctx: &ExpContext) -> Table {
         .memory_bytes(mem)
         .error_tolerance(25)
         .seed(ctx.seed)
-        .build();
+        .build_sequential();
     let mut cm = CmSketch::<u64>::fast(mem, ctx.seed);
     for it in &stream {
         ours.insert(&it.key, it.value);
@@ -118,17 +118,6 @@ pub fn fig19b(ctx: &ExpContext) -> Table {
 /// Figure 19 wrapper.
 pub fn fig19(ctx: &ExpContext) -> Vec<Table> {
     vec![fig19a(ctx), fig19b(ctx)]
-}
-
-/// Scale note shared with the docs: the paper's 1000–2000 KB budgets at
-/// 10 M items map to this run's budgets at `items`.
-pub fn scale_note(ctx: &ExpContext) -> String {
-    format!(
-        "memory budgets scaled by {}x ({} items vs paper's {})",
-        ctx.items as f64 / PAPER_ITEMS as f64,
-        ctx.items,
-        PAPER_ITEMS
-    )
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ fn build(ctx: &ExpContext, mem: usize) -> (ReliableSketch<u64>, rsk_stream::Grou
         .memory_bytes(mem)
         .error_tolerance(25)
         .seed(ctx.seed)
-        .build();
+        .build_sequential();
     for it in &stream {
         rsk_api::StreamSummary::insert(&mut sk, &it.key, it.value);
     }

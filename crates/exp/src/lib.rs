@@ -170,29 +170,6 @@ impl ExpContext {
     }
 }
 
-/// Build the paper-default ReliableSketch ("Ours") at a byte budget.
-pub fn build_ours(memory_bytes: usize, lambda: u64, seed: u64) -> Box<dyn Sketch<u64>> {
-    Box::new(
-        ReliableSketch::<u64>::builder()
-            .memory_bytes(memory_bytes)
-            .error_tolerance(lambda)
-            .seed(seed)
-            .build::<u64>(),
-    )
-}
-
-/// Build the no-mice-filter variant ("Ours(Raw)").
-pub fn build_ours_raw(memory_bytes: usize, lambda: u64, seed: u64) -> Box<dyn Sketch<u64>> {
-    Box::new(
-        ReliableSketch::<u64>::builder()
-            .memory_bytes(memory_bytes)
-            .error_tolerance(lambda)
-            .raw()
-            .seed(seed)
-            .build::<u64>(),
-    )
-}
-
 /// Build "Ours" with an explicit `(R_w, R_λ)` (parameter studies).
 pub fn build_ours_params(
     memory_bytes: usize,
@@ -210,13 +187,6 @@ pub fn build_ours_params(
         seed,
         ..Default::default()
     }))
-}
-
-/// Feed a stream into a boxed sketch.
-pub fn ingest(sketch: &mut Box<dyn Sketch<u64>>, stream: &[Item<u64>]) {
-    for it in stream {
-        sketch.insert(&it.key, it.value);
-    }
 }
 
 #[cfg(test)]

@@ -15,10 +15,7 @@
 //! * [`splitmix64`] — a fast 64-bit mixer used for seeding and by the
 //!   synthetic workload generators;
 //! * [`fnv1a64`] — FNV-1a, kept as an independent second family for tests
-//!   that need two unrelated hash functions;
-//! * [`crc32`] / [`crc32_seeded`] — the CRC family switch pipelines
-//!   compute natively (the Tofino implementation derives its layer
-//!   indexes from seeded CRCs, §5.2).
+//!   that need two unrelated hash functions.
 //!
 //! The [`HashKey`] trait adapts key types (`u32`, `u64`, byte slices, …) to
 //! the hashing functions, and [`HashFamily`] packages *k* independent seeded
@@ -27,12 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod crc;
 mod fnv;
 mod murmur3;
 mod splitmix;
 
-pub use crc::{crc32, crc32_seeded};
 pub use fnv::fnv1a64;
 pub use murmur3::{murmur3_x64_128, murmur3_x86_32};
 pub use splitmix::{splitmix64, SplitMix64};

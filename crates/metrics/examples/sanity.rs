@@ -18,7 +18,7 @@ fn main() {
             .memory_bytes(mem_kb * 1024)
             .error_tolerance(25)
             .seed(7)
-            .build();
+            .build_sequential();
         for it in &stream {
             sk.insert(&it.key, it.value);
         }

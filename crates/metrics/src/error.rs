@@ -58,7 +58,7 @@ impl ErrorReport {
 /// let mut sk = ReliableSketch::<u64>::builder()
 ///     .memory_bytes(64 * 1024)
 ///     .error_tolerance(25)
-///     .build::<u64>();
+///     .build_sequential::<u64>();
 /// for it in &stream {
 ///     sk.insert(&it.key, it.value);
 /// }

@@ -148,12 +148,6 @@ pub fn fmt_bytes(bytes: usize) -> String {
     }
 }
 
-/// Format an outlier count like the figures' log-scale axes (exact zero is
-/// meaningful and printed as "0").
-pub fn fmt_outliers(n: u64) -> String {
-    n.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,10 @@
 //! The sharded multi-tenant sketch map.
 //!
 //! Each tenant owns one [`EpochedConcurrent`] window, constructed
-//! through the umbrella crate's unified [`reliablesketch::builder()`]
-//! facade — the exact construction path applications and the quickstart
-//! use, so a tenant's sketch is configured like any other.
+//! through [`reliablesketch::builder()`], which starts rsk-core's one
+//! [`reliablesketch::SketchBuilder`] — the exact construction path
+//! applications and the quickstart use, so a tenant's sketch is
+//! configured like any other.
 //!
 //! The map is striped: tenant ids hash across `stripes` independent
 //! `RwLock<HashMap<…>>` buckets so tenant *lookup* never serialises the

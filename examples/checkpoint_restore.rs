@@ -26,7 +26,7 @@ fn build() -> ReliableSketch<u64> {
         .error_tolerance(LAMBDA)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(77)
-        .build()
+        .build_sequential()
 }
 
 fn main() {

@@ -27,7 +27,7 @@ fn build() -> ReliableSketch<u64> {
         .error_tolerance(LAMBDA)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(SEED) // identical seeds across shards: a merge precondition
-        .build()
+        .build_sequential()
 }
 
 fn main() {

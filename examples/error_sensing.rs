@@ -27,7 +27,7 @@ fn main() {
         let mut sk = ReliableSketch::<u64>::builder()
             .memory_bytes(mem_kb * 1024)
             .error_tolerance(25)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for it in &stream {
             sk.insert(&it.key, it.value);
         }

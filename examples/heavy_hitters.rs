@@ -26,7 +26,7 @@ fn main() {
     let mut ours = ReliableSketch::<u64>::builder()
         .memory_bytes(MEMORY)
         .error_tolerance(LAMBDA)
-        .build::<u64>();
+        .build_sequential::<u64>();
     for it in &stream {
         ours.insert(&it.key, it.value);
     }

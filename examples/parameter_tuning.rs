@@ -41,7 +41,7 @@ fn main() {
         .memory_bytes(mem)
         .error_tolerance(lambda)
         .confidence(n, delta)
-        .build::<u64>();
+        .build_sequential::<u64>();
     println!(
         "\nbuilt: {} layers, {} buckets, {} KB total",
         sk.geometry().depth(),

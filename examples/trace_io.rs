@@ -32,7 +32,7 @@ fn main() -> std::io::Result<()> {
     let mut sk = ReliableSketch::<u64>::builder()
         .memory_bytes(128 * 1024)
         .error_tolerance(25)
-        .build::<u64>();
+        .build_sequential::<u64>();
     for it in &loaded {
         sk.insert(&it.key, it.value);
     }

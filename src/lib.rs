@@ -15,10 +15,11 @@
 //! assert!(est.value >= 10 && est.value <= 10 + est.max_possible_error);
 //! ```
 //!
-//! [`builder()`] is the unified construction facade: the same
+//! [`builder()`] starts rsk-core's one [`SketchBuilder`]: the same
 //! configuration chain ends in `build_sequential`, `build_concurrent`,
-//! `build_sharded`, or `build_epoched_concurrent` depending on the
-//! deployment shape (see [`SketchBuilder`]).
+//! `build_sharded`, `build_epoched` or `build_epoched_concurrent`
+//! depending on the deployment shape, or in `config` for the validated
+//! [`core::ReliableConfig`].
 //!
 //! The workspace crates are also re-exported as modules: [`hash`],
 //! [`api`], [`stream`], [`core`], [`baselines`], [`metrics`], [`dataplane`].
@@ -34,13 +35,17 @@ pub use rsk_hash as hash;
 pub use rsk_metrics as metrics;
 pub use rsk_stream as stream;
 
-mod builder;
+pub use rsk_core::SketchBuilder;
 
-pub use builder::{builder, SketchBuilder};
+/// Start configuring a sketch with the paper's default parameters;
+/// finish with one of [`SketchBuilder`]'s `build_*` calls.
+pub fn builder() -> SketchBuilder {
+    rsk_core::ReliableConfig::builder()
+}
 
 /// One-stop import for applications.
 pub mod prelude {
-    pub use crate::builder::{builder, SketchBuilder};
+    pub use crate::{builder, SketchBuilder};
     pub use rsk_api::{
         CertifiedTopK, CertifiedWeight, Clear, ConcurrentErrorSensing, ConcurrentSummary,
         ErrorSensing, Estimate, KeySet, MemoryFootprint, Merge, MergeError, Replicate,

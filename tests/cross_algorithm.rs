@@ -90,7 +90,7 @@ fn every_algorithm_finds_the_mega_elephant() {
     let mut ours = ReliableSketch::<u64>::builder()
         .memory_bytes(128 * 1024)
         .error_tolerance(25)
-        .build::<u64>();
+        .build_sequential::<u64>();
     for it in &interleaved {
         ours.insert(&it.key, it.value);
     }

@@ -22,7 +22,7 @@ fn build() -> ReliableSketch<u64> {
         .error_tolerance(LAMBDA)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(SEED)
-        .build()
+        .build_sequential()
 }
 
 /// Shards merge, the merged sketch is snapshotted, the restored sketch
@@ -188,7 +188,7 @@ fn epochs_beat_static_sketch_under_churn() {
         .error_tolerance(LAMBDA)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(SEED)
-        .build::<u64>();
+        .build_sequential::<u64>();
 
     for (i, it) in stream.iter().enumerate() {
         if i > 0 && i % interval == 0 {

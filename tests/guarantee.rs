@@ -33,7 +33,7 @@ fn zero_outliers_on_ip_trace() {
         .memory_bytes(MEMORY)
         .error_tolerance(LAMBDA)
         .seed(5)
-        .build::<u64>();
+        .build_sequential::<u64>();
     for it in &stream {
         sk.insert(&it.key, it.value);
     }
@@ -52,7 +52,7 @@ fn zero_outliers_across_datasets() {
             .memory_bytes(MEMORY)
             .error_tolerance(LAMBDA)
             .seed(6)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for it in &stream {
             sk.insert(&it.key, it.value);
         }
@@ -70,7 +70,7 @@ fn zero_outliers_across_seeds() {
             .memory_bytes(MEMORY)
             .error_tolerance(LAMBDA)
             .seed(seed)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for it in &stream {
             sk.insert(&it.key, it.value);
         }
@@ -103,7 +103,7 @@ fn certified_intervals_contain_truth() {
         .memory_bytes(MEMORY)
         .error_tolerance(LAMBDA)
         .seed(8)
-        .build::<u64>();
+        .build_sequential::<u64>();
     for it in &stream {
         sk.insert(&it.key, it.value);
     }
@@ -149,7 +149,7 @@ fn weighted_streams_obey_lambda() {
         .memory_bytes(MEMORY)
         .error_tolerance(lambda_bytes)
         .seed(10)
-        .build::<u64>();
+        .build_sequential::<u64>();
     for it in &stream {
         sk.insert(&it.key, it.value);
     }

@@ -15,7 +15,7 @@ fn metrics_pipeline_end_to_end() {
     let mut sk = ReliableSketch::<u64>::builder()
         .memory_bytes(64 * 1024)
         .error_tolerance(25)
-        .build::<u64>();
+        .build_sequential::<u64>();
     let mpps = measure_insert_mpps(&mut sk, &stream);
     assert!(mpps > 0.0);
     let rep = evaluate(&sk, &truth, 25);
@@ -42,7 +42,7 @@ fn bisection_finds_budget_for_ours() {
                     .memory_bytes(mem)
                     .error_tolerance(25)
                     .seed(seed)
-                    .build::<u64>(),
+                    .build_sequential::<u64>(),
             )
         },
         &stream,
@@ -59,7 +59,7 @@ fn bisection_finds_budget_for_ours() {
             .memory_bytes(budget)
             .error_tolerance(25)
             .seed(seed)
-            .build::<u64>();
+            .build_sequential::<u64>();
         for it in &stream {
             sk.insert(&it.key, it.value);
         }
@@ -85,7 +85,7 @@ fn fpga_model_reports_paper_throughput() {
     let sk = ReliableSketch::<u64>::builder()
         .memory_bytes(1 << 20)
         .error_tolerance(25)
-        .build::<u64>();
+        .build_sequential::<u64>();
     let model = FpgaModel::synthesize(sk.geometry());
     let sustained = model.throughput_mips(10_000_000);
     assert!((sustained - 339.0).abs() < 1.0, "≈340M insertions/s");

@@ -11,7 +11,7 @@ fn check_guarantee<K: reliablesketch::api::Key>(items: &[(K, u64)], memory: usiz
         .memory_bytes(memory)
         .error_tolerance(lambda)
         .seed(3)
-        .build::<K>();
+        .build_sequential::<K>();
     let mut truth = std::collections::HashMap::new();
     for (k, v) in items {
         sk.insert(k, *v);
@@ -63,12 +63,12 @@ fn five_tuple_and_u64_views_agree() {
         .memory_bytes(96 * 1024)
         .error_tolerance(25)
         .seed(9)
-        .build::<u64>();
+        .build_sequential::<u64>();
     let mut sk13 = ReliableSketch::<[u8; 13]>::builder()
         .memory_bytes(96 * 1024)
         .error_tolerance(25)
         .seed(9)
-        .build::<[u8; 13]>();
+        .build_sequential::<[u8; 13]>();
     for (a, b) in stream.iter().zip(&tuples) {
         sk64.insert(&a.key, a.value);
         sk13.insert(&b.key, b.value);

@@ -17,7 +17,7 @@ fn build() -> ReliableSketch<u64> {
         .error_tolerance(LAMBDA)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(SEED)
-        .build()
+        .build_sequential()
 }
 
 /// Partition a stream round-robin over `n` shards, as a packet spraying

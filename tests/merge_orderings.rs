@@ -19,7 +19,7 @@ fn build(seed: u64) -> ReliableSketch<u64> {
         .error_tolerance(25)
         .emergency(EmergencyPolicy::ExactTable)
         .seed(seed)
-        .build()
+        .build_sequential()
 }
 
 /// Three shards over one stream, folded in every permutation and both

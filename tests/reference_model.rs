@@ -141,7 +141,7 @@ fn paper_default_geometry_matches() {
         .error_tolerance(25)
         .raw()
         .seed(5)
-        .build::<u64>();
+        .build_sequential::<u64>();
     let widths = sketch.geometry().widths().to_vec();
     let lambdas = sketch.geometry().lambdas().to_vec();
     let ops: Vec<(u64, u64)> = (0..40_000u64).map(|i| (i % 900, 1 + i % 4)).collect();
