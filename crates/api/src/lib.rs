@@ -243,13 +243,9 @@ pub trait TopK<K: Key> {
 ///   ceiling — the top-K layer's `miss_bound` when enabled, the sketch's
 ///   `mpe_ceiling` otherwise — which saturates to a vacuous-but-sound
 ///   [`u64::MAX`] on unbounded sets);
-/// * `slack` is the *documented contention slack* of concurrent reads:
-///   the summed per-key amount by which a racing producer may leave an
-///   estimate trailing the truth (`(arrays − 1) × threshold` per key for
-///   a filtered concurrent ReliableSketch, × generations for an epoched
-///   window). Sequential sketches and quiescent concurrent sketches
-///   answer with `slack` still reported but not needed — the interval
-///   `[lo, hi]` alone then contains the truth.
+/// * `slack` is an extra upper allowance a producer may report. Every
+///   sketch in this workspace answers with 0: `[lo, hi]` alone contains
+///   the truth, and dropped mass is charged onto `hi`.
 ///
 /// # Examples
 ///
@@ -271,11 +267,9 @@ pub struct CertifiedWeight {
     pub estimate: u64,
     /// Certified lower bound on the true subset weight.
     pub lo: u64,
-    /// Certified upper bound on the true subset weight, before contention
-    /// slack.
+    /// Certified upper bound on the true subset weight, before `slack`.
     pub hi: u64,
-    /// Documented contention slack: a concurrent read may trail the truth
-    /// by at most this much, so the sound upper bound is `hi + slack`.
+    /// Extra upper allowance: the sound upper bound is `hi + slack`.
     pub slack: u64,
 }
 
@@ -506,8 +500,7 @@ impl KeySet {
 ///
 /// Contract: the returned interval must satisfy
 /// `lo ≤ Σ_{k ∈ set} f(k) ≤ hi + slack` under the same conditions as the
-/// implementation's point-query guarantee (sequential: always; concurrent:
-/// `slack` covers the documented bounded contention undershoot). The
+/// implementation's point-query guarantee, with racing producers too. The
 /// answer for the empty set must be [`CertifiedWeight::zero`].
 pub trait SubpopulationWeight {
     /// The certified total weight of `set`.
@@ -543,11 +536,7 @@ pub trait Clear {
 /// Contract: `insert_concurrent` must be safe to call from many threads at
 /// once, and every unit of inserted value must be visible to queries that
 /// start after the insertion returns — estimates never undershoot the mass
-/// already absorbed, up to any *documented, bounded* relaxation the
-/// implementation declares for contended paths (e.g. a filtered
-/// concurrent ReliableSketch's `(arrays − 1) × threshold` slack, the
-/// relaxed-semantics trade of Fast Concurrent Data Sketches, Rinberg et
-/// al.). `ingest_parallel` distributes a materialized stream over
+/// already absorbed. `ingest_parallel` distributes a materialized stream over
 /// `n_workers` threads; the default implementation is a sequential
 /// fallback for implementations without a dedicated parallel path.
 ///
@@ -611,16 +600,9 @@ pub trait ConcurrentSummary<K: Key>: Sync {
 /// Contract: `query_with_error_concurrent(e).value` must equal
 /// [`query_concurrent(e)`](ConcurrentSummary::query_concurrent), and the
 /// certified interval must contain the truth under the same conditions as
-/// the sequential guarantee, relaxed only by the implementation's
-/// *documented, bounded* contention slack (mirroring
-/// [`ConcurrentSummary`]): a filtered concurrent ReliableSketch may trail
-/// the true mass by at most `(arrays − 1) × threshold` while producer
-/// threads race on the same key, so under contention the containment
-/// check is `lower_bound() ≤ truth ≤ value + slack`. Once producers are
-/// quiescent (all insertions returned before the query started), the
-/// slack is not needed and the interval contains the truth exactly as in
-/// the sequential case; uncontended single-writer histories must answer
-/// **bit-for-bit** like their sequential twin.
+/// the sequential guarantee, racing producers included; uncontended
+/// single-writer histories must answer **bit-for-bit** like their
+/// sequential twin.
 ///
 /// Reads against a *sealed* structure (a frozen epoch generation whose
 /// atomic words are never CASed again) are wait-free: plain loads, no

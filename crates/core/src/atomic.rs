@@ -8,11 +8,15 @@
 //!
 //! * **One `AtomicU64` word per bucket.** The paper's §6.1.1 hardware
 //!   layout (32-bit `YES`, 16-bit `NO`, 32-bit `ID` = 80 bits) does not
-//!   fit a single CAS word, so the concurrent bucket stores a 24-bit key
+//!   fit a single CAS word, so the concurrent bucket stores a key
 //!   *fingerprint* instead of the full ID and packs
-//!   `fingerprint(24) | count(28) | error(12)` into 64 bits. `error` is
-//!   the bucket's `NO` field; the lock invariant `NO ≤ λ_i ≤ Λ` keeps it
-//!   within 12 bits (enforced at construction).
+//!   `fingerprint(36 − e) | count(28) | error(e)` into 64 bits. `error`
+//!   is the bucket's `NO` field, and the lock invariant `NO ≤ λ_i` lets
+//!   it be exactly as wide as the layer threshold: `e` is `λ_i`'s bit
+//!   width, at most 12 (enforced at construction). A key's fingerprint
+//!   is its 32-bit hash, and a bucket keeps `min(32, 36 − e)` bits of
+//!   it: all 32 wherever `λ_i < 16` (every layer at the paper's
+//!   `Λ = 25`), 24 at the widest threshold.
 //! * **CAS capture of the lock-in rule.** One insertion step — vote,
 //!   lock-divert, or candidate replacement with the `YES`/`NO` swap — is
 //!   Algorithm 1's one per-bucket rule, [`crate::bucket::step`], run on
@@ -64,23 +68,17 @@
 //!
 //! ### Caveats vs. [`crate::ReliableSketch`]
 //!
-//! * Fingerprinting adds a `2⁻²⁴` per-colliding-pair chance of two keys
-//!   aliasing inside one bucket (the paper's own 32-bit `ID` field makes
-//!   the same trade against `u64` keys, at `2⁻³²`).
+//! * Fingerprinting adds a `2⁻³²` (at most `2⁻²⁴`, at the widest
+//!   threshold) per-colliding-pair chance of two keys aliasing inside one
+//!   bucket, the trade the paper's own 32-bit `ID` field makes against
+//!   `u64` keys: an alias answers with the other key's `YES`, which can
+//!   lift the certified lower bound past the truth.
 //! * `count` saturates at `2²⁸ − 1` per bucket (the sequential sketch's
 //!   `YES` at `u64::MAX`). The step returns the excess it clipped, and
 //!   the descent sends it down the failure path as it does any leftover
 //!   past the last layer: an insertion failure, kept by the emergency
 //!   store or counted in `dropped_value()`. Saturation events are also
 //!   counted in [`AtomicStats::saturations`].
-//! * With a mice filter configured, racing inserts of one key may read
-//!   the CU minimum across lanes mid-update; the per-key estimate can
-//!   then trail the truth by at most
-//!   [`ConcurrentReliable::contention_undershoot_bound`]
-//!   (`(arrays − 1) × threshold`, 3 units at paper defaults). Uncontended
-//!   execution — one producer, or one owner per shard as in
-//!   [`crate::concurrent::ShardedReliable::ingest_parallel`] — is exact
-//!   and bit-for-bit equal to the filtered sequential sketch.
 //!
 //! # Examples
 //!
@@ -107,9 +105,9 @@
 //!     }
 //! });
 //! let est = sk.query_with_error(&3);
-//! // 600 units of true mass; contention may hide at most the documented
-//! // filter slack, and the MPE ceiling Λ = 25 survives any interleaving
-//! assert!(est.value + sk.contention_undershoot_bound() >= 600);
+//! // 600 units of true mass, and the MPE ceiling Λ = 25, survive any
+//! // interleaving
+//! assert!(est.contains(600));
 //! assert!(est.max_possible_error <= 25);
 //! ```
 
@@ -131,45 +129,70 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Physical size of one atomic bucket: a single 64-bit word.
 pub const ATOMIC_BUCKET_BYTES: usize = 8;
 
-/// Bits of the packed word holding the bucket error (`NO`).
-const ERR_BITS: u32 = 12;
 /// Bits of the packed word holding the candidate count (`YES`).
 const COUNT_BITS: u32 = 28;
-
-/// Largest representable `NO`; every layer threshold must stay below it.
-pub const ERR_MAX: u64 = (1 << ERR_BITS) - 1;
+/// Largest layer threshold a packed word certifies: the error field
+/// (`NO`) is at most 12 bits wide.
+pub const ERR_MAX: u64 = (1 << 12) - 1;
 /// Largest representable `YES`; additions saturate here.
 pub const COUNT_MAX: u64 = (1 << COUNT_BITS) - 1;
-/// Mask of the 24-bit candidate fingerprint.
-pub const FP_MASK: u64 = (1 << (64 - ERR_BITS - COUNT_BITS)) - 1;
+/// Mask of the widest fingerprint field, 36 bits at `λ = 0`. A layer
+/// with threshold `λ` keeps the low `36 − e` bits of a key's 32-bit
+/// fingerprint (`layer_fp`), `e` being `λ`'s bit width.
+pub const FP_MASK: u64 = (1 << (64 - COUNT_BITS)) - 1;
 
+/// Width of the error field at a layer with threshold `lambda`: the bits
+/// `NO ≤ λ` needs, 0 at `λ = 0`.
 #[inline]
-fn pack(fp: u64, count: u64, err: u64) -> u64 {
-    debug_assert!(fp <= FP_MASK && count <= COUNT_MAX && err <= ERR_MAX);
-    (fp << (COUNT_BITS + ERR_BITS)) | (count << ERR_BITS) | err
+fn err_bits(lambda: u64) -> u32 {
+    u64::BITS - lambda.leading_zeros()
+}
+
+/// The fingerprint a layer with threshold `lambda` stores for a key
+/// whose full fingerprint is `fp`: the low bits its error field leaves.
+#[inline]
+pub(crate) fn layer_fp(fp: u64, lambda: u64) -> u64 {
+    fp & (FP_MASK >> err_bits(lambda))
+}
+
+/// Do a layer fingerprint and bucket fields fit the packed word of a
+/// layer with threshold `lambda`?
+pub(crate) fn fits_word(fp: u64, count: u64, err: u64, lambda: u64) -> bool {
+    let e = err_bits(lambda);
+    fp <= FP_MASK >> e && count <= COUNT_MAX && err >> e == 0
 }
 
 #[inline]
-fn unpack(word: u64) -> (u64, u64, u64) {
+fn pack(fp: u64, count: u64, err: u64, lambda: u64) -> u64 {
+    debug_assert!(fits_word(fp, count, err, lambda));
+    let e = err_bits(lambda);
+    (fp << (COUNT_BITS + e)) | (count << e) | err
+}
+
+#[inline]
+fn unpack(word: u64, lambda: u64) -> (u64, u64, u64) {
+    let e = err_bits(lambda);
     (
-        word >> (COUNT_BITS + ERR_BITS),
-        (word >> ERR_BITS) & COUNT_MAX,
-        word & ERR_MAX,
+        word >> (COUNT_BITS + e),
+        (word >> e) & COUNT_MAX,
+        word & ((1 << e) - 1),
     )
 }
 
-/// [`step`] on a packed word: unpack, step with the count ceiling
-/// [`COUNT_MAX`], pack. Returns `(new_word, leftover, clipped)`: the
-/// committed bucket state, the value that must descend to the next
+/// [`step`] on a packed word of a layer with threshold `lambda`, for a
+/// key whose full fingerprint is `fp`: unpack, step with the count
+/// ceiling [`COUNT_MAX`], pack. Returns `(new_word, leftover, clipped)`:
+/// the committed bucket state, the value that must descend to the next
 /// layer, and the excess the `count` field could not hold. The new `NO`
-/// always fits the 12-bit field: a lock stops it at `λ ≤ ERR_MAX`, and a
-/// takeover hands it an old `YES` that no lock guarded, so `YES ≤ λ`.
+/// always fits the error field: a lock stops it at `λ`, and a takeover
+/// hands it an old `YES` that no lock guarded, so `YES ≤ λ`.
 #[inline]
 pub(crate) fn step_word(word: u64, fp: u64, value: u64, lambda: u64) -> (u64, u64, u64) {
-    let (bfp, yes, no) = unpack(word);
+    let (bfp, yes, no) = unpack(word, lambda);
+    let fp = layer_fp(fp, lambda);
     let s = step(bfp == fp, yes, no, value, lambda, COUNT_MAX);
     let id = if s.takes_over { fp } else { bfp };
-    (pack(id, s.yes, s.no), s.leftover, s.clipped)
+    (pack(id, s.yes, s.no, lambda), s.leftover, s.clipped)
 }
 
 /// Relaxed operation counters of an [`AtomicBucketArray`].
@@ -229,7 +252,8 @@ impl AtomicBucketArray {
     ///
     /// # Panics
     /// Panics if any layer threshold exceeds [`ERR_MAX`] — the packed
-    /// 12-bit error field cannot certify larger per-layer budgets.
+    /// error field is at most 12 bits and cannot certify larger
+    /// per-layer budgets.
     pub fn new(geometry: &LayerGeometry) -> Self {
         let widths = geometry.widths().to_vec();
         let lambdas = geometry.lambdas().to_vec();
@@ -278,8 +302,9 @@ impl AtomicBucketArray {
         &self.stats
     }
 
-    /// Apply one layer step for `fingerprint` at `(layer, index)` with a
-    /// CAS loop (the transition is `step_word`); returns
+    /// Apply one layer step for the key with full fingerprint
+    /// `fingerprint` at `(layer, index)` with a CAS loop (the transition
+    /// is `step_word`); returns
     /// `(leftover, clipped)`: the value that must descend, and the excess
     /// a saturated count could not hold, which must not.
     #[inline]
@@ -325,10 +350,14 @@ impl AtomicBucketArray {
         }
     }
 
-    /// Read bucket `(layer, index)` as `(fingerprint, yes, no)`.
+    /// Read bucket `(layer, index)` as `(fingerprint, yes, no)`, the
+    /// fingerprint as wide as the layer keeps it.
     #[inline]
     pub fn read(&self, layer: usize, index: usize) -> (u64, u64, u64) {
-        unpack(self.words[self.offsets[layer] + index].load(Ordering::Acquire))
+        unpack(
+            self.words[self.offsets[layer] + index].load(Ordering::Acquire),
+            self.lambdas[layer],
+        )
     }
 
     /// Read every packed word out into a fingerprint-space bucket grid
@@ -340,11 +369,10 @@ impl AtomicBucketArray {
             .map(|layer| {
                 (0..self.width(layer))
                     .map(|j| {
-                        let word = self.words[self.offsets[layer] + j].load(Ordering::Acquire);
-                        if word == 0 {
+                        let (fp, yes, no) = self.read(layer, j);
+                        if (fp, yes, no) == (0, 0, 0) {
                             EsBucket::new()
                         } else {
-                            let (fp, yes, no) = unpack(word);
                             EsBucket::from_parts(Some(fp), yes, no)
                         }
                     })
@@ -383,15 +411,11 @@ impl AtomicBucketArray {
 
     /// Overwrite bucket `(layer, index)` with explicit fields (replica
     /// restore/apply paths; exclusive access). The fields must fit the
-    /// packed word — the caller validates against [`FP_MASK`],
-    /// [`COUNT_MAX`] and [`ERR_MAX`] before reaching here.
+    /// layer's packed word — the caller validates with `fits_word`
+    /// before reaching here.
     pub(crate) fn store_bucket(&mut self, layer: usize, index: usize, fp: u64, yes: u64, no: u64) {
         let global = self.offsets[layer] + index;
-        *self.words[global].get_mut() = if yes == 0 && no == 0 && fp == 0 {
-            0
-        } else {
-            pack(fp, yes, no)
-        };
+        *self.words[global].get_mut() = pack(fp, yes, no, self.lambdas[layer]);
     }
 
     /// Zero every bucket word, keeping the operation statistics (used
@@ -433,12 +457,23 @@ pub(crate) fn fp_seed_for(seed: u64) -> u32 {
     splitmix64(seed ^ FP_SALT) as u32
 }
 
-/// The 24-bit candidate fingerprint of `key` under the fingerprint seed
+/// The 32-bit fingerprint of `key` under the fingerprint seed
 /// [`fp_seed_for`] derives — the one rule every sketch and slim digest
-/// maps keys by.
+/// maps keys by. A bucket stores its layer's `layer_fp` of it.
 #[inline]
 pub(crate) fn fingerprint<K: Key>(key: &K, fp_seed: u32) -> u64 {
-    u64::from(key.hash32(fp_seed)) & FP_MASK
+    u64::from(key.hash32(fp_seed))
+}
+
+/// A keyed bucket grid in fingerprint space: each candidate maps to the
+/// fingerprint its layer stores — how a sequential sketch enters the
+/// merge and slim-digest machinery beside the packed words.
+pub(crate) fn fingerprint_layers<K: Key>(
+    layers: &Layers<K>,
+    lambdas: &[u64],
+    fp_seed: u32,
+) -> Layers<u64> {
+    layers.map_ids(|i, k| layer_fp(fingerprint(k, fp_seed), lambdas[i]))
 }
 
 /// Lock-free ReliableSketch over an [`AtomicBucketArray`]: shared-`&self`
@@ -471,7 +506,7 @@ pub(crate) fn fingerprint<K: Key>(key: &K, fp_seed: u32) -> u64 {
 ///     }
 /// });
 /// let est = sk.query_with_error(&3); // true sum: 600
-/// assert!(est.value + sk.contention_undershoot_bound() >= 600);
+/// assert!(est.contains(600));
 /// assert!(est.max_possible_error <= 25); // MPE ≤ Λ under any schedule
 /// ```
 #[derive(Debug)]
@@ -516,8 +551,8 @@ impl<K: Key> ConcurrentReliable<K> {
     ///
     /// # Panics
     /// Panics on invalid configurations, or when `Λ` yields a layer
-    /// threshold above [`ERR_MAX`] (the packed error field is 12 bits
-    /// wide, a narrower domain than [`crate::ReliableSketch`]'s unbounded
+    /// threshold above [`ERR_MAX`] (the packed error field is at most 12
+    /// bits wide, a narrower domain than [`crate::ReliableSketch`]'s unbounded
     /// `u64` counters — tolerances up to `Λ = 4095` are always safe).
     pub fn new(config: ReliableConfig) -> Self {
         config
@@ -586,25 +621,12 @@ impl<K: Key> ConcurrentReliable<K> {
         self.filter.as_ref()
     }
 
-    /// Per-key bound on how far a contended filtered estimate may trail
-    /// the truth: the filter's
-    /// [`contention_undershoot_bound`](MiceFilter::contention_undershoot_bound),
-    /// or 0 for the raw variant and on uncontended/single-owner paths
-    /// (which are exact).
-    pub fn contention_undershoot_bound(&self) -> u64 {
-        self.filter
-            .as_ref()
-            .map_or(0, MiceFilter::contention_undershoot_bound)
-    }
-
     /// Attach the error-certified top-K layer ([`crate::topk`]),
     /// mirroring [`crate::ReliableSketch::enable_top_k`]: offers happen
     /// only when the atomic mice filter passes value through, so the
     /// guarding mutex sees elephant traffic only. Enable *before*
-    /// ingesting. Under producer contention a claim's seed estimate may
-    /// trail the racing truth by the documented
-    /// [`Self::contention_undershoot_bound`]; single-owner histories are
-    /// bit-for-bit equal to the sequential twin's summary.
+    /// ingesting. Single-owner histories are bit-for-bit equal to the
+    /// sequential twin's summary.
     pub fn enable_top_k(&mut self, capacity: usize) {
         let threshold = self.filter.as_ref().map_or(0, MiceFilter::threshold);
         self.topk = Some(Mutex::new(TopKSummary::new(capacity, threshold)));
@@ -644,12 +666,17 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Total value dropped by failures (nonzero only with
-    /// [`crate::EmergencyPolicy::Disabled`]).
+    /// [`crate::EmergencyPolicy::Disabled`]). Like the point query, it
+    /// takes the emergency mutex only once an insertion has failed.
     pub fn dropped_value(&self) -> u64 {
-        self.emergency.lock().dropped_value()
+        if self.failures.load(Ordering::Relaxed) == 0 {
+            0
+        } else {
+            self.emergency.lock().dropped_value()
+        }
     }
 
-    /// 24-bit candidate fingerprint of `key`.
+    /// 32-bit fingerprint of `key`.
     #[inline]
     pub(crate) fn fingerprint(&self, key: &K) -> u64 {
         fingerprint(key, self.fp_seed)
@@ -754,13 +781,15 @@ impl<K: Key> ConcurrentReliable<K> {
             let lambdas = self.geometry.lambdas();
             let index = |i| self.hashes.index(i, key, self.geometry.width(i));
             if let Some(overlay) = &self.merged {
-                let (e, m, _) = walk(lambdas, |i| overlay.read(i, index(i), &fp));
+                let (e, m, _) = walk(lambdas, |i| {
+                    overlay.read(i, index(i), &layer_fp(fp, lambdas[i]))
+                });
                 est = est.saturating_add(e);
                 mpe = mpe.saturating_add(m);
             }
             let (e, m, _) = walk(lambdas, |i| {
                 let (bfp, yes, no) = self.array.read(i, index(i));
-                (bfp == fp, yes, no, false)
+                (bfp == layer_fp(fp, lambdas[i]), yes, no, false)
             });
             est = est.saturating_add(e);
             mpe = mpe.saturating_add(m);
@@ -907,9 +936,51 @@ mod tests {
 
     #[test]
     fn word_roundtrip() {
-        for (fp, count, err) in [(0, 0, 0), (1, 2, 3), (FP_MASK, COUNT_MAX, ERR_MAX)] {
-            assert_eq!(unpack(pack(fp, count, err)), (fp, count, err));
+        // the error field is λ's bit width; the fingerprint takes the rest
+        for (lambda, fp_bits) in [(0, 36), (1, 35), (13, 32), (ERR_MAX, 24)] {
+            let fp_max = (1u64 << fp_bits) - 1;
+            assert_eq!(layer_fp(FP_MASK, lambda), fp_max);
+            for (fp, count, err) in [(0, 0, 0), (1, 2, lambda / 2), (fp_max, COUNT_MAX, lambda)] {
+                assert!(fits_word(fp, count, err, lambda));
+                assert_eq!(
+                    unpack(pack(fp, count, err, lambda), lambda),
+                    (fp, count, err)
+                );
+            }
+            assert!(!fits_word(fp_max + 1, 0, 0, lambda));
+            assert!(!fits_word(0, 0, 1 << err_bits(lambda), lambda));
         }
+    }
+
+    #[test]
+    fn zero_threshold_layers_keep_all_32_fingerprint_bits() {
+        // two keys whose fingerprints agree on their low 24 bits: a
+        // layer at λ = ERR_MAX keeps only those and aliases them, a
+        // λ = 0 layer keeps all 32 and tells them apart
+        let fp_seed = fp_seed_for(3);
+        let mut seen = std::collections::HashMap::new();
+        let (a, b) = (0u64..)
+            .find_map(|k| {
+                let low = fingerprint(&k, fp_seed) & 0xFF_FFFF;
+                seen.insert(low, k).map(|other| (other, k))
+            })
+            .unwrap();
+        let (fa, fb) = (fingerprint(&a, fp_seed), fingerprint(&b, fp_seed));
+        assert_ne!(fa, fb);
+        assert_eq!(layer_fp(fa, ERR_MAX), layer_fp(fb, ERR_MAX));
+        // one λ = 0 layer of one bucket, its seat held by `a`
+        let sk = ConcurrentReliable::<u64>::with_geometry(
+            ReliableConfig {
+                memory_bytes: 8,
+                seed: 3,
+                mice_filter: None,
+                ..Default::default()
+            },
+            LayerGeometry::custom(vec![1], vec![0]).unwrap(),
+        );
+        sk.insert_concurrent(&a, 100);
+        assert!(sk.query_with_error(&a).contains(100));
+        assert!(sk.query_with_error(&b).contains(0), "b read a's seat");
     }
 
     #[test]
@@ -923,32 +994,32 @@ mod tests {
             left
         };
         assert_eq!(step(&mut w, a, 2), 0);
-        assert_eq!(unpack(w), (a, 2, 0));
+        assert_eq!(unpack(w, ERR_MAX), (a, 2, 0));
         assert_eq!(step(&mut w, a, 3), 0);
-        assert_eq!(unpack(w), (a, 5, 0));
+        assert_eq!(unpack(w, ERR_MAX), (a, 5, 0));
         assert_eq!(step(&mut w, b, 10), 0); // NO 10 ≥ YES 5 → replace + swap
-        assert_eq!(unpack(w), (b, 10, 5));
+        assert_eq!(unpack(w, ERR_MAX), (b, 10, 5));
     }
 
     #[test]
     fn step_word_lock_diverts() {
         // λ = 4, bucket captured by fp 1 with YES 10, NO 3: a colliding 5
         // absorbs 1 (to NO = λ) and diverts 4
-        let w = pack(1, 10, 3);
+        let w = pack(1, 10, 3, 4);
         let (next, left, _) = step_word(w, 2, 5, 4);
-        assert_eq!(unpack(next), (1, 10, 4));
+        assert_eq!(unpack(next, 4), (1, 10, 4));
         assert_eq!(left, 4);
         // a matching key is absorbed fully even when locked
         let (next, left, _) = step_word(next, 1, 7, 4);
-        assert_eq!(unpack(next), (1, 17, 4));
+        assert_eq!(unpack(next, 4), (1, 17, 4));
         assert_eq!(left, 0);
     }
 
     #[test]
     fn step_word_count_saturates() {
-        let w = pack(3, COUNT_MAX - 1, 0);
+        let w = pack(3, COUNT_MAX - 1, 0, ERR_MAX);
         let (next, left, clipped) = step_word(w, 3, 10, ERR_MAX);
-        assert_eq!(unpack(next), (3, COUNT_MAX, 0));
+        assert_eq!(unpack(next, ERR_MAX), (3, COUNT_MAX, 0));
         assert_eq!(left, 0);
         assert_eq!(clipped, 9);
     }
@@ -1100,10 +1171,10 @@ mod tests {
     }
 
     #[test]
-    fn filtered_contention_respects_relaxed_bound() {
+    fn filtered_contention_keeps_the_guarantee() {
         // 8 producers hammer the same mice keys through the shared-`&self`
-        // path: estimates may trail the truth by at most the documented
-        // filter slack, and the MPE ceiling survives any interleaving.
+        // path: every certified interval holds the truth, and the MPE
+        // ceiling survives any interleaving.
         let sk = ConcurrentReliable::<u64>::new(ReliableConfig {
             memory_bytes: 256 * 1024,
             emergency: EmergencyPolicy::ExactTable,
@@ -1111,8 +1182,6 @@ mod tests {
             ..Default::default()
         });
         assert!(sk.has_filter());
-        let slack = sk.contention_undershoot_bound();
-        assert!(slack > 0, "default 2-array filter has nonzero slack");
         let (threads, per_thread, keys) = (8u64, 8_000u64, 500u64);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -1135,14 +1204,7 @@ mod tests {
         }
         for (k, &f) in truth.iter().enumerate() {
             let est = sk.query_with_error(&(k as u64));
-            assert!(
-                est.value + slack >= f,
-                "key {k}: {est:?} trails truth {f} beyond the filter slack {slack}"
-            );
-            assert!(
-                est.value <= f + est.max_possible_error,
-                "key {k}: overshoot beyond the certified MPE"
-            );
+            assert!(est.contains(f), "key {k}: truth {f} ∉ {est:?}");
             assert!(est.max_possible_error <= sk.mpe_ceiling());
         }
     }
@@ -1238,14 +1300,14 @@ mod tests {
         #[test]
         fn prop_step_word_invariants(
             ops in proptest::collection::vec((0u64..6, 1u64..40, proptest::bool::ANY), 1..200),
-            lambda in 1u64..64,
+            lambda in 0u64..64,
         ) {
             let mut w = 0u64;
             for (fp, v, heavy) in ops {
                 let v = if heavy { v << 24 } else { v };
-                let (yes0, no0) = { let (_, y, n) = unpack(w); (y, n) };
+                let (yes0, no0) = { let (_, y, n) = unpack(w, lambda); (y, n) };
                 let (next, left, clipped) = step_word(w, fp, v, lambda);
-                let (_, yes1, no1) = unpack(next);
+                let (_, yes1, no1) = unpack(next, lambda);
                 prop_assert!(no1 <= lambda.max(no0), "NO {} above λ {}", no1, lambda);
                 prop_assert!(yes1 >= no1 || no1 <= lambda);
                 prop_assert!(clipped == 0 || left == 0, "a clipping step diverted value");

@@ -332,17 +332,19 @@ impl<K: Key> Layers<K> {
         }
     }
 
-    /// The same grid with every candidate mapped through `f` (keys to
-    /// the 24-bit fingerprints of the lock-free sketch and slim digest).
-    pub(crate) fn map_ids<U: Key>(&self, f: impl Fn(&K) -> U) -> Layers<U> {
+    /// The same grid with every candidate of layer `i` mapped through
+    /// `f(i, _)` (keys to the per-layer fingerprints of the lock-free
+    /// sketch and slim digest).
+    pub(crate) fn map_ids<U: Key>(&self, f: impl Fn(usize, &K) -> U) -> Layers<U> {
         Layers {
             buckets: self
                 .buckets
                 .iter()
-                .map(|layer| {
+                .enumerate()
+                .map(|(i, layer)| {
                     layer
                         .iter()
-                        .map(|b| EsBucket::from_parts(b.id.as_ref().map(&f), b.yes, b.no))
+                        .map(|b| EsBucket::from_parts(b.id.as_ref().map(|k| f(i, k)), b.yes, b.no))
                         .collect()
                 })
                 .collect(),

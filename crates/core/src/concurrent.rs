@@ -116,18 +116,13 @@ impl<K: Key> ShardedReliable<K> {
     /// Shards honor `config.mice_filter`: each builds its own
     /// [`MiceFilter`](crate::filter::MiceFilter) from its
     /// budget slice (see [`ConcurrentReliable::new`]), so the sharded
-    /// path runs the paper's full filtered variant. Because
-    /// [`Self::ingest_parallel`] applies each shard from a single owner,
-    /// the filtered guarantees there are *exact*; only direct
-    /// multi-producer [`Self::insert_shared`] racing on one key pays the
-    /// bounded filter slack documented at
-    /// [`ConcurrentReliable::contention_undershoot_bound`].
+    /// path runs the paper's full filtered variant.
     ///
     /// # Panics
     /// Panics if `n_shards == 0`, if a per-shard budget is invalid, or if
     /// `config.lambda` yields a layer threshold above
     /// [`crate::atomic::ERR_MAX`] (= 4095) — the packed atomic bucket
-    /// stores the error in 12 bits, unlike the unbounded `u64` fields of
+    /// stores the error in at most 12 bits, unlike the unbounded `u64` fields of
     /// [`crate::ReliableSketch`].
     pub fn new(config: ReliableConfig, n_shards: usize) -> Self {
         assert!(n_shards > 0, "need at least one shard");
@@ -388,8 +383,7 @@ impl<K: Key + Send + Sync> ConcurrentErrorSensing<K> for ConcurrentReliable<K> {
     /// loads ([`ConcurrentReliable::query_with_error`]) and report the
     /// Maximum Possible Error alongside the estimate. Uncontended
     /// single-writer histories answer bit-for-bit like the sequential
-    /// twin; racing writers relax containment by at most the documented
-    /// [`contention_undershoot_bound`](ConcurrentReliable::contention_undershoot_bound).
+    /// twin, and racing writers keep every interval certified.
     #[inline]
     fn query_with_error_concurrent(&self, key: &K) -> Estimate {
         self.query_with_error(key)

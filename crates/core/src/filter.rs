@@ -49,13 +49,13 @@ const MAX_ARRAYS: usize = 8;
 /// per word with the paper's §6.1.1 defaults) and every state change is a
 /// single CAS on one lane:
 ///
-/// * the CU step scans the key's counters, picks the minimum `m`, and
-///   **claims** the absorption `a = min(threshold − m, v)` with one CAS
-///   raising the min counter `m → m + a` (a failed CAS rescans — another
-///   thread moved the filter forward);
-/// * the conservative update then raises the key's remaining counters to
-///   at least `m + a` with CAS-max loops (monotone, so retries are rare
-///   and ABA-free).
+/// * the CU step scans the key's counters and picks the minimum `m`; the
+///   conservative update raises the key's other counters to at least
+///   `m + a`, `a = min(threshold − m, v)`, with CAS-max loops (monotone,
+///   so retries are rare and ABA-free);
+/// * only then does one CAS on the min counter's lane **claim** the
+///   absorption, `m → m + a` (a failed CAS rescans — another thread moved
+///   the filter forward).
 ///
 /// ### Concurrency contract
 ///
@@ -63,16 +63,14 @@ const MAX_ARRAYS: usize = 8;
 /// owner per key range as in
 /// [`crate::concurrent::ShardedReliable::ingest_parallel`]) every insert
 /// is exactly the CU step of the [module docs](crate::filter), counter
-/// for counter. Under contention the CU minimum is read across several
-/// words, so two racing inserts of one key may both absorb against the
-/// same counter floor; the absorbed mass is then under-represented by the
-/// final minimum. The slack is bounded: per key, the filter's query
-/// contribution trails the truly absorbed mass by at most
-/// `(arrays − 1) × threshold` ([`Self::contention_undershoot_bound`]) —
-/// with the paper's defaults, 3 units. This is the relaxed-semantics
-/// trade of Fast Concurrent Data Sketches (Rinberg et al., PPoPP '20);
-/// the MPE stays an honest *overshoot* bound under any interleaving, and
-/// the saturation rule is exact (a key's counters all reach `threshold`
+/// for counter. Under contention the filter stays exact: a claim lands
+/// only while its row still holds `m` and every other row of the key
+/// already holds `m + a`, so each landed claim of a key reads a floor at
+/// least as high as the previous one's `m + a`. A key's minimum therefore
+/// never trails the mass the filter absorbed for it, and that mass never
+/// exceeds `threshold`. A lost claim leaves raised rows behind, which can
+/// only overcount, and the filter's contribution counts in the MPE. The
+/// saturation rule is exact too (a key's counters all reach `threshold`
 /// before any of its mass enters the bucket layers).
 ///
 /// ```
@@ -212,15 +210,6 @@ impl MiceFilter {
         self.arrays as u64
     }
 
-    /// Per-key bound on how far the query contribution may trail the
-    /// truly absorbed mass under contended insertion:
-    /// `(arrays − 1) × threshold`. Zero for single-row filters, and not
-    /// paid at all on uncontended or single-owner-per-key paths.
-    #[inline]
-    pub fn contention_undershoot_bound(&self) -> u64 {
-        (self.arrays as u64 - 1) * self.threshold
-    }
-
     #[inline]
     fn lane_mask(&self) -> u64 {
         if self.lane_bits == 64 {
@@ -292,8 +281,16 @@ impl MiceFilter {
             }
             let absorbed = (self.threshold - min).min(value);
             let target = min + absorbed;
-            // claim the absorption with one CAS on the min counter; a
-            // lost race means the filter state moved — rescan
+            // conservative update of the other rows first, so a claim
+            // that lands finds every other row already at its target
+            for (row, &(lane, shift)) in at.iter().enumerate().take(self.arrays) {
+                if row != min_row {
+                    self.raise_to(lane, shift, target);
+                }
+            }
+            // then claim the absorption with one CAS on the min counter;
+            // a lost race means the filter state moved — rescan (the
+            // raises stay, and only ever overcount)
             let (lane, shift) = at[min_row];
             let next = (min_word & !(mask << shift)) | (target << shift);
             if self.lanes[lane]
@@ -302,14 +299,8 @@ impl MiceFilter {
             {
                 continue;
             }
-            // conservative update of the remaining rows, then hand back
-            // the leftover (layer mass only ever trails the raises, which
-            // keeps the query's early-stop rule sound)
-            for (row, &(lane, shift)) in at.iter().enumerate().take(self.arrays) {
-                if row != min_row {
-                    self.raise_to(lane, shift, target);
-                }
-            }
+            // the leftover goes down only once every row holds the target,
+            // which keeps the query's early-stop rule sound
             return value - absorbed;
         }
     }
@@ -674,14 +665,13 @@ mod tests {
         assert!(f.saturation_ratio() > 0.0);
         f.clear();
         assert_eq!(f.saturation_ratio(), 0.0);
-        let (c, _) = f.query(&1u64);
-        assert_eq!(c, 0);
+        assert_eq!(f.query(&1u64), (0, false));
     }
 
     #[test]
     fn atomic_matches_sequential_single_thread() {
         let mut seq = ReferenceFilter::new(2048, 2, 8, 5, 99).unwrap();
-        let atomic = AtomicMiceFilter::new(2048, 2, 8, 5, 99).unwrap();
+        let atomic = MiceFilter::new(2048, 2, 8, 5, 99).unwrap();
         assert_eq!(seq.width(), atomic.width());
         assert_eq!(seq.memory_bytes(), atomic.memory_bytes());
         for i in 0..20_000u64 {
@@ -695,48 +685,45 @@ mod tests {
     }
 
     #[test]
-    fn atomic_lane_packing_2bit() {
-        // 2-bit counters: 32 per lane; shape mirrors the sequential filter
-        let f = AtomicMiceFilter::new(1000, 2, 2, 3, 1).unwrap();
-        assert_eq!(f.width(), 2000);
-        assert_eq!(f.memory_bytes(), 1000);
-        assert_eq!(f.hash_calls(), 2);
-        assert_eq!(f.contention_undershoot_bound(), 3);
-        assert!(AtomicMiceFilter::new(0, 2, 8, 3, 1).is_none());
-    }
-
-    #[test]
-    fn atomic_contended_inserts_respect_relaxed_bound() {
-        // 8 threads hammer the same mice keys: per key, contribution may
-        // trail the absorbed mass by at most (arrays−1)·threshold, the
-        // saturation rule stays exact, and value is conserved per call.
-        let f = AtomicMiceFilter::new(4096, 2, 8, 3, 7).unwrap();
-        let absorbed = std::sync::Mutex::new(HashMap::<u64, u64>::new());
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let (f, absorbed) = (&f, &absorbed);
-                s.spawn(move || {
-                    let mut local = HashMap::new();
-                    for i in 0..4_000u64 {
-                        let (k, v) = ((i + t) % 50, 1 + i % 3);
-                        let passed = f.insert(&k, v);
-                        assert!(passed <= v);
-                        *local.entry(k).or_insert(0u64) += v - passed;
-                    }
-                    let mut g = absorbed.lock().unwrap();
-                    for (k, a) in local {
-                        *g.entry(k).or_insert(0) += a;
-                    }
+    fn contended_inserts_are_exact() {
+        // Two writers race over 8 keys, released together by a spin
+        // barrier: per key, the final minimum covers everything the
+        // filter absorbed, and that never exceeds the threshold.
+        use std::sync::atomic::AtomicUsize;
+        for (bits, threshold, arrays) in [(2, 3, 2), (8, 3, 2), (8, 100, 3), (16, 5_000, 3)] {
+            for seed in 0..400u64 {
+                let f = MiceFilter::new(4096, arrays, bits, threshold, seed).unwrap();
+                let ready = AtomicUsize::new(0);
+                let step = (threshold / 16).max(1);
+                let absorbed: Vec<[u64; 8]> = std::thread::scope(|s| {
+                    let writers: Vec<_> = (0..2u64)
+                        .map(|t| {
+                            let (f, ready) = (&f, &ready);
+                            s.spawn(move || {
+                                ready.fetch_add(1, Ordering::AcqRel);
+                                while ready.load(Ordering::Acquire) < 2 {
+                                    std::hint::spin_loop();
+                                }
+                                let mut local = [0u64; 8];
+                                for i in 0..8 * (threshold / step + 2) {
+                                    let (k, v) = (i % 8, step * (1 + (i / 8 + t) % 2));
+                                    local[k as usize] += v - f.insert(&k, v);
+                                }
+                                local
+                            })
+                        })
+                        .collect();
+                    writers.into_iter().map(|w| w.join().unwrap()).collect()
                 });
+                for k in 0..8u64 {
+                    let a = absorbed[0][k as usize] + absorbed[1][k as usize];
+                    let (c, _) = f.query(&k);
+                    assert!(
+                        a <= threshold && c >= a,
+                        "shape ({bits}, {threshold}, {arrays}) seed {seed} key {k}: min {c}, absorbed {a}"
+                    );
+                }
             }
-        });
-        let slack = f.contention_undershoot_bound();
-        for (&k, &a) in absorbed.lock().unwrap().iter() {
-            let (c, _) = f.query(&k);
-            assert!(
-                c + slack >= a,
-                "key {k}: contribution {c} trails absorbed {a} beyond the bound {slack}"
-            );
         }
     }
 
@@ -744,8 +731,8 @@ mod tests {
     fn atomic_merge_widens_lanes_and_adds_uncapped() {
         // threshold 3 in 2-bit lanes: a merged sum of 6 does not fit the
         // original width, so the merge must widen the physical lanes
-        let mut a = AtomicMiceFilter::new(256, 2, 2, 3, 5).unwrap();
-        let b = AtomicMiceFilter::new(256, 2, 2, 3, 5).unwrap();
+        let mut a = MiceFilter::new(256, 2, 2, 3, 5).unwrap();
+        let b = MiceFilter::new(256, 2, 2, 3, 5).unwrap();
         let k = 11u64;
         a.insert(&k, 10);
         b.insert(&k, 10);
@@ -754,18 +741,8 @@ mod tests {
         assert_eq!(c, 6, "sums must not be re-capped at the threshold");
         assert!(sat);
 
-        let mismatched = AtomicMiceFilter::new(256, 2, 2, 2, 5).unwrap();
+        let mismatched = MiceFilter::new(256, 2, 2, 2, 5).unwrap();
         assert!(a.merge_from(&mismatched).is_err());
-    }
-
-    #[test]
-    fn atomic_clear_resets() {
-        let mut f = AtomicMiceFilter::new(512, 2, 8, 3, 3).unwrap();
-        f.insert(&1u64, 5);
-        assert!(f.saturation_ratio() > 0.0);
-        f.clear();
-        assert_eq!(f.saturation_ratio(), 0.0);
-        assert_eq!(f.query(&1u64), (0, false));
     }
 
     proptest! {
@@ -781,7 +758,7 @@ mod tests {
             bits in 5u32..9,
         ) {
             let mut seq = ReferenceFilter::new(256, arrays, bits, threshold, 7).unwrap();
-            let atomic = AtomicMiceFilter::new(256, arrays, bits, threshold, 7).unwrap();
+            let atomic = MiceFilter::new(256, arrays, bits, threshold, 7).unwrap();
             for (k, v) in ops {
                 prop_assert_eq!(seq.insert(&k, v), atomic.insert(&k, v));
             }

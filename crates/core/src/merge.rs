@@ -71,9 +71,9 @@
 //! crate-private bucket-grid type, `Layers`, in fingerprint space. A
 //! [`ConcurrentReliable`] reads its packed `AtomicU64` words out into
 //! [`EsBucket<u64>`](crate::EsBucket) layers, and a sequential twin maps
-//! its candidate keys to the same 24-bit fingerprints. The collector
+//! its candidate keys to the same per-layer fingerprints. The collector
 //! seals its own words into a merged overlay (merged `NO` fields can
-//! exceed the packed 12-bit error field, so the union cannot live in the
+//! exceed the packed word's error field, so the union cannot live in the
 //! atomic words) and unions each operand into it by exactly the rule the
 //! sequential impl uses. Post-merge insertions keep flowing lock-free
 //! into the (zeroed) atomic words; queries walk overlay + live words like
@@ -88,9 +88,10 @@
 //!   [`ReliableSketch`] twin (same config, same geometry) into a
 //!   concurrent collector.
 //!
-//! Candidate identity in concurrent operands is the 24-bit fingerprint,
-//! so merging inherits the atomic path's `2⁻²⁴` per-colliding-pair
-//! aliasing caveat; aliasing only ever inflates estimates.
+//! Candidate identity in concurrent operands is the per-layer
+//! fingerprint (32 bits, 24 at the widest threshold), so merging
+//! inherits the atomic path's per-colliding-pair aliasing caveat;
+//! aliasing only ever inflates estimates.
 //!
 //! ## Example
 //!
@@ -117,7 +118,7 @@
 //! assert!(shard_a.is_merged());
 //! ```
 
-use crate::atomic::{add_failures, fingerprint, fp_seed_for, ConcurrentReliable};
+use crate::atomic::{add_failures, fingerprint_layers, fp_seed_for, ConcurrentReliable};
 use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
@@ -246,11 +247,11 @@ impl<K: Key> ConcurrentReliable<K> {
 
     /// Fold a *sequential* [`ReliableSketch`] twin (same configuration,
     /// same explicit geometry — build both via `with_geometry`) into this
-    /// concurrent collector: candidate keys map to their 24-bit
-    /// fingerprints, then the ordinary union machinery applies. This is
-    /// the mixed-deployment aggregation path — e.g. edge devices running
-    /// the sequential sketch, a multi-core collector running the atomic
-    /// one.
+    /// concurrent collector: candidate keys map to the fingerprints
+    /// their layers store, then the ordinary union machinery applies.
+    /// This is the mixed-deployment aggregation path — e.g. edge devices
+    /// running the sequential sketch, a multi-core collector running the
+    /// atomic one.
     ///
     /// # Errors
     /// Rejects mismatched configurations, geometries, or filter shapes
@@ -260,7 +261,7 @@ impl<K: Key> ConcurrentReliable<K> {
         self.fold(Peer {
             config: other.config(),
             geometry: other.geometry(),
-            layers: other.layers.map_ids(|k| fingerprint(k, fp_seed)),
+            layers: fingerprint_layers(&other.layers, other.geometry().lambdas(), fp_seed),
             filter: other.filter.as_ref(),
             emergency: other.emergency.clone(),
             failures: other.insertion_failures(),
@@ -627,11 +628,9 @@ mod tests {
         for i in 0..5_000u64 {
             *truth.entry(i % 300).or_insert(0) += 4;
         }
-        let slack = a.contention_undershoot_bound();
         for (&k, &f) in &truth {
             let est = a.query_with_error(&k);
-            assert!(est.value + slack >= f, "key {k}: {est:?} ≪ {f}");
-            assert!(est.value <= f + est.max_possible_error, "key {k} overshoot");
+            assert!(est.contains(f), "key {k}: {f} ∉ {est:?}");
         }
     }
 

@@ -31,8 +31,10 @@ use rsk_api::{Key, ReplicateError};
 /// Leading magic of every replication payload.
 const MAGIC: [u8; 4] = *b"RSKB";
 /// Current format version. Version 1 encoded a tagged value tree with
-/// field names; the two versions refuse each other's payloads.
-const VERSION: u8 = 2;
+/// field names, and version 2 kept 24-bit fingerprints in every bucket
+/// of a concurrent or slim payload; versions refuse each other's
+/// payloads.
+const VERSION: u8 = 3;
 
 /// What a replication payload carries — byte 6 of the frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,7 +325,7 @@ impl Wire for (u32, u64, u64, u64) {
 /// A sparse bucket row: `(index, fingerprint, yes, no)` with the
 /// fingerprint folded into one varint, 0 for none and otherwise the
 /// fingerprint plus one, so a row costs no more than a live word's.
-/// Fingerprints are 24-bit, so the shift never wraps for a real bucket.
+/// Fingerprints are 32-bit, so the shift never wraps for a real bucket.
 impl Wire for (u32, Option<u64>, u64, u64) {
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
@@ -540,7 +542,7 @@ mod tests {
             payload_kind(&bad_magic),
             Err(ReplicateError::Corrupt(_))
         ));
-        for version in [1, 9] {
+        for version in [1, 2, 9] {
             let mut foreign = good.clone();
             foreign[4] = version;
             assert_eq!(

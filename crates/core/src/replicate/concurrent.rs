@@ -16,7 +16,7 @@
 use super::check_shape;
 use super::codec::{self, bad_tag, wire_struct, PayloadKind, Reader, Wire};
 use super::sequential::EmergencyState;
-use crate::atomic::{ConcurrentReliable, COUNT_MAX, ERR_MAX, FP_MASK};
+use crate::atomic::{fits_word, ConcurrentReliable, ERR_MAX};
 use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
@@ -218,14 +218,14 @@ fn validate_entries(words: &WordEntries, geometry: &LayerGeometry) -> Result<(),
         )));
     }
     for (i, layer) in words.iter().enumerate() {
-        let w = geometry.width(i);
+        let (w, lambda) = (geometry.width(i), geometry.lambda(i));
         for &(j, fp, yes, no) in layer {
             if j as usize >= w {
                 return Err(ReplicateError::Corrupt(format!(
                     "bucket index {j} out of range for layer {i} (width {w})"
                 )));
             }
-            if fp > FP_MASK || yes > COUNT_MAX || no > ERR_MAX {
+            if !fits_word(fp, yes, no, lambda) {
                 return Err(ReplicateError::Corrupt(format!(
                     "bucket ({i}, {j}) fields overflow the packed word"
                 )));

@@ -9,9 +9,12 @@
 //! *not* travel; the filter's threshold is substituted for the unknown
 //! per-key contribution, which widens every answer by at most
 //! [`SlimSummary::slack`] while keeping the certified-interval
-//! guarantee (`truth ∈ [value − MPE, value]`, modulo the same 2⁻²⁴
+//! guarantee (`truth ∈ [value − MPE, value]`, modulo the same
 //! fingerprint-aliasing caveat carried by merged concurrent sketches,
-//! which also operate in fingerprint space).
+//! which also operate in fingerprint space). A digest keeps the low 24
+//! bits of every fingerprint, the narrowest packed word's width, so its
+//! rows stay compact and its answers carry `2⁻²⁴` aliasing odds where
+//! the source's words keep up to 32.
 //!
 //! The emergency store travels in two parts. Its tracked rows become
 //! *extras* keyed by fingerprint, and each raises only the upper end of
@@ -25,7 +28,9 @@
 //! layer's one sparse form: strictly ascending rows, binary-searched.
 
 use super::codec::{self, wire_struct, PayloadKind};
-use crate::atomic::{fingerprint, fp_seed_for, ConcurrentReliable};
+use crate::atomic::{
+    fingerprint, fingerprint_layers, fp_seed_for, layer_fp, ConcurrentReliable, ERR_MAX,
+};
 use crate::bucket::Layers;
 use crate::concurrent::{route, ShardedReliable};
 use crate::config::ReliableConfig;
@@ -91,14 +96,15 @@ wire_struct!(SlimSummary {
 
 impl SlimSummary {
     /// Distill a sequential [`ReliableSketch`] (keys map to the same
-    /// 24-bit fingerprints [`ConcurrentReliable`] uses, so slim payloads
-    /// from either source are interchangeable on the collector side).
+    /// per-layer fingerprints [`ConcurrentReliable`] stores, so slim
+    /// payloads from either source are interchangeable on the collector
+    /// side).
     pub fn from_sequential<K: Key>(sketch: &ReliableSketch<K>) -> Self {
         let fp_seed = fp_seed_for(sketch.config().seed);
         distill(
             sketch.config(),
             sketch.geometry(),
-            &sketch.layers.map_ids(|k| fingerprint(k, fp_seed)),
+            &fingerprint_layers(&sketch.layers, sketch.geometry().lambdas(), fp_seed),
             sketch.emergency.tracked(),
             sketch
                 .filter
@@ -160,7 +166,7 @@ impl SlimSummary {
     /// the unknown filter contribution.
     pub fn query_with_error<K: Key>(&self, key: &K) -> Estimate {
         let hashes = HashFamily::new(self.widths.len(), self.config.seed);
-        let fp = fingerprint(key, fp_seed_for(self.config.seed));
+        let fp = digest_fp(fingerprint(key, fp_seed_for(self.config.seed)));
         let (walked, walked_mpe, _) = walk(&self.lambdas, |i| {
             let j = hashes.index(i, key, self.widths[i]) as u32;
             let (id, yes, no) = match self.layers[i].binary_search_by_key(&j, |e| e.0) {
@@ -322,6 +328,13 @@ fn filter_ceiling(filter: &crate::filter::MiceFilter) -> u64 {
         .unwrap_or(0)
 }
 
+/// The fingerprint a digest keeps of a key's (or a bucket's): its low 24
+/// bits, the layer fingerprint at the widest threshold a packed word
+/// certifies.
+fn digest_fp(fp: u64) -> u64 {
+    layer_fp(fp, ERR_MAX)
+}
+
 /// Build the digest. `extras` are the sources' tracked emergency rows;
 /// each travels as `(fingerprint, value, value)`, charged to the value
 /// and the MPE alike: the digest cannot tell keys that share a
@@ -335,11 +348,14 @@ fn distill<K: Key>(
     dropped: u64,
     gens: u64,
 ) -> SlimSummary {
-    let (slim_layers, slim_hints) = layers.to_sparse();
+    let (mut slim_layers, slim_hints) = layers.to_sparse();
+    for row in slim_layers.iter_mut().flatten() {
+        row.1 = row.1.map(digest_fp);
+    }
     let fp_seed = fp_seed_for(config.seed);
     let mut extras: Vec<(u64, u64, u64)> = extras
         .into_iter()
-        .map(|(k, value, _)| (fingerprint(&k, fp_seed), value, value))
+        .map(|(k, value, _)| (digest_fp(fingerprint(&k, fp_seed)), value, value))
         .collect();
     // a deterministic payload, whatever the stores' iteration order
     extras.sort_unstable();

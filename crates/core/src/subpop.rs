@@ -12,10 +12,8 @@
 //!
 //! * **Dense** — sets that enumerate within
 //!   [`DENSE_ENUMERATION_LIMIT`]: sum the per-key certified intervals
-//!   member by member. `estimate = hi = Σ f̂(k)`, `lo = Σ (f̂(k) − MPE)`,
-//!   and on concurrent flavours `slack = |set| ×` the documented
-//!   per-key contention undershoot bound — sound because each per-key
-//!   interval is.
+//!   member by member. `estimate = hi = Σ f̂(k)` and
+//!   `lo = Σ (f̂(k) − MPE)` — sound because each per-key interval is.
 //! * **Decode** — larger or unbounded sets (big ranges, short masks,
 //!   the full universe): sum the certified intervals of the sketch's
 //!   *tracked* keys that fall in the set (bucket candidates, top-K
@@ -43,7 +41,7 @@
 //!   (the answer is vacuous unless the set is fully tracked); a merged
 //!   top-K layer's `miss_bound` stays finite and sound, so flavours with
 //!   the layer enabled keep a meaningful bound.
-//! * **Concurrent flavours without a top-K layer** carry the same 2⁻²⁴
+//! * **Concurrent flavours without a top-K layer** carry the same
 //!   fingerprint-aliasing caveat as merged concurrent point queries: an
 //!   untracked key aliased onto a candidate fingerprint can read that
 //!   candidate's `YES` count. The `miss_bound` charge is alias-free (it
@@ -56,8 +54,7 @@
 //! The oracle-differential suite (`tests/subpop_oracle.rs`) races every
 //! flavour × predicate shape × stream family against exact ground-truth
 //! subset sums; `tests/concurrent_parity.rs` pins the 1-worker
-//! concurrent dense path bit-equal to the sequential twin, with
-//! interval widths differing only by the documented slack term.
+//! concurrent dense path bit-equal to the sequential twin.
 
 use crate::atomic::ConcurrentReliable;
 use crate::concurrent::ShardedReliable;
@@ -76,12 +73,7 @@ use std::collections::HashSet;
 pub const DENSE_ENUMERATION_LIMIT: usize = 4096;
 
 /// Sum the per-key certified intervals of an enumerated member list.
-fn dense(
-    keys: &[u64],
-    per_key_slack: u64,
-    dropped: u64,
-    query: impl Fn(&u64) -> Estimate,
-) -> CertifiedWeight {
+fn dense(keys: &[u64], dropped: u64, query: impl Fn(&u64) -> Estimate) -> CertifiedWeight {
     let mut estimate = 0u64;
     let mut lo = 0u64;
     for k in keys {
@@ -93,7 +85,7 @@ fn dense(
         estimate,
         lo,
         hi: estimate.saturating_add(dropped),
-        slack: (keys.len() as u64).saturating_mul(per_key_slack),
+        slack: 0,
     }
 }
 
@@ -103,7 +95,6 @@ fn decode(
     set: &KeySet,
     tracked: Vec<u64>,
     per_untracked_ceiling: u64,
-    per_key_slack: u64,
     dropped: u64,
     query: impl Fn(&u64) -> Estimate,
 ) -> CertifiedWeight {
@@ -124,11 +115,10 @@ fn decode(
                 hi: estimate
                     .saturating_add(untracked.saturating_mul(per_untracked_ceiling))
                     .saturating_add(dropped),
-                slack: n.saturating_mul(per_key_slack),
+                slack: 0,
             }
         }
-        // the full 2⁶⁴ universe: hi is vacuous, and already ∞ — extra
-        // slack would add nothing to the (saturated) upper bound
+        // the full 2⁶⁴ universe: hi is vacuous
         None => CertifiedWeight {
             estimate,
             lo,
@@ -172,13 +162,13 @@ fn concurrent_inputs(
 }
 
 impl SubpopulationWeight for ReliableSketch<u64> {
-    /// Sequential evaluation: zero contention slack; the decode path
-    /// enumerates real bucket candidates, so the tracked inventory is
-    /// complete and the untracked charge alias-free.
+    /// Sequential evaluation: the decode path enumerates real bucket
+    /// candidates, so the tracked inventory is complete and the
+    /// untracked charge alias-free.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
         let dropped = self.dropped_value();
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
-            return dense(&keys, 0, dropped, |k| self.query_with_error(k));
+            return dense(&keys, dropped, |k| self.query_with_error(k));
         }
         let (mut tracked, ceiling) = decode_inputs(
             self.is_merged(),
@@ -187,45 +177,33 @@ impl SubpopulationWeight for ReliableSketch<u64> {
             self.top_k_summary(),
         );
         tracked.extend(self.candidates().into_iter().map(|(k, _)| k));
-        decode(set, tracked, ceiling, 0, dropped, |k| {
-            self.query_with_error(k)
-        })
+        decode(set, tracked, ceiling, dropped, |k| self.query_with_error(k))
     }
 }
 
 impl SubpopulationWeight for ConcurrentReliable<u64> {
-    /// Lock-free evaluation through a shared reference: `slack` charges
-    /// the documented per-key contention undershoot
-    /// ([`ConcurrentReliable::contention_undershoot_bound`]) once per
-    /// set member; single-owner histories answer bit-for-bit like the
-    /// sequential twin with the slack term merely reported.
+    /// Lock-free evaluation through a shared reference; single-owner
+    /// histories answer bit-for-bit like the sequential twin.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let slack = self.contention_undershoot_bound();
         let dropped = self.dropped_value();
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
-            return dense(&keys, slack, dropped, |k| self.query_with_error(k));
+            return dense(&keys, dropped, |k| self.query_with_error(k));
         }
         let (tracked, ceiling) = concurrent_inputs(self, self.top_k_summary().as_ref());
-        decode(set, tracked, ceiling, slack, dropped, |k| {
-            self.query_with_error(k)
-        })
+        decode(set, tracked, ceiling, dropped, |k| self.query_with_error(k))
     }
 }
 
 impl SubpopulationWeight for ShardedReliable<u64> {
     /// Key-partitioned evaluation: each member consults exactly its
     /// shard (dense) and each untracked key belongs to exactly one
-    /// shard, so the per-key ceiling and slack are the shard maxima.
+    /// shard, so the per-key ceiling is the shard maximum.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let slack = (0..self.shards())
-            .map(|i| self.shard(i).contention_undershoot_bound())
-            .max()
-            .unwrap_or(0);
         let dropped = (0..self.shards())
             .map(|i| self.shard(i).dropped_value())
             .fold(0u64, u64::saturating_add);
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
-            return dense(&keys, slack, dropped, |k| self.query_shared(k));
+            return dense(&keys, dropped, |k| self.query_shared(k));
         }
         let mut tracked = Vec::new();
         let mut ceiling = 0u64;
@@ -235,9 +213,7 @@ impl SubpopulationWeight for ShardedReliable<u64> {
             tracked.extend(t);
             ceiling = ceiling.max(c);
         }
-        decode(set, tracked, ceiling, slack, dropped, |k| {
-            self.query_shared(k)
-        })
+        decode(set, tracked, ceiling, dropped, |k| self.query_shared(k))
     }
 }
 
@@ -245,17 +221,12 @@ impl SubpopulationWeight for EpochedConcurrent<u64> {
     /// Window evaluation over both visible generations: per-key queries
     /// sum the generations' certified answers, the untracked charge sums
     /// the generations' ceilings (a key absent from both summaries has
-    /// window truth ≤ their sum), and `slack` charges one contention
-    /// undershoot per visible generation per member — the same
-    /// convention the serving layer reports.
+    /// window truth ≤ their sum), and `hi` charges the window's
+    /// dropped value.
     fn subpopulation_weight(&self, set: &KeySet) -> CertifiedWeight {
-        let slack = self.window_slack();
-        let mut dropped = self.active().dropped_value();
-        if let Some(frozen) = self.frozen() {
-            dropped = dropped.saturating_add(frozen.dropped_value());
-        }
+        let dropped = self.dropped_value();
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
-            return dense(&keys, slack, dropped, |k| self.query_with_error(k));
+            return dense(&keys, dropped, |k| self.query_with_error(k));
         }
         let active = self.active();
         let (mut tracked, mut ceiling) = concurrent_inputs(active, active.top_k_summary().as_ref());
@@ -266,9 +237,7 @@ impl SubpopulationWeight for EpochedConcurrent<u64> {
             tracked.extend(t);
             ceiling = ceiling.saturating_add(c);
         }
-        decode(set, tracked, ceiling, slack, dropped, |k| {
-            self.query_with_error(k)
-        })
+        decode(set, tracked, ceiling, dropped, |k| self.query_with_error(k))
     }
 }
 
@@ -283,7 +252,7 @@ impl SubpopulationWeight for crate::replicate::SlimSummary {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             // the digest carries the source's total dropped mass, so the
             // Disabled-policy undercount is charged exactly as at the source
-            return dense(&keys, 0, self.dropped, |k| self.query_with_error(k));
+            return dense(&keys, self.dropped, |k| self.query_with_error(k));
         }
         CertifiedWeight {
             estimate: 0,
@@ -404,7 +373,7 @@ mod tests {
         let expect: u64 = (10..=200u64).map(|k| sk.query_with_error(&k).value).sum();
         assert_eq!(w.estimate, expect);
         assert_eq!(w.hi, expect);
-        assert_eq!(w.slack, 0, "sequential reads have no contention slack");
+        assert_eq!(w.slack, 0, "no flavour reports a slack");
     }
 
     #[test]
@@ -486,11 +455,9 @@ mod tests {
             let w = window.subpopulation_weight(&set);
             assert_contains(w, truth_sum(&truth, &set), &format!("{set:?}"));
         }
-        // the dense slack convention is one undershoot bound per
-        // visible generation per member
+        // the window charges its dropped value onto hi, never slack
         let m = KeySet::explicit(vec![1, 2, 3]);
-        let per_key = window.contention_undershoot_bound();
-        assert_eq!(window.subpopulation_weight(&m).slack, 3 * 2 * per_key);
+        assert_eq!(window.subpopulation_weight(&m).slack, 0);
     }
 
     #[test]

@@ -37,9 +37,8 @@ pub use crate::tenant::CertifiedAnswer;
 pub struct TopKAnswer {
     /// Epoch index the answer was computed at.
     pub epoch: u64,
-    /// Contention slack: each entry's interval and the floor widen by
-    /// this much under racing same-key writers (see
-    /// [`CertifiedAnswer::slack`]).
+    /// The window's dropped value: each entry's interval and the floor
+    /// widen by this much (see [`CertifiedAnswer::slack`]).
     pub slack: u64,
     /// Guaranteed ceiling on every unreported key's window count
     /// (before slack). `u64::MAX` means the window cannot certify an
@@ -65,7 +64,7 @@ impl TopKAnswer {
 /// [`CertifiedWeight`]'s: `lo ≤ truth ≤ hi + slack`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubpopAnswer {
-    /// The certified aggregate: estimate, bounds, and contention slack.
+    /// The certified aggregate: estimate, bounds, and slack.
     pub weight: CertifiedWeight,
     /// Epoch index the answer was computed at.
     pub epoch: u64,

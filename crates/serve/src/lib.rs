@@ -5,9 +5,9 @@
 //! [`EpochedConcurrent`](rsk_core::EpochedConcurrent) window per tenant
 //! behind a striped tenant map. Certified queries travel the
 //! [`ConcurrentErrorSensing`](rsk_api::ConcurrentErrorSensing) path, so
-//! every answer carries its maximum possible error plus the window's
-//! documented contention slack — the server's accuracy contract is the
-//! sketch's, end to end.
+//! every answer carries its maximum possible error plus the value the
+//! window's insertion failures dropped — the server's accuracy contract
+//! is the sketch's, end to end.
 //!
 //! The crate has no async runtime and no external dependencies beyond
 //! the workspace: `std::net` blocking sockets, plain threads, and the

@@ -175,8 +175,8 @@ pub enum Request {
         /// Flow key to estimate.
         key: u64,
     },
-    /// Certified estimate: value, maximum possible error, and the
-    /// tenant's documented contention slack.
+    /// Certified estimate: value, maximum possible error, and the value
+    /// the tenant's window dropped.
     QueryCertified {
         /// Target tenant id.
         tenant: u32,
@@ -257,14 +257,14 @@ pub enum Response {
         value: u64,
     },
     /// Certified answer: truth ∈ `[value − max_possible_error − slack, value + slack]`
-    /// where `slack` is the tenant's contention bound (see
+    /// where `slack` is the value the tenant's window dropped (see
     /// `docs/PROTOCOL.md` § Certification).
     Certified {
         /// Point estimate.
         value: u64,
         /// Maximum possible overcount baked into `value`.
         max_possible_error: u64,
-        /// Documented contention slack over the window's generations.
+        /// Value the window's insertion failures dropped.
         slack: u64,
         /// Epoch index the answer was computed at.
         epoch: u64,
@@ -291,7 +291,7 @@ pub enum Response {
     TopK {
         /// Epoch index the answer was computed at.
         epoch: u64,
-        /// Documented contention slack over the window's generations.
+        /// Value the window's insertion failures dropped.
         slack: u64,
         /// Guaranteed ceiling on every unreported key's window count
         /// (before slack).
@@ -310,9 +310,10 @@ pub enum Response {
         estimate: u64,
         /// Certified lower bound on the true subset weight.
         lo: u64,
-        /// Certified upper bound before contention slack.
+        /// Certified upper bound before slack (it already charges the
+        /// window's dropped value).
         hi: u64,
-        /// Documented contention slack over the window's generations.
+        /// Always 0: `[lo, hi]` alone contains the truth.
         slack: u64,
         /// Epoch index the answer was computed at.
         epoch: u64,

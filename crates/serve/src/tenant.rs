@@ -76,18 +76,14 @@ impl SketchSpec {
 /// interpret it (see `docs/PROTOCOL.md` § Certification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CertifiedAnswer {
-    /// Point estimate: never an undercount beyond `slack` while no
-    /// insertion has failed. Tenants run `EmergencyPolicy::Disabled`,
-    /// which charges a failed insertion's dropped remainder to no point
-    /// answer, so after a failure the estimate can undercount by up to
-    /// the window's dropped value as well.
+    /// Point estimate: never an undercount beyond `slack`.
     pub value: u64,
     /// Maximum possible overcount baked into `value`.
     pub max_possible_error: u64,
-    /// Contention slack: with racing same-key writers the estimate may
-    /// additionally undershoot by up to this much, per the concurrent
-    /// sketch's documented `(arrays − 1) · threshold` bound, summed over
-    /// the window's live generations.
+    /// The value the window's insertion failures dropped. Tenants run
+    /// `EmergencyPolicy::Disabled`, which drops a failed insertion's
+    /// remainder, so `value` can undercount by up to this much; 0 while
+    /// no insertion has failed.
     pub slack: u64,
     /// Epoch index the answer was computed at.
     pub epoch: u64,
@@ -127,36 +123,35 @@ impl Tenant {
         self.certified(key).value
     }
 
-    /// Certified estimate for `key`, with the window's current
-    /// contention slack and epoch attached.
+    /// Certified estimate for `key`, with the window's dropped value as
+    /// its slack and the epoch attached.
     pub fn certified(&self, key: u64) -> CertifiedAnswer {
         let window = self.window.read();
         let est: Estimate = window.query_with_error_concurrent(&key);
         CertifiedAnswer {
             value: est.value,
             max_possible_error: est.max_possible_error,
-            slack: window.window_slack(),
+            slack: window.dropped_value(),
             epoch: window.epoch(),
         }
     }
 
     /// The `k` heaviest keys of the visible window with their certified
-    /// errors, plus the window's contention slack and epoch. The answer
-    /// is computed under the shared lock: candidate collection touches
-    /// only the promotion-path mutex (active) and the rotation-time
-    /// snapshot (frozen), never the data plane.
+    /// errors, plus the window's dropped value as the slack and the
+    /// epoch. The answer is computed under the shared lock: candidate
+    /// collection touches only the promotion-path mutex (active) and the
+    /// rotation-time snapshot (frozen), never the data plane.
     pub fn top_k(&self, k: usize) -> (CertifiedTopK<u64>, u64, u64) {
         let window = self.window.read();
         let top = window.certified_top_k(k);
-        (top, window.window_slack(), window.epoch())
+        (top, window.dropped_value(), window.epoch())
     }
 
     /// Certified subpopulation weight of `set` across the visible
     /// window, with the window's epoch attached. Answered under the
     /// shared lock — the aggregate walks the same lock-free read paths
-    /// as certified point queries, and its `slack` field already carries
-    /// the per-key contention bound summed over the window's live
-    /// generations (the same convention as [`Tenant::certified`]).
+    /// as certified point queries, and its `hi` already charges the
+    /// window's dropped value.
     pub fn subpop(&self, set: &KeySet) -> (CertifiedWeight, u64) {
         let window = self.window.read();
         (window.subpopulation_weight(set), window.epoch())
@@ -340,9 +335,8 @@ mod tests {
         t.ingest(&[(1, 25)]);
         let ans = t.certified(1);
         assert!(ans.contains(75), "window spans both generations: {ans:?}");
-        // A frozen generation doubles the advertised slack.
-        let single = map.get_or_create(10).certified(1).slack;
-        assert_eq!(ans.slack, single * 2);
+        // No insertion failed, so no answer is widened.
+        assert_eq!(ans.slack, 0);
     }
 
     #[test]
@@ -400,11 +394,47 @@ mod tests {
         let (empty, _) = t.subpop(&KeySet::explicit(vec![]));
         assert_eq!(empty, CertifiedWeight::zero());
 
-        // Same slack contract as certified point queries: per-key
-        // undershoot × live generations, summed over the subset.
-        let per_key = t.certified(10).slack;
+        // Subset answers charge the dropped value onto `hi`, never slack.
         let (three, _) = t.subpop(&KeySet::explicit(vec![10, 11, 12]));
-        assert_eq!(three.slack, per_key * 3);
+        assert_eq!(three.slack, 0);
+    }
+
+    #[test]
+    fn answers_after_insertion_failures_charge_the_dropped_value() {
+        // Weights past 2^28 overflow the lock-free count field; tenants
+        // run `EmergencyPolicy::Disabled`, so each clipped excess is
+        // dropped, and every answer must still contain its truth.
+        let map = map();
+        let t = map.get_or_create(3);
+        let mut truth: HashMap<u64, u64> = HashMap::new();
+        for round in 0..2u64 {
+            let mut batch: Vec<(u64, u64)> = (0..300u64).map(|k| (k, 1 + k % 3)).collect();
+            batch.extend((1..=8u64).map(|k| (1_000 + k, (1 << 28) + k * 1_000 + round)));
+            for &(k, v) in &batch {
+                *truth.entry(k).or_insert(0) += v;
+            }
+            t.ingest(&batch);
+            if round == 0 {
+                t.seal();
+            }
+        }
+        let slack = t.certified(0).slack;
+        assert!(slack > 0, "the heavy weights must fail");
+        for (&k, &f) in &truth {
+            let ans = t.certified(k);
+            assert_eq!(ans.slack, slack);
+            assert!(ans.contains(f), "key {k}: truth {f} ∉ {ans:?}");
+        }
+        let (top, top_slack, _) = t.top_k(16);
+        assert_eq!(top_slack, slack);
+        assert!(!top.entries.is_empty());
+        for e in &top.entries {
+            let f = truth[&e.key];
+            assert!(
+                e.count.saturating_sub(e.error + slack) <= f && f <= e.count + slack,
+                "entry {e:?}: truth {f} outside the interval ± {slack}"
+            );
+        }
     }
 
     #[test]

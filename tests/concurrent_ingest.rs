@@ -42,9 +42,9 @@ fn config() -> ReliableConfig {
 }
 
 /// The paper's "Raw" variant: no mice filter. Contended-producer stress
-/// tests use this to pin the *strict* no-undershoot guarantee of the
-/// bucket CAS path (the filtered path's contended guarantee is relaxed by
-/// a documented bounded slack — covered in `concurrent_parity.rs`).
+/// tests use this to pin the strict no-undershoot guarantee of the
+/// bucket CAS path alone (the filtered path's contended guarantee is
+/// covered in `concurrent_parity.rs`).
 fn raw_config() -> ReliableConfig {
     ReliableConfig {
         mice_filter: None,

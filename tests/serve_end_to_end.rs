@@ -6,9 +6,9 @@
 //! The acceptance pins:
 //!
 //! 1. **Certified containment** — for every key a tenant ingested, the
-//!    certified interval (widened by the advertised contention slack)
-//!    contains the exact ground truth, even though four clients raced
-//!    on the same keys and an epoch rotation happened mid-stream.
+//!    certified interval (widened by the advertised slack) contains the
+//!    exact ground truth, even though four clients raced on the same
+//!    keys and an epoch rotation happened mid-stream.
 //! 2. **Tenant isolation** — a key hammered into one tenant certifies
 //!    as ≈ absent in every other tenant, with a tight upper bound, not
 //!    just a vacuously wide interval.

@@ -217,7 +217,7 @@ fn dense_estimate_is_exactly_the_point_query_sum() {
     let uniq: HashSet<u64> = members.iter().copied().collect();
     let expect: u64 = uniq.iter().map(|k| sk.query_with_error(k).value).sum();
     assert_eq!(w.estimate, expect);
-    assert_eq!(w.slack, 0, "sequential reads carry no contention slack");
+    assert_eq!(w.slack, 0, "sequential reads carry no slack");
 }
 
 proptest! {
