@@ -115,10 +115,13 @@ pub trait ErrorSensing<K: Key>: StreamSummary<K> {
 /// One reported heavy hitter in a [`CertifiedTopK`] answer.
 ///
 /// `count` never undershoots the key's true value sum and overshoots it
-/// by at most `error` (the sketch's certified per-key Maximum Possible
-/// Error at the moment the entry was claimed), so
-/// `truth ∈ [count − error, count]` — the same one-sided interval as
-/// [`Estimate`], carried per top-K entry.
+/// by at most `error`, so `truth ∈ [count − error, count]` — the same
+/// one-sided interval as [`Estimate`], carried per top-K entry. Where
+/// one writer feeds the sketch's summary, the pair is the summary's own
+/// (`error` is the key's certified Maximum Possible Error when it was
+/// claimed). A lock-free sketch, whose racing writers can overcount a
+/// summary entry, and a window, which sums its generations, report
+/// their point query of the key instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TopKEntry<K> {
     /// The reported key.
@@ -150,8 +153,8 @@ impl<K> TopKEntry<K> {
 /// * [`miss_bound`](Self::miss_bound) — no key absent from the backing
 ///   summary can have a true value sum above this;
 /// * [`next_count`](Self::next_count) — the certified count of the best
-///   summary entry *not* reported (the (k+1)-th), `0` when the summary
-///   held no more than `k` entries.
+///   candidate *not* reported (the (k+1)-th), `0` when there were no
+///   more than `k` candidates.
 ///
 /// Any key with true count above
 /// [`guaranteed_floor()`](Self::guaranteed_floor) (the larger of the
@@ -169,8 +172,8 @@ pub struct CertifiedTopK<K> {
     /// track ([`u64::MAX`] for a vacuous answer from a sketch without a
     /// top-K layer).
     pub miss_bound: u64,
-    /// Certified count of the best unreported summary entry (`0` when
-    /// everything tracked was reported).
+    /// Certified count of the best unreported candidate (`0` when
+    /// every candidate was reported).
     pub next_count: u64,
 }
 

@@ -114,10 +114,11 @@
 use crate::bucket::{step, EsBucket, Layers};
 use crate::config::ReliableConfig;
 use crate::emergency::EmergencyStore;
+use crate::epoch::Generation;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
 use crate::sketch::{descend, drain_batched, walk};
-use crate::topk::TopKSummary;
+use crate::topk::{rank, top, TopKSummary};
 use parking_lot::Mutex;
 use rsk_api::{
     Algorithm, CertifiedTopK, Clear, ErrorSensing, Estimate, Key, MemoryFootprint, StreamSummary,
@@ -640,7 +641,7 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Clone of the attached top-K summary, if enabled (read under its
-    /// mutex; the merge and epoch layers use this to union summaries).
+    /// mutex; the merge layer uses this to union summaries).
     pub fn top_k_summary(&self) -> Option<TopKSummary<K>> {
         self.topk.as_ref().map(|tk| tk.lock().clone())
     }
@@ -890,10 +891,13 @@ impl<K: Key> MemoryFootprint for ConcurrentReliable<K> {
 }
 
 impl<K: Key> TopK<K> for ConcurrentReliable<K> {
+    /// The summary's monitored keys, each certified by this sketch's own
+    /// point query (the lock-free answer rule of [`crate::topk`]).
     fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        self.topk
-            .as_ref()
-            .map_or_else(CertifiedTopK::vacuous, |tk| tk.lock().certified_top_k(k))
+        self.top_k_candidates()
+            .map_or_else(CertifiedTopK::vacuous, |(keys, miss_bound)| {
+                top(rank(keys, |key| self.query_with_error(key)), miss_bound, k)
+            })
     }
 
     fn top_k_capacity(&self) -> Option<usize> {
@@ -1243,6 +1247,86 @@ mod tests {
             recovered += est.value - est.max_possible_error.min(est.value);
         }
         assert!(recovered <= total, "lower bounds must not exceed the mass");
+    }
+
+    /// Two writers, released by a barrier, race 6 shared keys into a
+    /// 1 MB sketch whose 4-slot top-K layer is always full. Racing one
+    /// claim can count an update in both the claim's seed and an offer,
+    /// so a summary's `count − error` can pass the truth; every reported
+    /// entry must still contain its truth, and every key above the
+    /// guaranteed floor must be reported. Raw and filtered, unit and
+    /// ×1 000 values, 50 seeds each, alone and on a window rotated
+    /// between the halves.
+    #[test]
+    fn racing_writers_keep_top_k_entries_certified() {
+        use crate::epoch::EpochedConcurrent;
+        const KEYS: u64 = 6;
+        const PER_WRITER: u64 = 2_000;
+        fn value(t: u64, i: u64, scale: u64) -> u64 {
+            (1 + (i + t) % 5) * scale
+        }
+        fn race(items: std::ops::Range<u64>, scale: u64, insert: impl Fn(u64, u64) + Sync) {
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let (barrier, insert, items) = (&barrier, &insert, items.clone());
+                    s.spawn(move || {
+                        barrier.wait();
+                        for i in items {
+                            insert(i % KEYS, value(t, i, scale));
+                        }
+                    });
+                }
+            });
+        }
+        fn check(top: &CertifiedTopK<u64>, truth: &[u64], what: &str) {
+            assert_eq!(top.entries.len(), 4, "{what}: a full layer reports 4");
+            for e in &top.entries {
+                let f = truth[e.key as usize];
+                assert!(e.contains(f), "{what}: key {} truth {f} ∉ {e:?}", e.key);
+            }
+            let floor = top.guaranteed_floor();
+            for (k, &f) in (0u64..).zip(truth) {
+                let reported = top.entries.iter().any(|e| e.key == k);
+                assert!(
+                    reported || f <= floor,
+                    "{what}: key {k} ({f}) over {floor} missed"
+                );
+            }
+        }
+        for scale in [1, 1_000] {
+            let mut truth = [0u64; KEYS as usize];
+            for t in 0..2 {
+                for i in 0..PER_WRITER {
+                    truth[(i % KEYS) as usize] += value(t, i, scale);
+                }
+            }
+            for raw in [true, false] {
+                for seed in 0..50 {
+                    let mut config = ReliableConfig::builder().memory_bytes(1 << 20).seed(seed);
+                    if raw {
+                        config = config.raw();
+                    }
+                    let config = config.config();
+                    let what = format!("scale {scale}, raw {raw}, seed {seed}");
+                    let sk = ConcurrentReliable::<u64>::new(config.clone()).with_top_k(4);
+                    race(0..PER_WRITER, scale, |k, v| sk.insert_concurrent(&k, v));
+                    check(&sk.certified_top_k(4), &truth, &what);
+
+                    let mut window = EpochedConcurrent::<u64>::new(config).with_top_k(4);
+                    race(0..PER_WRITER / 2, scale, |k, v| window.insert_shared(&k, v));
+                    window.rotate();
+                    race(PER_WRITER / 2..PER_WRITER, scale, |k, v| {
+                        window.insert_shared(&k, v)
+                    });
+                    check(
+                        &window.certified_top_k(4),
+                        &truth,
+                        &format!("window, {what}"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

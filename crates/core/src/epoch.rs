@@ -19,8 +19,8 @@
 //!   summing both generations' answers and MPEs (both certified, so the
 //!   sum is);
 //! * [`rotate`](Epoched::rotate) retires the frozen generation
-//!   (returning it for archival), freezes the active one, copies its
-//!   top-K summary, and starts a fresh epoch.
+//!   (returning it for archival), freezes the active one, and starts a
+//!   fresh epoch.
 //!
 //! The guarantee carries per window: if neither visible generation had
 //! an insertion failure, every key's window estimate is within `2Λ`
@@ -58,13 +58,16 @@
 //! assert!(window.query_with_error(&7u64).contains(50));
 //! ```
 
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::atomic::ConcurrentReliable;
 use crate::config::{ReliableConfig, SketchBuilder};
 use crate::sketch::ReliableSketch;
-use crate::topk::TopKSummary;
+use crate::topk::{rank, top, TopKSummary};
+use core::marker::PhantomData;
 use rsk_api::{
     Algorithm, CertifiedTopK, Clear, ConcurrentErrorSensing, ConcurrentSummary, ErrorSensing,
-    Estimate, Key, MemoryFootprint, Merge, MergeError, StreamSummary, TopK, TopKEntry,
+    Estimate, Key, MemoryFootprint, Merge, MergeError, StreamSummary, TopK,
 };
 
 /// One sketch inside a window: the active generation that takes
@@ -85,8 +88,9 @@ pub trait Generation<K: Key>: ErrorSensing<K> + MemoryFootprint + Clear {
     fn dropped_value(&self) -> u64;
     /// Worst-case MPE the generation can report for any key.
     fn mpe_ceiling(&self) -> u64;
-    /// An owned copy of the top-K summary, if a layer is attached.
-    fn top_k_copy(&self) -> Option<TopKSummary<K>>;
+    /// The top-K summary's monitored keys and miss bound, if a layer is
+    /// attached: what top-K answers and subpopulation decodes read.
+    fn top_k_candidates(&self) -> Option<(Vec<K>, u64)>;
 }
 
 impl<K: Key> Generation<K> for ReliableSketch<K> {
@@ -105,8 +109,8 @@ impl<K: Key> Generation<K> for ReliableSketch<K> {
     fn mpe_ceiling(&self) -> u64 {
         ReliableSketch::mpe_ceiling(self)
     }
-    fn top_k_copy(&self) -> Option<TopKSummary<K>> {
-        self.top_k_summary().cloned()
+    fn top_k_candidates(&self) -> Option<(Vec<K>, u64)> {
+        self.top_k_summary().map(TopKSummary::candidates)
     }
 }
 
@@ -126,8 +130,8 @@ impl<K: Key> Generation<K> for ConcurrentReliable<K> {
     fn mpe_ceiling(&self) -> u64 {
         ConcurrentReliable::mpe_ceiling(self)
     }
-    fn top_k_copy(&self) -> Option<TopKSummary<K>> {
-        self.top_k_summary()
+    fn top_k_candidates(&self) -> Option<(Vec<K>, u64)> {
+        self.topk.as_ref().map(|tk| tk.lock().candidates())
     }
 }
 
@@ -147,15 +151,11 @@ pub struct Epoched<K: Key, G> {
     /// Top-K capacity carried across rotations: each fresh active
     /// generation is built with its own summary of this capacity.
     top_k: Option<usize>,
-    /// The sealed generation's top-K summary, **copied once at
-    /// rotation** while the window is exclusively borrowed: sealed-epoch
-    /// top-K reads are plain walks of this copy — wait-free, no mutex —
-    /// matching the sealed generation's wait-free bucket reads.
-    frozen_topk: Option<TopKSummary<K>>,
     /// Epoch index at the last replication cut (see
     /// [`crate::replicate`]): `None` until the window first ships a
     /// delta, after which deltas describe "since epoch `cut_epoch`".
     cut_epoch: Option<u64>,
+    key: PhantomData<K>,
 }
 
 /// Two-generation rotating window over sequential [`ReliableSketch`]es.
@@ -221,19 +221,19 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
             config,
             epoch: 0,
             top_k: None,
-            frozen_topk: None,
             cut_epoch: None,
+            key: PhantomData,
         }
     }
 
     /// Attach an error-certified top-K layer of `capacity` slots to the
     /// window: the active generation tracks its elephants from now on,
-    /// every future generation starts with its own summary of the same
-    /// capacity, and rotation copies the sealed generation's summary
-    /// ([`Self::frozen_top_k`]), so [`TopK::certified_top_k`] answers
-    /// over the visible window. An already-frozen generation keeps
-    /// whatever summary it had when sealed (none, if enabled after the
-    /// fact — the window then answers vacuously until it rotates out).
+    /// and every future generation starts with its own summary of the
+    /// same capacity, which it keeps once sealed, so
+    /// [`TopK::certified_top_k`] answers over the visible window. An
+    /// already-frozen generation keeps whatever summary it had when
+    /// sealed (none, if enabled after the fact — the window then answers
+    /// vacuously until it rotates out).
     pub fn enable_top_k(&mut self, capacity: usize) {
         self.top_k = Some(capacity.max(1));
         self.active.enable_top_k(capacity);
@@ -244,14 +244,6 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
     pub fn with_top_k(mut self, capacity: usize) -> Self {
         self.enable_top_k(capacity);
         self
-    }
-
-    /// The sealed generation's top-K summary, copied at rotation.
-    /// Reading it takes no lock at all — the copy is immutable until
-    /// the next exclusive rotation — so sealed-epoch top-K readout is
-    /// wait-free, like the sealed generation's bucket reads.
-    pub fn frozen_top_k(&self) -> Option<&TopKSummary<K>> {
-        self.frozen_topk.as_ref()
     }
 
     /// Index of the currently active epoch (starts at 0, +1 per rotation).
@@ -284,8 +276,7 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
     pub fn rotate(&mut self) -> Option<G> {
         let fresh = G::empty(self.config.clone(), self.top_k);
         let sealed = core::mem::replace(&mut self.active, fresh);
-        self.frozen_topk = sealed.top_k_copy();
-        self.epoch += 1;
+        self.epoch = self.epoch.saturating_add(1);
         self.frozen.replace(sealed)
     }
 
@@ -308,13 +299,8 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
     /// visible generation (data-dependent if a generation was merged —
     /// see [`ReliableSketch::mpe_ceiling`]).
     pub fn mpe_ceiling(&self) -> u64 {
-        self.active.mpe_ceiling() * self.generations()
-    }
-
-    /// Generations a window answer sums over: the active one, plus the
-    /// frozen one once the window has rotated.
-    fn generations(&self) -> u64 {
-        1 + u64::from(self.frozen.is_some())
+        let generations = if self.frozen.is_some() { 2 } else { 1 };
+        self.active.mpe_ceiling().saturating_mul(generations)
     }
 }
 
@@ -323,23 +309,11 @@ impl<K: Key> EpochedReliable<K> {
     /// generation whose *window* estimate reaches `threshold`, sorted by
     /// estimate descending.
     pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, Estimate)> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let candidates = self
-            .active
-            .candidates()
-            .into_iter()
-            .chain(self.frozen.iter().flat_map(|f| f.candidates()));
-        for (k, _) in candidates {
-            if seen.insert(k) {
-                let est = self.query_with_error(&k);
-                if est.value >= threshold {
-                    out.push((k, est));
-                }
-            }
-        }
-        out.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
-        out
+        let candidates = self.active.candidate_keys();
+        let sealed = self.frozen.iter().flat_map(ReliableSketch::candidate_keys);
+        let mut hh = rank(candidates.chain(sealed), |k| self.query_with_error(k));
+        hh.retain(|(_, est)| est.value >= threshold);
+        hh
     }
 }
 
@@ -371,10 +345,6 @@ impl<K: Key> EpochedConcurrent<K> {
         self.config = config;
         self.epoch = epoch;
         self.cut_epoch = None;
-        // Restored state carries no promotion history: answer vacuously
-        // until the window rotates into generations that tracked their
-        // own elephants.
-        self.frozen_topk = None;
     }
 
     /// Drop every top-K summary in the window (replica apply paths:
@@ -386,7 +356,6 @@ impl<K: Key> EpochedConcurrent<K> {
         if let Some(frozen) = self.frozen.as_mut() {
             frozen.invalidate_top_k();
         }
-        self.frozen_topk = None;
     }
 
     /// Epoch index at the last replication cut.
@@ -506,50 +475,23 @@ impl<K: Key + Send + Sync> ConcurrentSummary<K> for EpochedConcurrent<K> {
 }
 
 impl<K: Key, G: Generation<K>> TopK<K> for Epoched<K, G> {
-    /// Certified heavy hitters of the visible window: the monitored
-    /// candidates of the active generation's summary, then of the sealed
-    /// generation's rotation-time copy ([`Self::frozen_top_k`], read
-    /// without a lock; first occurrence wins), each re-answered with the
-    /// **window** estimate so `count`/`error` cover both epochs.
+    /// Certified heavy hitters of the visible window: the monitored keys
+    /// of the active generation's summary, then of the sealed
+    /// generation's own (first occurrence wins), each answered with the
+    /// **window** point query so `count`/`error` cover both epochs.
     /// Unmonitored keys are charged the sum of the generations' miss
     /// bounds; a visible generation without a summary has an unbounded
     /// miss (`u64::MAX`), which saturates the answer into a vacuous one.
     fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        let Some(active) = self.active.top_k_copy() else {
+        let Some((mut keys, mut miss_bound)) = self.active.top_k_candidates() else {
             return CertifiedTopK::vacuous();
         };
-        let mut miss_bound = active.miss_bound();
-        if self.frozen.is_some() {
-            let frozen_miss = self
-                .frozen_topk
-                .as_ref()
-                .map_or(u64::MAX, TopKSummary::miss_bound);
-            miss_bound = miss_bound.saturating_add(frozen_miss);
+        if let Some(frozen) = &self.frozen {
+            let (sealed, miss) = frozen.top_k_candidates().unwrap_or((Vec::new(), u64::MAX));
+            keys.extend(sealed);
+            miss_bound = miss_bound.saturating_add(miss);
         }
-        let mut seen = std::collections::HashSet::new();
-        let mut candidates: Vec<TopKEntry<K>> = Vec::new();
-        let entries = active
-            .entries_desc()
-            .into_iter()
-            .chain(self.frozen_topk.iter().flat_map(TopKSummary::entries_desc));
-        for entry in entries {
-            if seen.insert(entry.key) {
-                let est = self.query_with_error(&entry.key);
-                candidates.push(TopKEntry {
-                    key: entry.key,
-                    count: est.value,
-                    error: est.max_possible_error,
-                });
-            }
-        }
-        candidates.sort_by_key(|e| core::cmp::Reverse(e.count));
-        let next_count = candidates.get(k).map_or(0, |e| e.count);
-        candidates.truncate(k);
-        CertifiedTopK {
-            entries: candidates,
-            miss_bound,
-            next_count,
-        }
+        top(rank(keys, |key| self.query_with_error(key)), miss_bound, k)
     }
 
     fn top_k_capacity(&self) -> Option<usize> {
@@ -559,15 +501,8 @@ impl<K: Key, G: Generation<K>> TopK<K> for Epoched<K, G> {
 
 impl<K: Key, G: Generation<K>> MemoryFootprint for Epoched<K, G> {
     fn memory_bytes(&self) -> usize {
-        self.active.memory_bytes()
-            + self
-                .frozen
-                .as_ref()
-                .map_or(0, MemoryFootprint::memory_bytes)
-            + self
-                .frozen_topk
-                .as_ref()
-                .map_or(0, TopKSummary::memory_bytes)
+        let sealed = self.frozen.as_ref().map_or(0, G::memory_bytes);
+        self.active.memory_bytes().saturating_add(sealed)
     }
 }
 
@@ -589,13 +524,13 @@ impl<K: Key, G: Generation<K>> Clear for Epoched<K, G> {
     fn clear(&mut self) {
         self.active.clear();
         self.frozen = None;
-        self.frozen_topk = None;
         self.epoch = 0;
         self.cut_epoch = None;
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;

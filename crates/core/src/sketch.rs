@@ -31,7 +31,7 @@ use crate::emergency::EmergencyStore;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
 use crate::stats::{InsertTrace, QueryTrace, SketchStats, StopLayer};
-use crate::topk::TopKSummary;
+use crate::topk::{rank, TopKSummary};
 use rsk_api::{
     Algorithm, CertifiedTopK, Clear, ErrorSensing, Estimate, Key, MemoryFootprint, StreamSummary,
     TopK,
@@ -331,35 +331,30 @@ impl<K: Key> ReliableSketch<K> {
     }
 
     /// Keys currently held as bucket candidates, with their estimates —
-    /// the decodable content of the sketch, used for heavy-hitter reports.
+    /// the decodable content of the sketch.
     /// [`Self::stats`] does not count these reads as queries.
     pub fn candidates(&self) -> Vec<(K, Estimate)> {
         let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for layer in self.layers.iter() {
-            for b in layer {
-                if let Some(&k) = b.id() {
-                    if seen.insert(k) {
-                        out.push((k, self.query_unrecorded(&k).estimate));
-                    }
-                }
-            }
-        }
-        out
+        self.candidate_keys()
+            .filter(|k| seen.insert(*k))
+            .map(|k| (k, self.query_unrecorded(&k).estimate))
+            .collect()
     }
 
-    /// Candidates whose estimate reaches `threshold` (heavy hitters).
+    /// Every bucket's candidate key, layer by layer, repeats included.
+    pub(crate) fn candidate_keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.layers.iter().flatten().filter_map(|b| b.id().copied())
+    }
+
+    /// Candidates whose estimate reaches `threshold` (heavy hitters),
+    /// by estimate descending.
     ///
     /// With the all-keys guarantee intact, every key with
     /// `f(e) ≥ threshold + Λ` is reported and every report satisfies
     /// `f̂ ≥ threshold`.
     pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, Estimate)> {
-        let mut hh: Vec<(K, Estimate)> = self
-            .candidates()
-            .into_iter()
-            .filter(|(_, est)| est.value >= threshold)
-            .collect();
-        hh.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
+        let mut hh = rank(self.candidate_keys(), |k| self.query_unrecorded(k).estimate);
+        hh.retain(|(_, est)| est.value >= threshold);
         hh
     }
 

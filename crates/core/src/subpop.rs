@@ -59,9 +59,8 @@
 use crate::atomic::ConcurrentReliable;
 use crate::concurrent::ShardedReliable;
 use crate::emergency::EmergencyStore;
-use crate::epoch::EpochedConcurrent;
+use crate::epoch::{EpochedConcurrent, Generation};
 use crate::sketch::ReliableSketch;
-use crate::topk::TopKSummary;
 use rsk_api::{CertifiedWeight, ErrorSensing, Estimate, KeySet, SubpopulationWeight};
 use std::collections::HashSet;
 
@@ -129,15 +128,15 @@ fn decode(
 }
 
 /// Decode inputs of one generation: its enumerable tracked keys
-/// (emergency remainders and `top_k`'s entries) and its per-untracked-key
-/// ceiling — `top_k`'s miss bound when a summary is given, else
-/// `mpe_ceiling` plus the emergency store's untracked ceiling, and
-/// vacuous once `merged`.
+/// (emergency remainders and the top-K summary's monitored keys) and its
+/// per-untracked-key ceiling — the summary's miss bound when `top_k`
+/// gives one, else `mpe_ceiling` plus the emergency store's untracked
+/// ceiling, and vacuous once `merged`.
 fn decode_inputs(
     merged: bool,
     mpe_ceiling: u64,
     emergency: &EmergencyStore<u64>,
-    top_k: Option<&TopKSummary<u64>>,
+    top_k: Option<(Vec<u64>, u64)>,
 ) -> (Vec<u64>, u64) {
     let mut tracked: Vec<u64> = emergency.tracked().into_iter().map(|(k, ..)| k).collect();
     let mut ceiling = if merged {
@@ -145,19 +144,18 @@ fn decode_inputs(
     } else {
         mpe_ceiling.saturating_add(emergency.untracked_ceiling())
     };
-    if let Some(tk) = top_k {
-        ceiling = ceiling.min(tk.miss_bound());
-        tracked.extend(tk.entries_desc().into_iter().map(|e| e.key));
+    if let Some((keys, miss_bound)) = top_k {
+        ceiling = ceiling.min(miss_bound);
+        tracked.extend(keys);
     }
     (tracked, ceiling)
 }
 
-/// [`decode_inputs`] of one lock-free generation whose top-K summary is
-/// `top_k`.
-fn concurrent_inputs(
-    g: &ConcurrentReliable<u64>,
-    top_k: Option<&TopKSummary<u64>>,
-) -> (Vec<u64>, u64) {
+/// [`decode_inputs`] of one lock-free generation.
+fn concurrent_inputs(g: &ConcurrentReliable<u64>) -> (Vec<u64>, u64) {
+    // read the summary before locking the emergency store: an insert
+    // holds the summary's lock while its seed query takes the store's
+    let top_k = g.top_k_candidates();
     decode_inputs(g.is_merged(), g.mpe_ceiling(), &g.emergency.lock(), top_k)
 }
 
@@ -174,9 +172,9 @@ impl SubpopulationWeight for ReliableSketch<u64> {
             self.is_merged(),
             self.mpe_ceiling(),
             &self.emergency,
-            self.top_k_summary(),
+            self.top_k_candidates(),
         );
-        tracked.extend(self.candidates().into_iter().map(|(k, _)| k));
+        tracked.extend(self.candidate_keys());
         decode(set, tracked, ceiling, dropped, |k| self.query_with_error(k))
     }
 }
@@ -189,7 +187,7 @@ impl SubpopulationWeight for ConcurrentReliable<u64> {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             return dense(&keys, dropped, |k| self.query_with_error(k));
         }
-        let (tracked, ceiling) = concurrent_inputs(self, self.top_k_summary().as_ref());
+        let (tracked, ceiling) = concurrent_inputs(self);
         decode(set, tracked, ceiling, dropped, |k| self.query_with_error(k))
     }
 }
@@ -208,8 +206,7 @@ impl SubpopulationWeight for ShardedReliable<u64> {
         let mut tracked = Vec::new();
         let mut ceiling = 0u64;
         for i in 0..self.shards() {
-            let shard = self.shard(i);
-            let (t, c) = concurrent_inputs(shard, shard.top_k_summary().as_ref());
+            let (t, c) = concurrent_inputs(self.shard(i));
             tracked.extend(t);
             ceiling = ceiling.max(c);
         }
@@ -228,12 +225,9 @@ impl SubpopulationWeight for EpochedConcurrent<u64> {
         if let Some(keys) = set.enumerate(DENSE_ENUMERATION_LIMIT) {
             return dense(&keys, dropped, |k| self.query_with_error(k));
         }
-        let active = self.active();
-        let (mut tracked, mut ceiling) = concurrent_inputs(active, active.top_k_summary().as_ref());
+        let (mut tracked, mut ceiling) = concurrent_inputs(self.active());
         if let Some(frozen) = self.frozen() {
-            // the sealed generation's summary is the rotation-time copy
-            // — wait-free, no lock
-            let (t, c) = concurrent_inputs(frozen, self.frozen_top_k());
+            let (t, c) = concurrent_inputs(frozen);
             tracked.extend(t);
             ceiling = ceiling.saturating_add(c);
         }

@@ -15,6 +15,19 @@
 //!   claim time, so `truth ∈ [count − error, count]` for every entry —
 //!   error bars plain Space-Saving cannot produce.
 //!
+//! ## The answer rule
+//!
+//! Every flavour's top-K answer is `rank` then `top`: each candidate
+//! key with a certificate, sorted by value, then the first `k` with the
+//! next value as `next_count`. Where one writer feeds the summary, its
+//! own `(count, error)` is the certificate. Lock-free sketches and
+//! windows answer each monitored key with their own point query
+//! instead: two writers racing one claim can count the same update in
+//! the claim's seed and in an offer, pushing `count − error` above the
+//! truth, and a window must sum its generations anyway. Their summary
+//! counts then only rank keys, evict and bound misses, which an
+//! overcount keeps sound.
+//!
 //! Monitored-key updates are O(1) for unit increments (the classic
 //! bucket hop); weighted increments walk at most the count buckets they
 //! cross. Admission and eviction are O(1) amortized: a newly promoted
@@ -35,8 +48,10 @@
 //! this certificate against the exact oracle on zipf, churn and
 //! adversarial streams.
 
+#![deny(clippy::arithmetic_side_effects)]
+
 use rsk_api::{CertifiedTopK, Estimate, Key, MergeError, TopKEntry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Slab null pointer.
 const NIL: usize = usize::MAX;
@@ -45,6 +60,42 @@ const NIL: usize = usize::MAX;
 /// what an entry costs in the paper-style accounting of
 /// [`rsk_api::MemoryFootprint`].
 pub const TOPK_ENTRY_BYTES: usize = 24;
+
+/// Each distinct key of `candidates` (first occurrence kept) with its
+/// certificate from `query`, stable-sorted by value, descending.
+pub(crate) fn rank<K: Key>(
+    candidates: impl IntoIterator<Item = K>,
+    mut query: impl FnMut(&K) -> Estimate,
+) -> Vec<(K, Estimate)> {
+    let mut seen = HashSet::new();
+    let mut ranked: Vec<(K, Estimate)> = candidates
+        .into_iter()
+        .filter(|key| seen.insert(*key))
+        .map(|key| (key, query(&key)))
+        .collect();
+    ranked.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
+    ranked
+}
+
+/// The first `k` ranked entries, with the `(k+1)`-th value as
+/// `next_count`.
+pub(crate) fn top<K>(ranked: Vec<(K, Estimate)>, miss_bound: u64, k: usize) -> CertifiedTopK<K> {
+    let next_count = ranked.get(k).map_or(0, |(_, est)| est.value);
+    let entries = ranked
+        .into_iter()
+        .take(k)
+        .map(|(key, est)| TopKEntry {
+            key,
+            count: est.value,
+            error: est.max_possible_error,
+        })
+        .collect();
+    CertifiedTopK {
+        entries,
+        miss_bound,
+        next_count,
+    }
+}
 
 /// One count bucket: all entries sharing `count`, in a doubly-linked
 /// list of buckets ordered by ascending count.
@@ -211,34 +262,35 @@ impl<K: Key> TopKSummary<K> {
         // else: rejected — truth ≤ est.value ≤ min_count ≤ miss_bound()
     }
 
-    /// The certified top-`k` answer (entries by count descending; ties
-    /// in deterministic claim order).
+    /// The top-`k` answer certified by the summary's own `(count, error)`
+    /// pairs, sound where one writer feeds it (entries by count
+    /// descending; ties in deterministic claim order).
     pub fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        let mut entries = Vec::with_capacity(k.min(self.len()));
-        let mut next_count = 0u64;
+        let (keys, miss_bound) = self.candidates();
+        let own = |key: &K| {
+            let (value, max_possible_error) = self.get(key).expect("candidates are monitored");
+            Estimate {
+                value,
+                max_possible_error,
+            }
+        };
+        top(rank(keys, own), miss_bound, k)
+    }
+
+    /// The monitored keys, count descending (ties in claim order), and
+    /// the miss bound: what a top-K answer ranks and charges.
+    pub(crate) fn candidates(&self) -> (Vec<K>, u64) {
+        let mut keys = Vec::with_capacity(self.len());
         let mut b = self.highest;
-        'outer: while b != NIL {
-            let count = self.buckets[b].count;
+        while b != NIL {
             let mut e = self.buckets[b].head;
             while e != NIL {
-                if entries.len() == k {
-                    next_count = count;
-                    break 'outer;
-                }
-                entries.push(TopKEntry {
-                    key: self.entries[e].key,
-                    count,
-                    error: self.entries[e].error,
-                });
+                keys.push(self.entries[e].key);
                 e = self.entries[e].next;
             }
             b = self.buckets[b].prev;
         }
-        CertifiedTopK {
-            entries,
-            miss_bound: self.miss_bound(),
-            next_count,
-        }
+        (keys, self.miss_bound())
     }
 
     /// Every monitored entry, count descending (= the full-capacity
@@ -271,7 +323,8 @@ impl<K: Key> TopKSummary<K> {
             .iter()
             .map(|e| (e.key, (e.count, e.error)))
             .collect();
-        let mut merged: Vec<(K, u64, u64)> = Vec::with_capacity(self.len() + other.len());
+        let mut merged: Vec<(K, u64, u64)> =
+            Vec::with_capacity(self.len().saturating_add(other.len()));
         for e in self.entries_desc() {
             match from_other.remove(&e.key) {
                 Some((c, err)) => {
@@ -356,7 +409,7 @@ impl<K: Key> TopKSummary<K> {
 
     /// Model memory footprint: every slot costs [`TOPK_ENTRY_BYTES`].
     pub fn memory_bytes(&self) -> usize {
-        self.capacity * TOPK_ENTRY_BYTES
+        self.capacity.saturating_mul(TOPK_ENTRY_BYTES)
     }
 
     // ---- internal slab plumbing ----
@@ -378,8 +431,9 @@ impl<K: Key> TopKSummary<K> {
                 slot
             }
             None => {
+                let slot = self.entries.len();
                 self.entries.push(node);
-                self.entries.len() - 1
+                slot
             }
         }
     }
@@ -391,8 +445,9 @@ impl<K: Key> TopKSummary<K> {
                 slot
             }
             None => {
+                let slot = self.buckets.len();
                 self.buckets.push(node);
-                self.buckets.len() - 1
+                slot
             }
         }
     }
@@ -576,7 +631,7 @@ impl<K: Key> TopKSummary<K> {
                 assert_eq!(entry.bucket, b, "entry bucket back-ref broken");
                 assert_eq!(entry.prev, prev_e, "entry back-link broken");
                 assert_eq!(self.index.get(&entry.key), Some(&e), "index out of sync");
-                seen += 1;
+                seen = seen.saturating_add(1);
                 prev_e = e;
                 e = entry.next;
             }
@@ -591,6 +646,7 @@ impl<K: Key> TopKSummary<K> {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -139,8 +139,9 @@ impl Tenant {
     /// The `k` heaviest keys of the visible window with their certified
     /// errors, plus the window's dropped value as the slack and the
     /// epoch. The answer is computed under the shared lock: candidate
-    /// collection touches only the promotion-path mutex (active) and the
-    /// rotation-time snapshot (frozen), never the data plane.
+    /// collection takes each generation's summary mutex (the sealed
+    /// one's is never contended), and each candidate is then answered
+    /// by a lock-free window point query.
     pub fn top_k(&self, k: usize) -> (CertifiedTopK<u64>, u64, u64) {
         let window = self.window.read();
         let top = window.certified_top_k(k);

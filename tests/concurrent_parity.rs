@@ -389,9 +389,9 @@ fn one_worker_topk_is_bit_equal_to_sequential() {
     }
 }
 
-/// Sealed-epoch top-K reads agree with rollup merges: the wait-free
-/// frozen snapshot a rotation materializes is bit-equal to the summary a
-/// one-worker twin of the sealed generation holds, and the window's
+/// Sealed-epoch top-K reads agree with rollup merges: the summary the
+/// sealed generation keeps after rotation is bit-equal to the summary a
+/// one-worker twin of that generation holds, and the window's
 /// two-generation answer tells the same heavy-hitter story as folding
 /// the generations into one collector via `Merge`.
 #[test]
@@ -408,9 +408,12 @@ fn sealed_epoch_topk_reads_match_rollup_merge() {
     gen_a.ingest_parallel(&items_a, 1);
     assert!(window.rotate().is_none(), "no frozen generation yet");
 
-    // the sealed generation's summary was materialized once at rotation;
-    // reading it takes no lock and matches the twin bit-for-bit
-    let sealed = window.frozen_top_k().expect("sealed snapshot");
+    // the sealed generation keeps its own summary, which nothing writes
+    // after rotation; it matches the twin bit-for-bit
+    let sealed = window
+        .frozen()
+        .and_then(ConcurrentReliable::top_k_summary)
+        .expect("sealed summary");
     let twin = gen_a.top_k_summary().expect("layer enabled");
     assert_eq!(sealed.entries_desc(), twin.entries_desc());
     assert_eq!(sealed.miss_bound(), twin.miss_bound());
@@ -439,8 +442,8 @@ fn sealed_epoch_topk_reads_match_rollup_merge() {
         );
     }
     // …and name the same heavy hitters (ordering within the set may
-    // differ: window answers re-query both generations, the fold sums
-    // summary entries)
+    // differ: the window sums both generations' point queries, the fold
+    // queries one merged sketch)
     let keys = |t: &CertifiedTopK<u64>| {
         let mut v: Vec<u64> = t.entries.iter().map(|e| e.key).collect();
         v.sort_unstable();
