@@ -346,7 +346,7 @@ impl SketchBuilder {
     }
 
     /// Attach an error-certified top-K layer of `capacity` slots: the
-    /// built sketch tracks its elephants in a Space-Saving list whose
+    /// built sketch tracks its elephants in a Space-Saving summary whose
     /// per-entry overestimation is the sketch's certified error, and
     /// answers [`rsk_api::TopK::certified_top_k`]. Supported by the
     /// sequential, concurrent and both epoched shapes; the sharded

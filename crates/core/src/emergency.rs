@@ -16,16 +16,19 @@
 //!   failed they can undercount by up to [`EmergencyStore::dropped_value`];
 //! * **ExactTable** — unbounded hash map, exact remainders (CPU servers);
 //! * **SpaceSaving** — a bounded [`TopKSummary`] (promotion threshold 0)
-//!   over the remainders, the Stream-Summary the certified top-K layer
-//!   runs. A remainder joins at `miss_bound + v` with error `miss_bound`;
-//!   a tracked key answers its `(count, error)`, and every other key — one
-//!   the summary rejected or evicted included — answers
+//!   over the remainders, the Space-Saving min-heap the certified top-K
+//!   layer runs. A remainder joins at `miss_bound + v` with error
+//!   `miss_bound` and evicts the least count (of equal counts, the one
+//!   changed last); a tracked key answers its `(count, error)`, and every
+//!   other key — one the summary rejected or evicted included — answers
 //!   `(miss_bound, miss_bound)`. So the virtual layer certifies every key,
 //!   as Theorem 4's argument needs.
 //!
 //! The store's layout is private to this module. The subset queries and
 //! the slim digest read it through two accessors: `tracked`, the per-key
 //! rows, and `untracked_ceiling`, the bound on every other key.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use crate::replicate::EmergencyState;
 use crate::topk::TopKSummary;
@@ -145,8 +148,10 @@ impl<K: Key> EmergencyStore<K> {
         let key = core::mem::size_of::<K>();
         match &self.table {
             Table::None => 0,
-            Table::Exact(table) => table.len() * (key + 8),
-            Table::SpaceSaving(summary) => summary.capacity() * (key + 16),
+            Table::Exact(table) => table.len().saturating_mul(key.saturating_add(8)),
+            Table::SpaceSaving(summary) => {
+                summary.capacity().saturating_mul(key.saturating_add(16))
+            }
         }
     }
 
@@ -273,6 +278,7 @@ fn key_bytes<K: Key>(key: &K) -> Vec<u8> {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;

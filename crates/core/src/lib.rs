@@ -43,7 +43,7 @@
 //!   [`epoch::EpochedReliable`] rotates sequential sketches,
 //!   [`epoch::EpochedConcurrent`] lock-free ones;
 //! * [`topk::TopKSummary`] — the error-certified top-K layer: a
-//!   count-bucket Space-Saving list claimed on elephant promotion whose
+//!   Space-Saving min-heap claimed on elephant promotion whose
 //!   entries carry the sketch's certified per-key error, behind the
 //!   [`rsk_api::TopK`] trait on every sketch flavour;
 //! * [`subpop`] — certified subpopulation-weight queries (Cohen &

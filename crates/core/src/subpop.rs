@@ -56,6 +56,8 @@
 //! subset sums; `tests/concurrent_parity.rs` pins the 1-worker
 //! concurrent dense path bit-equal to the sequential twin.
 
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::atomic::ConcurrentReliable;
 use crate::concurrent::ShardedReliable;
 use crate::emergency::EmergencyStore;
@@ -107,7 +109,8 @@ fn decode(
     }
     match set.cardinality() {
         Some(n) => {
-            let untracked = n - members.len() as u64;
+            // never saturates: `members` is a subset of `set`
+            let untracked = n.saturating_sub(members.len() as u64);
             CertifiedWeight {
                 estimate,
                 lo,
@@ -258,6 +261,7 @@ impl SubpopulationWeight for crate::replicate::SlimSummary {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::config::{EmergencyPolicy, ReliableConfig};

@@ -1,12 +1,10 @@
 //! Error-certified top-K heavy hitters over elephant promotion.
 //!
-//! A capacity-bounded StreamSummary (Metwally et al.'s Space-Saving
-//! layout: a doubly-linked list of *count buckets*, each holding the
-//! doubly-linked list of its entries) grafted onto ReliableSketch's mice
-//! filter: a key is *offered* to the summary exactly when the filter
-//! passes value through (elephant promotion) — or on every insert for
-//! the raw, filter-less variants. The crucial twist over plain
-//! Space-Saving is what an entry stores:
+//! A capacity-bounded Space-Saving summary (Metwally et al.) grafted
+//! onto ReliableSketch's mice filter: a key is *offered* to the summary
+//! exactly when the filter passes value through (elephant promotion) —
+//! or on every insert for the raw, filter-less variants. The crucial
+//! twist over plain Space-Saving is what an entry stores:
 //!
 //! * `count` is seeded from the sketch's own post-insert estimate
 //!   `f̂(e)` — an upper bound on the key's true sum — and from then on
@@ -17,22 +15,29 @@
 //!
 //! ## The answer rule
 //!
-//! Every flavour's top-K answer is `rank` then `top`: each candidate
-//! key with a certificate, sorted by value, then the first `k` with the
-//! next value as `next_count`. Where one writer feeds the summary, its
-//! own `(count, error)` is the certificate. Lock-free sketches and
-//! windows answer each monitored key with their own point query
-//! instead: two writers racing one claim can count the same update in
-//! the claim's seed and in an offer, pushing `count − error` above the
-//! truth, and a window must sum its generations anyway. Their summary
-//! counts then only rank keys, evict and bound misses, which an
-//! overcount keeps sound.
+//! Every flavour's top-K answer ends in `top`: candidate keys with
+//! certificates, sorted by value, then the first `k` with the next value
+//! as `next_count`. Where one writer feeds the summary, its entries
+//! are the candidates and their own `(count, error)` the certificates.
+//! Lock-free sketches and windows `rank` each monitored key by their own
+//! point query instead: two writers racing one claim can count the same
+//! update in the claim's seed and in an offer, pushing `count − error`
+//! above the truth, and a window must sum its generations anyway. Their
+//! summary counts then only rank keys, evict and bound misses, which an
+//! overcount keeps sound. Their candidates come in heap order, so keys
+//! whose point-query values tie come in no fixed order: an answer
+//! certifies no order among equal values.
 //!
-//! Monitored-key updates are O(1) for unit increments (the classic
-//! bucket hop); weighted increments walk at most the count buckets they
-//! cross. Admission and eviction are O(1) amortized: a newly promoted
-//! elephant's seed estimate sits near the filter threshold, i.e. near
-//! the bottom of the bucket list.
+//! ## Layout and ties
+//!
+//! The entries sit in one `Vec` in binary min-heap order, beside a map
+//! from each key to its position. Every count change takes a stamp from
+//! a counter, and the heap orders entries by count ascending, then by
+//! stamp descending. So among equal counts the entry whose count
+//! changed last sits nearest the root: it is evicted first, and the
+//! summary's own answers list it first. A raise, a claim and an
+//! eviction each cost O(log k) for k slots. Only promoted elephants
+//! reach the summary, so the sketch's own insert stays O(1).
 //!
 //! ## The recall certificate
 //!
@@ -50,13 +55,11 @@
 
 #![deny(clippy::arithmetic_side_effects)]
 
+use core::cmp::Reverse;
 use rsk_api::{CertifiedTopK, Estimate, Key, MergeError, TopKEntry};
 use std::collections::{HashMap, HashSet};
 
-/// Slab null pointer.
-const NIL: usize = usize::MAX;
-
-/// Model bytes per summary slot (key 8, count 8, error 4, links 4) —
+/// Model bytes per summary slot (key 8, count 8, error 4, position 4) —
 /// what an entry costs in the paper-style accounting of
 /// [`rsk_api::MemoryFootprint`].
 pub const TOPK_ENTRY_BYTES: usize = 24;
@@ -73,7 +76,7 @@ pub(crate) fn rank<K: Key>(
         .filter(|key| seen.insert(*key))
         .map(|key| (key, query(&key)))
         .collect();
-    ranked.sort_by_key(|(_, est)| core::cmp::Reverse(est.value));
+    ranked.sort_by_key(|(_, est)| Reverse(est.value));
     ranked
 }
 
@@ -97,30 +100,25 @@ pub(crate) fn top<K>(ranked: Vec<(K, Estimate)>, miss_bound: u64, k: usize) -> C
     }
 }
 
-/// One count bucket: all entries sharing `count`, in a doubly-linked
-/// list of buckets ordered by ascending count.
-#[derive(Debug, Clone)]
-struct BucketNode {
-    count: u64,
-    /// First entry slot of this bucket's entry list.
-    head: usize,
-    /// Bucket with the next-lower count.
-    prev: usize,
-    /// Bucket with the next-higher count.
-    next: usize,
-}
-
 /// One monitored key.
 #[derive(Debug, Clone)]
-struct EntryNode<K> {
+struct Entry<K> {
     key: K,
+    count: u64,
     error: u64,
-    bucket: usize,
-    prev: usize,
-    next: usize,
+    /// When `count` last changed.
+    stamp: u64,
 }
 
-/// The count-bucket doubly-linked-list summary (see the module docs).
+impl<K> Entry<K> {
+    /// Does `self` go before `other` in heap order (count ascending,
+    /// then the later change first)?
+    fn below(&self, other: &Self) -> bool {
+        (self.count, Reverse(self.stamp)) < (other.count, Reverse(other.stamp))
+    }
+}
+
+/// The Space-Saving summary (see the module docs).
 ///
 /// # Examples
 ///
@@ -145,15 +143,13 @@ pub struct TopKSummary<K: Key> {
     /// Monotone floor raised by merges (absent-side charges and
     /// truncation); 0 for a summary that only ever ingested.
     floor: u64,
-    entries: Vec<EntryNode<K>>,
-    free_entries: Vec<usize>,
-    buckets: Vec<BucketNode>,
-    free_buckets: Vec<usize>,
-    /// Bucket with the smallest count (NIL when empty).
-    lowest: usize,
-    /// Bucket with the largest count (NIL when empty).
-    highest: usize,
+    /// The monitored entries in heap order: the root is the next
+    /// eviction.
+    heap: Vec<Entry<K>>,
+    /// Each monitored key's position in `heap`.
     index: HashMap<K, usize>,
+    /// The last stamp taken.
+    clock: u64,
 }
 
 impl<K: Key> TopKSummary<K> {
@@ -166,13 +162,9 @@ impl<K: Key> TopKSummary<K> {
             capacity,
             threshold,
             floor: 0,
-            entries: Vec::with_capacity(capacity),
-            free_entries: Vec::new(),
-            buckets: Vec::with_capacity(capacity.min(64)),
-            free_buckets: Vec::new(),
-            lowest: NIL,
-            highest: NIL,
+            heap: Vec::with_capacity(capacity),
             index: HashMap::with_capacity(capacity),
+            clock: 0,
         }
     }
 
@@ -185,13 +177,13 @@ impl<K: Key> TopKSummary<K> {
     /// Number of currently monitored keys.
     #[inline]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.heap.len()
     }
 
     /// Is nothing monitored yet?
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.heap.is_empty()
     }
 
     /// Is every slot taken (evictions from here on)?
@@ -209,20 +201,16 @@ impl<K: Key> TopKSummary<K> {
     /// The certified `(count, error)` pair of a monitored key.
     #[inline]
     pub(crate) fn get(&self, key: &K) -> Option<(u64, u64)> {
-        self.index.get(key).map(|&slot| {
-            let entry = &self.entries[slot];
-            (self.buckets[entry.bucket].count, entry.error)
+        self.index.get(key).map(|&pos| {
+            let entry = &self.heap[pos];
+            (entry.count, entry.error)
         })
     }
 
     /// Smallest monitored count (0 when empty).
     #[inline]
     pub fn min_count(&self) -> u64 {
-        if self.lowest == NIL {
-            0
-        } else {
-            self.buckets[self.lowest].count
-        }
+        self.heap.first().map_or(0, |root| root.count)
     }
 
     /// Certified upper bound on the true sum of any key **not** in the
@@ -238,58 +226,73 @@ impl<K: Key> TopKSummary<K> {
     }
 
     /// Offer `passed` units of a key that just cleared the promotion
-    /// boundary. Monitored keys take the O(1) bucket hop; unmonitored
-    /// keys are seeded from `estimate` — the sketch's *post-insert*
-    /// certified estimate, whose `value` covers the key's full mass
-    /// (filter residue included) and whose MPE becomes the entry's
-    /// permanent error bar. `estimate` is only invoked on that claim
-    /// path, never for already-monitored keys.
+    /// boundary. A monitored key's count rises by `passed`; an
+    /// unmonitored key is seeded from `estimate` — the sketch's
+    /// *post-insert* certified estimate, whose `value` covers the key's
+    /// full mass (filter residue included) and whose MPE becomes the
+    /// entry's permanent error bar — and takes a free slot, or the
+    /// root's when the summary is full and it outweighs the root.
+    /// `estimate` is only invoked on that claim path, never for
+    /// already-monitored keys.
     pub fn offer<F>(&mut self, key: &K, passed: u64, estimate: F)
     where
         F: FnOnce() -> Estimate,
     {
-        if let Some(&slot) = self.index.get(key) {
-            self.increase(slot, passed);
+        if let Some(&pos) = self.index.get(key) {
+            let count = self.heap[pos].count.saturating_add(passed);
+            if count > self.heap[pos].count {
+                let stamp = self.tick();
+                let entry = &mut self.heap[pos];
+                entry.count = count;
+                entry.stamp = stamp;
+                self.sift_down(pos);
+            }
             return;
         }
         let est = estimate();
-        if !self.is_full() {
-            self.admit(*key, est.value, est.max_possible_error);
-        } else if est.value > self.min_count() {
-            self.evict_min();
-            self.admit(*key, est.value, est.max_possible_error);
+        if self.is_full() && est.value <= self.min_count() {
+            return; // rejected — truth ≤ est.value ≤ min_count ≤ miss_bound()
         }
-        // else: rejected — truth ≤ est.value ≤ min_count ≤ miss_bound()
+        let entry = Entry {
+            key: *key,
+            count: est.value,
+            error: est.max_possible_error,
+            stamp: self.tick(),
+        };
+        if self.is_full() {
+            let evicted = core::mem::replace(&mut self.heap[0], entry);
+            self.index.remove(&evicted.key);
+            self.index.insert(*key, 0);
+            self.sift_down(0);
+        } else {
+            self.push(entry);
+        }
     }
 
     /// The top-`k` answer certified by the summary's own `(count, error)`
     /// pairs, sound where one writer feeds it (entries by count
-    /// descending; ties in deterministic claim order).
+    /// descending; among equal counts, the last changed first).
     pub fn certified_top_k(&self, k: usize) -> CertifiedTopK<K> {
-        let (keys, miss_bound) = self.candidates();
-        let own = |key: &K| {
-            let (value, max_possible_error) = self.get(key).expect("candidates are monitored");
-            Estimate {
-                value,
-                max_possible_error,
-            }
-        };
-        top(rank(keys, own), miss_bound, k)
+        let mut sorted: Vec<&Entry<K>> = self.heap.iter().collect();
+        // stamps are unique, so the unstable sort has one outcome
+        sorted.sort_unstable_by_key(|e| Reverse((e.count, e.stamp)));
+        let ranked = sorted
+            .into_iter()
+            .map(|e| {
+                let est = Estimate {
+                    value: e.count,
+                    max_possible_error: e.error,
+                };
+                (e.key, est)
+            })
+            .collect();
+        top(ranked, self.miss_bound(), k)
     }
 
-    /// The monitored keys, count descending (ties in claim order), and
-    /// the miss bound: what a top-K answer ranks and charges.
+    /// The monitored keys, in no particular order, and the miss bound:
+    /// what a top-K answer ranks and charges.
     pub(crate) fn candidates(&self) -> (Vec<K>, u64) {
-        let mut keys = Vec::with_capacity(self.len());
-        let mut b = self.highest;
-        while b != NIL {
-            let mut e = self.buckets[b].head;
-            while e != NIL {
-                keys.push(self.entries[e].key);
-                e = self.entries[e].next;
-            }
-            b = self.buckets[b].prev;
-        }
+        let keys = self.heap.iter().map(|e| e.key).collect();
         (keys, self.miss_bound())
     }
 
@@ -350,7 +353,7 @@ impl<K: Key> TopKSummary<K> {
                 ));
             }
         }
-        merged.sort_by_key(|&(_, c, _)| core::cmp::Reverse(c));
+        merged.sort_by_key(|&(_, c, _)| Reverse(c));
         let mut floor = self
             .floor
             .max(other.floor)
@@ -368,8 +371,10 @@ impl<K: Key> TopKSummary<K> {
 
     /// A summary holding `(key, count, error)` rows, in
     /// [`Self::entries_desc`] order or any other: a stable sort by count
-    /// restores the order `entries_desc` lists, ties included, so a
-    /// captured summary rebuilds with the same eviction order.
+    /// restores the order `entries_desc` lists, ties included (the rows
+    /// take their stamps in reverse, so the first listed of two equal
+    /// counts changed last), and a captured summary rebuilds with the
+    /// same eviction order.
     ///
     /// # Errors
     /// A description of the fault when a key repeats or the rows
@@ -389,21 +394,27 @@ impl<K: Key> TopKSummary<K> {
             ));
         }
         summary.floor = floor;
-        rows.sort_by_key(|&(_, count, _)| core::cmp::Reverse(count));
-        // ascending pushes keep the rebuild O(n): each key lands at the
-        // top of the bucket list
+        rows.sort_by_key(|&(_, count, _)| Reverse(count));
         for &(key, count, error) in rows.iter().rev() {
             if summary.contains(&key) {
                 return Err("a key repeats among the summary rows".into());
             }
-            summary.push_highest(key, count, error);
+            let stamp = summary.tick();
+            summary.push(Entry {
+                key,
+                count,
+                error,
+                stamp,
+            });
         }
         Ok(summary)
     }
 
     /// Forget everything (capacity and threshold survive).
     pub fn clear(&mut self) {
-        self.reset_slabs();
+        self.heap.clear();
+        self.index.clear();
+        self.clock = 0;
         self.floor = 0;
     }
 
@@ -412,236 +423,74 @@ impl<K: Key> TopKSummary<K> {
         self.capacity.saturating_mul(TOPK_ENTRY_BYTES)
     }
 
-    // ---- internal slab plumbing ----
-
-    fn reset_slabs(&mut self) {
-        self.entries.clear();
-        self.free_entries.clear();
-        self.buckets.clear();
-        self.free_buckets.clear();
-        self.lowest = NIL;
-        self.highest = NIL;
-        self.index.clear();
+    /// A fresh stamp (a `u64` clock that one summary cannot wrap).
+    fn tick(&mut self) -> u64 {
+        self.clock = self.clock.wrapping_add(1);
+        self.clock
     }
 
-    fn alloc_entry(&mut self, node: EntryNode<K>) -> usize {
-        match self.free_entries.pop() {
-            Some(slot) => {
-                self.entries[slot] = node;
-                slot
-            }
-            None => {
-                let slot = self.entries.len();
-                self.entries.push(node);
-                slot
-            }
-        }
-    }
-
-    fn alloc_bucket(&mut self, node: BucketNode) -> usize {
-        match self.free_buckets.pop() {
-            Some(slot) => {
-                self.buckets[slot] = node;
-                slot
-            }
-            None => {
-                let slot = self.buckets.len();
-                self.buckets.push(node);
-                slot
-            }
-        }
-    }
-
-    /// Link a fresh bucket holding `count` directly after bucket `prev`
-    /// (NIL = becomes the new lowest).
-    fn insert_bucket_after(&mut self, prev: usize, count: u64) -> usize {
-        let next = if prev == NIL {
-            self.lowest
-        } else {
-            self.buckets[prev].next
-        };
-        let b = self.alloc_bucket(BucketNode {
-            count,
-            head: NIL,
-            prev,
-            next,
-        });
-        if prev == NIL {
-            self.lowest = b;
-        } else {
-            self.buckets[prev].next = b;
-        }
-        if next == NIL {
-            self.highest = b;
-        } else {
-            self.buckets[next].prev = b;
-        }
-        b
-    }
-
-    /// Unlink and free bucket `b` if no entry lives in it.
-    fn remove_bucket_if_empty(&mut self, b: usize) {
-        if self.buckets[b].head != NIL {
-            return;
-        }
-        let (prev, next) = (self.buckets[b].prev, self.buckets[b].next);
-        if prev == NIL {
-            self.lowest = next;
-        } else {
-            self.buckets[prev].next = next;
-        }
-        if next == NIL {
-            self.highest = prev;
-        } else {
-            self.buckets[next].prev = prev;
-        }
-        self.free_buckets.push(b);
-    }
-
-    /// Unlink entry `slot` from its bucket's entry list (the bucket node
-    /// itself is left in place — callers decide its fate).
-    fn detach_entry(&mut self, slot: usize) {
-        let (b, prev, next) = {
-            let e = &self.entries[slot];
-            (e.bucket, e.prev, e.next)
-        };
-        if prev == NIL {
-            self.buckets[b].head = next;
-        } else {
-            self.entries[prev].next = next;
-        }
-        if next != NIL {
-            self.entries[next].prev = prev;
-        }
-    }
-
-    /// Push entry `slot` at the front of bucket `b`'s entry list.
-    fn attach_entry(&mut self, slot: usize, b: usize) {
-        let head = self.buckets[b].head;
-        self.entries[slot].bucket = b;
-        self.entries[slot].prev = NIL;
-        self.entries[slot].next = head;
-        if head != NIL {
-            self.entries[head].prev = slot;
-        }
-        self.buckets[b].head = slot;
-    }
-
-    /// Find (or create) the bucket for `count`, walking upward from the
-    /// bucket after `from` (`from` = NIL starts at the lowest bucket).
-    fn bucket_for(&mut self, from: usize, count: u64) -> usize {
-        let mut prev = from;
-        let mut cur = if from == NIL {
-            self.lowest
-        } else {
-            self.buckets[from].next
-        };
-        while cur != NIL && self.buckets[cur].count < count {
-            prev = cur;
-            cur = self.buckets[cur].next;
-        }
-        if cur != NIL && self.buckets[cur].count == count {
-            cur
-        } else {
-            self.insert_bucket_after(prev, count)
-        }
-    }
-
-    /// Move monitored entry `slot` up by `v` (the Space-Saving bucket
-    /// hop; O(1) for unit increments).
-    fn increase(&mut self, slot: usize, v: u64) {
-        if v == 0 {
-            return;
-        }
-        let old_bucket = self.entries[slot].bucket;
-        let new_count = self.buckets[old_bucket].count.saturating_add(v);
-        self.detach_entry(slot);
-        let target = self.bucket_for(old_bucket, new_count);
-        self.attach_entry(slot, target);
-        self.remove_bucket_if_empty(old_bucket);
-    }
-
-    /// Claim a slot for `key` with a seeded certified pair.
-    fn admit(&mut self, key: K, count: u64, error: u64) {
+    /// Add an entry in a free slot.
+    fn push(&mut self, entry: Entry<K>) {
         debug_assert!(self.len() < self.capacity);
-        let slot = self.alloc_entry(EntryNode {
-            key,
-            error,
-            bucket: NIL,
-            prev: NIL,
-            next: NIL,
-        });
-        let b = self.bucket_for(NIL, count);
-        self.attach_entry(slot, b);
-        self.index.insert(key, slot);
+        let pos = self.heap.len();
+        self.index.insert(entry.key, pos);
+        self.heap.push(entry);
+        self.sift_up(pos);
     }
 
-    /// Drop one entry from the lowest bucket (deterministically its
-    /// most recently attached entry).
-    fn evict_min(&mut self) {
-        let b = self.lowest;
-        debug_assert!(b != NIL);
-        let slot = self.buckets[b].head;
-        self.detach_entry(slot);
-        self.index.remove(&self.entries[slot].key);
-        self.free_entries.push(slot);
-        self.remove_bucket_if_empty(b);
-    }
-
-    /// Append a key at the top of the bucket list (rebuild path only —
-    /// requires `count` ≥ every monitored count).
-    fn push_highest(&mut self, key: K, count: u64, error: u64) {
-        debug_assert!(self.highest == NIL || count >= self.buckets[self.highest].count);
-        let b = if self.highest != NIL && self.buckets[self.highest].count == count {
-            self.highest
-        } else {
-            self.insert_bucket_after(self.highest, count)
-        };
-        let slot = self.alloc_entry(EntryNode {
-            key,
-            error,
-            bucket: NIL,
-            prev: NIL,
-            next: NIL,
-        });
-        self.attach_entry(slot, b);
-        self.index.insert(key, slot);
-    }
-
-    /// Structural integrity check used by the property tests: bucket
-    /// counts strictly ascend, links are mutually consistent, the index
-    /// maps exactly the linked entries.
-    #[cfg(test)]
-    fn validate(&self) {
-        let mut seen = 0usize;
-        let mut b = self.lowest;
-        let mut prev_b = NIL;
-        let mut prev_count = None::<u64>;
-        while b != NIL {
-            let bucket = &self.buckets[b];
-            assert_eq!(bucket.prev, prev_b, "bucket back-link broken");
-            if let Some(pc) = prev_count {
-                assert!(pc < bucket.count, "bucket counts must strictly ascend");
-            }
-            assert!(bucket.head != NIL, "empty bucket left in the list");
-            let mut e = bucket.head;
-            let mut prev_e = NIL;
-            while e != NIL {
-                let entry = &self.entries[e];
-                assert_eq!(entry.bucket, b, "entry bucket back-ref broken");
-                assert_eq!(entry.prev, prev_e, "entry back-link broken");
-                assert_eq!(self.index.get(&entry.key), Some(&e), "index out of sync");
-                seen = seen.saturating_add(1);
-                prev_e = e;
-                e = entry.next;
-            }
-            prev_count = Some(bucket.count);
-            prev_b = b;
-            b = bucket.next;
+    /// Record where the entry at `pos` now sits.
+    fn place(&mut self, pos: usize) {
+        if let Some(slot) = self.index.get_mut(&self.heap[pos].key) {
+            *slot = pos;
         }
-        assert_eq!(self.highest, prev_b, "highest pointer stale");
-        assert_eq!(seen, self.index.len(), "index size != linked entries");
-        assert!(seen <= self.capacity, "over capacity");
+    }
+
+    /// Move the entry at `start`, whose index row already says `start`,
+    /// toward the root past every entry it goes before.
+    #[allow(clippy::arithmetic_side_effects)] // positions stay below `capacity`, a `Vec` length
+    fn sift_up(&mut self, start: usize) {
+        let mut pos = start;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.heap[pos].below(&self.heap[parent]) {
+                break;
+            }
+            self.heap.swap(pos, parent);
+            self.place(pos);
+            pos = parent;
+        }
+        if pos != start {
+            self.place(pos);
+        }
+    }
+
+    /// Move the entry at `start`, whose index row already says `start`,
+    /// toward the leaves past every child that goes before it.
+    #[allow(clippy::arithmetic_side_effects)] // positions stay below `capacity`, a `Vec` length
+    fn sift_down(&mut self, start: usize) {
+        let mut pos = start;
+        let len = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right].below(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.heap[child].below(&self.heap[pos]) {
+                break;
+            }
+            self.heap.swap(pos, child);
+            self.place(pos);
+            pos = child;
+        }
+        if pos != start {
+            self.place(pos);
+        }
     }
 }
 
@@ -650,6 +499,177 @@ impl<K: Key> TopKSummary<K> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Structural integrity: every entry keeps heap order with its
+    /// parent, and the index maps each monitored key to its position.
+    fn validate(tk: &TopKSummary<u64>) {
+        assert!(tk.len() <= tk.capacity, "over capacity");
+        assert_eq!(tk.index.len(), tk.len(), "index size != entries");
+        for (pos, entry) in tk.heap.iter().enumerate() {
+            assert_eq!(tk.index.get(&entry.key), Some(&pos), "index out of sync");
+            if pos > 0 {
+                let parent = &tk.heap[(pos - 1) / 2];
+                assert!(!entry.below(parent), "heap order broken at {pos}");
+            }
+        }
+    }
+
+    /// A naive Space-Saving with the same tie rule: `(key, count, error,
+    /// stamp)` rows, a linear scan for the next eviction and a sort for
+    /// listing.
+    #[derive(Debug, Clone)]
+    struct Model {
+        capacity: usize,
+        threshold: u64,
+        floor: u64,
+        rows: Vec<(u64, u64, u64, u64)>,
+        clock: u64,
+    }
+
+    impl Model {
+        fn new(capacity: usize, threshold: u64) -> Self {
+            Self {
+                capacity: capacity.max(1),
+                threshold,
+                floor: 0,
+                rows: Vec::new(),
+                clock: 0,
+            }
+        }
+
+        fn tick(&mut self) -> u64 {
+            self.clock += 1;
+            self.clock
+        }
+
+        /// The next eviction: least count, then the latest stamp.
+        fn min_pos(&self) -> Option<usize> {
+            (0..self.rows.len())
+                .min_by_key(|&i| (self.rows[i].1, core::cmp::Reverse(self.rows[i].3)))
+        }
+
+        fn min_count(&self) -> u64 {
+            self.min_pos().map_or(0, |i| self.rows[i].1)
+        }
+
+        fn miss_bound(&self) -> u64 {
+            let mb = self.floor.max(self.threshold);
+            if self.rows.len() == self.capacity {
+                mb.max(self.min_count())
+            } else {
+                mb
+            }
+        }
+
+        fn offer(&mut self, key: u64, passed: u64, est: Estimate) {
+            if let Some(i) = self.rows.iter().position(|r| r.0 == key) {
+                if passed > 0 {
+                    let stamp = self.tick();
+                    self.rows[i].1 += passed;
+                    self.rows[i].3 = stamp;
+                }
+                return;
+            }
+            let row = (key, est.value, est.max_possible_error, 0);
+            if self.rows.len() < self.capacity {
+                let stamp = self.tick();
+                self.rows.push((row.0, row.1, row.2, stamp));
+            } else if est.value > self.min_count() {
+                let (i, stamp) = (self.min_pos().unwrap(), self.tick());
+                self.rows[i] = (row.0, row.1, row.2, stamp);
+            }
+        }
+
+        fn entries_desc(&self) -> Vec<TopKEntry<u64>> {
+            let mut rows = self.rows.clone();
+            rows.sort_by_key(|r| core::cmp::Reverse((r.1, r.3)));
+            rows.into_iter()
+                .map(|(key, count, error, _)| TopKEntry { key, count, error })
+                .collect()
+        }
+
+        fn get(&self, key: u64) -> Option<(u64, u64)> {
+            self.rows.iter().find(|r| r.0 == key).map(|r| (r.1, r.2))
+        }
+
+        /// The union-merge rule, then a rebuild that stamps the rows
+        /// from the last listed to the first.
+        fn merge(&mut self, other: &Model) {
+            let (mb_self, mb_other) = (self.miss_bound(), other.miss_bound());
+            let mut rows: Vec<(u64, u64, u64)> = Vec::new();
+            for e in self.entries_desc() {
+                let (c, err) = other.get(e.key).unwrap_or((mb_other, mb_other));
+                rows.push((e.key, e.count + c, e.error + err));
+            }
+            for e in other.entries_desc() {
+                if self.get(e.key).is_none() {
+                    rows.push((e.key, e.count + mb_self, e.error + mb_self));
+                }
+            }
+            rows.sort_by_key(|r| core::cmp::Reverse(r.1));
+            let mut floor = self.floor.max(other.floor).max(mb_self + mb_other);
+            if rows.len() > self.capacity {
+                floor = floor.max(rows[self.capacity].1);
+                rows.truncate(self.capacity);
+            }
+            let mut merged = Model::new(self.capacity, self.threshold.max(other.threshold));
+            merged.floor = floor;
+            for &(key, count, error) in rows.iter().rev() {
+                let stamp = merged.tick();
+                merged.rows.push((key, count, error, stamp));
+            }
+            *self = merged;
+        }
+    }
+
+    /// Offer `ops` (key, passed value, estimate inflation) to a summary
+    /// and its model, seeding claims from the running truth plus the
+    /// inflation, and compare the two after every step.
+    fn drive_twins(
+        tk: &mut TopKSummary<u64>,
+        model: &mut Model,
+        truth: &mut HashMap<u64, u64>,
+        ops: &[(u64, u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        for &(key, v, inflate) in ops {
+            let t = truth.entry(key).or_insert(0);
+            *t += v;
+            let est = Estimate {
+                value: *t + inflate,
+                max_possible_error: inflate,
+            };
+            tk.offer(&key, v, || est);
+            model.offer(key, v, est);
+            assert_twins(tk, model)?;
+        }
+        Ok(())
+    }
+
+    fn assert_twins(tk: &TopKSummary<u64>, model: &Model) -> Result<(), TestCaseError> {
+        validate(tk);
+        prop_assert_eq!(tk.entries_desc(), model.entries_desc());
+        prop_assert_eq!(tk.miss_bound(), model.miss_bound());
+        prop_assert_eq!(tk.min_count(), model.min_count());
+        Ok(())
+    }
+
+    #[test]
+    fn among_equal_counts_the_last_raised_is_listed_and_evicted_first() {
+        let mut tk = TopKSummary::<u64>::new(3, 0);
+        tk.offer(&1, 5, || Estimate::exact(5));
+        tk.offer(&2, 4, || Estimate::exact(4));
+        tk.offer(&3, 3, || Estimate::exact(3));
+        tk.offer(&3, 2, || unreachable!());
+        tk.offer(&2, 1, || unreachable!());
+        let keys: Vec<u64> = tk.entries_desc().iter().map(|e| e.key).collect();
+        assert_eq!(keys, vec![2, 3, 1], "all at 5: the last raised first");
+        tk.offer(&9, 6, || Estimate::exact(6));
+        assert!(!tk.contains(&2), "the last raised is evicted first");
+        let keys: Vec<u64> = tk.entries_desc().iter().map(|e| e.key).collect();
+        assert_eq!(keys, vec![9, 3, 1]);
+        validate(&tk);
+    }
 
     /// Drive a summary with *exact* estimates (a perfect sketch): counts
     /// must then equal the truth for monitored keys.
@@ -704,7 +724,7 @@ mod tests {
             let mb = tk.miss_bound();
             assert!(mb >= last_mb, "miss bound regressed: {last_mb} -> {mb}");
             last_mb = mb;
-            tk.validate();
+            validate(&tk);
         }
         assert_eq!(tk.len(), 4);
         // the four largest seeds survive
@@ -780,7 +800,7 @@ mod tests {
         assert!(tk.is_empty());
         assert_eq!(tk.capacity(), 8);
         assert_eq!(tk.miss_bound(), 0);
-        tk.validate();
+        validate(&tk);
     }
 
     proptest! {
@@ -789,14 +809,14 @@ mod tests {
         /// Structural integrity and certificate soundness under
         /// arbitrary exact-estimate op streams: every monitored count
         /// equals the truth, every unmonitored truth is ≤ miss_bound,
-        /// and the linked structure stays consistent.
+        /// and the heap stays consistent.
         #[test]
         fn prop_exact_offers_certify(
             ops in proptest::collection::vec((0u64..60, 1u64..9), 1..400),
             capacity in 1usize..24,
         ) {
             let (tk, truth) = exact_drive(&ops, capacity);
-            tk.validate();
+            validate(&tk);
             let mb = tk.miss_bound();
             let monitored: HashMap<u64, u64> = tk
                 .entries_desc()
@@ -822,6 +842,31 @@ mod tests {
             }
         }
 
+        /// The summary answers exactly like the naive model, ties
+        /// included: offers with exact and inflated seeds, zero raises,
+        /// evictions, one merge, and offers after it.
+        #[test]
+        fn prop_matches_the_naive_model(
+            ops_a in proptest::collection::vec((0u64..16, 0u64..9, 0u64..4), 0..120),
+            ops_b in proptest::collection::vec((0u64..16, 0u64..9, 0u64..4), 0..120),
+            ops_after in proptest::collection::vec((0u64..16, 0u64..9, 0u64..4), 0..60),
+            capacity in 1usize..13,
+            thresholds in (0u64..3, 0u64..3),
+        ) {
+            let (mut a, mut model_a) = (TopKSummary::new(capacity, thresholds.0), Model::new(capacity, thresholds.0));
+            let (mut b, mut model_b) = (TopKSummary::new(capacity, thresholds.1), Model::new(capacity, thresholds.1));
+            let (mut truth_a, mut truth_b) = (HashMap::new(), HashMap::new());
+            drive_twins(&mut a, &mut model_a, &mut truth_a, &ops_a)?;
+            drive_twins(&mut b, &mut model_b, &mut truth_b, &ops_b)?;
+            a.merge_from(&b).unwrap();
+            model_a.merge(&model_b);
+            assert_twins(&a, &model_a)?;
+            for (k, v) in truth_b {
+                *truth_a.entry(k).or_insert(0) += v;
+            }
+            drive_twins(&mut a, &mut model_a, &mut truth_a, &ops_after)?;
+        }
+
         /// Merged certificates stay sound: counts upper-bound combined
         /// truths within their error bars, absent keys stay under the
         /// merged miss bound.
@@ -834,7 +879,7 @@ mod tests {
             let (mut a, truth_a) = exact_drive(&ops_a, capacity);
             let (b, truth_b) = exact_drive(&ops_b, capacity);
             a.merge_from(&b).unwrap();
-            a.validate();
+            validate(&a);
             let mut truth = truth_a;
             for (k, v) in truth_b {
                 *truth.entry(k).or_insert(0) += v;

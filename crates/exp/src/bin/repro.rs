@@ -10,7 +10,9 @@
 //!   fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!   fig15 fig16 fig17 fig18 fig19 fig20 topk subpop ablation intro
 //!   delta concurrent workloads serve replicate
-//!   all        every target above; also regenerates REPORT.md
+//!   contenders the contender registry, one row each (not in `all`)
+//!   all        every target above but `contenders`; also regenerates
+//!              REPORT.md
 //!   accuracy   fig4 fig5 fig6 fig7 topk subpop fig8 fig9
 //!   speed      fig10 fig16 serve
 //!   params     fig11 fig12 fig13 fig14 fig15
@@ -134,5 +136,5 @@ fn die(msg: &str) -> ! {
 const USAGE: &str = "usage: repro <target> [--items N] [--seed S] [--quick] [--out DIR]
                     [--workers W1,W2,..] [--contenders PAT1,PAT2,..]
 targets: table1 table3 table4 fig4..fig20 topk subpop ablation intro delta
-         concurrent workloads serve replicate
+         concurrent workloads serve replicate contenders
 groups : all accuracy speed params hardware beyond";

@@ -126,7 +126,7 @@ pub struct ContenderMeta {
     /// variant)?
     pub baseline: bool,
     /// Is it a hardware dataplane model (read-only registration: listed
-    /// by `sketchtool contenders` and raced by the testbed figure, but
+    /// by `repro contenders` and raced by the testbed figure, but
     /// outside the CPU accuracy registries, whose Λ is packet-valued)?
     pub dataplane: bool,
 }
@@ -673,8 +673,8 @@ impl Contender {
     }
 
     /// The sequential sketch with the certified top-K layer enabled
-    /// (`OursTopK`): identical point-query accuracy to `Ours`, plus an
-    /// O(1)-maintained heavy-hitter summary whose per-entry error fields
+    /// (`OursTopK`): identical point-query accuracy to `Ours`, plus a
+    /// Space-Saving heavy-hitter summary whose per-entry error fields
     /// are the sketch's certified bounds. Deterministic.
     pub fn ours_topk(lambda: u64, capacity: usize) -> Self {
         Self {
@@ -770,7 +770,7 @@ impl Contender {
     }
 
     /// The Tofino behavioural model (`Ours(Tofino)`), registered
-    /// **read-only**: it appears in `sketchtool contenders` and drives
+    /// **read-only**: it appears in `repro contenders` and drives
     /// the fig20 testbed sweep through the registry, but stays out of the
     /// CPU accuracy registries because its tolerance is byte-valued
     /// (`Λ_bytes`), not packet-valued. The factory maps `memory_bytes`

@@ -61,7 +61,7 @@ const TOPK_K: usize = 16;
 /// serve tier's `DEFAULT_TOPK_CAPACITY`).
 const TOPK_CAPACITY: usize = 128;
 
-/// The top-K companion to Figure 7: the certified O(1) top-K layer
+/// The top-K companion to Figure 7: the certified top-K layer
 /// (`OursTopK`) raced against Space-Saving — recall of the true heaviest
 /// keys plus the certified per-entry error only the sketch-backed
 /// summary can advertise — under static Zipf elephants and under a

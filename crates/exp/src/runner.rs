@@ -38,6 +38,7 @@ use crate::{
     fig_layers, fig_outliers, fig_params, fig_replicate, fig_sensing, fig_serve, fig_subpop,
     fig_testbed, fig_throughput, fig_workloads, fig_zero_mem, tables, ExpContext, Table,
 };
+use rsk_baselines::factory::Baseline;
 use std::path::PathBuf;
 
 /// Every concrete target, in report order.
@@ -91,6 +92,8 @@ pub fn expand(target: &str) -> Vec<&'static str> {
             "workloads",
             "replicate",
         ],
+        // the registry listing: not in `all`, so the report omits it
+        "contenders" => vec!["contenders"],
         t => ALL_TARGETS.iter().copied().filter(|&x| x == t).collect(),
     }
 }
@@ -127,8 +130,37 @@ pub fn run_target(name: &str, ctx: &ExpContext) -> Vec<Table> {
         "workloads" => fig_workloads::workloads(ctx),
         "serve" => fig_serve::serve(ctx),
         "replicate" => fig_replicate::replicate(ctx),
+        "contenders" => vec![contenders(ctx)],
         _ => unreachable!("expand() filtered targets"),
     }
+}
+
+/// The contender registry, one row per contender: the CPU registry at
+/// Λ = 25 first, then the read-only dataplane models (whose Λ is
+/// byte-domain in the testbed figure; the listing reuses 25).
+fn contenders(ctx: &ExpContext) -> Table {
+    let mut table = Table::new(
+        "Contender registry",
+        &[
+            "label", "mode", "shards", "filter", "sensing", "determ.", "baseline", "plane",
+        ],
+    );
+    let mut registry = ctx.registry(&Baseline::ACCURACY_SET, 25);
+    registry.extend(ctx.dataplane_registry(25));
+    for c in registry {
+        let m = c.meta();
+        table.row(vec![
+            c.label().to_string(),
+            m.mode.describe(),
+            m.shards.to_string(),
+            (if m.filtered { "mice" } else { "raw" }).to_string(),
+            m.sensing.to_string(),
+            m.deterministic.to_string(),
+            m.baseline.to_string(),
+            (if m.dataplane { "hw" } else { "cpu" }).to_string(),
+        ]);
+    }
+    table
 }
 
 /// Everything one invocation produced.
@@ -279,6 +311,27 @@ mod tests {
         assert_eq!(expand("fig8"), vec!["fig8"]);
         assert!(expand("bogus").is_empty());
         assert!(expand("all").contains(&"concurrent"));
+    }
+
+    #[test]
+    fn contenders_lists_the_filtered_registry_outside_all() {
+        assert!(!expand("all").contains(&"contenders"));
+        let ctx = ExpContext {
+            workers: vec![2, 4],
+            contenders: Some(vec!["x4".into()]),
+            ..Default::default()
+        };
+        let tables = run_target("contenders", &ctx);
+        let csv = tables[0].to_csv();
+        let mut lines = csv.lines();
+        assert_eq!(
+            lines.next(),
+            Some("label,mode,shards,filter,sensing,determ.,baseline,plane")
+        );
+        // the accuracy registry races the sharded flavour at the largest
+        // worker count only
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows, ["Ours(x4)@4w,par:4,4,mice,true,true,false,cpu"]);
     }
 
     #[test]

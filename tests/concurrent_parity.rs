@@ -349,7 +349,10 @@ fn epoched_concurrent_windows_and_rollup() {
 /// beneath it: a geometry-matched one-worker concurrent sketch maintains
 /// the *identical* summary — same entries, same counts, same certified
 /// error fields, same miss bound — as the sequential twin on the same
-/// stream, and both certified answers contain the exact truth.
+/// stream. The sequential answer certifies entries by the summary's own
+/// pairs, the concurrent one by the point query, which one worker keeps
+/// equal to the twin's: its entries are the summary keys with the 16
+/// largest point-query values. Both answers contain the exact truth.
 #[test]
 fn one_worker_topk_is_bit_equal_to_sequential() {
     const CAPACITY: usize = 64;
@@ -369,15 +372,32 @@ fn one_worker_topk_is_bit_equal_to_sequential() {
     assert_eq!(a.miss_bound(), c.miss_bound());
 
     let (ta, tc) = (atomic.certified_top_k(16), classic.certified_top_k(16));
-    assert_eq!(ta.entries, tc.entries);
+    for e in &ta.entries {
+        let est = rsk_api::ErrorSensing::query_with_error(&classic, &e.key);
+        assert_eq!(
+            (e.count, e.error),
+            (est.value, est.max_possible_error),
+            "key {}",
+            e.key
+        );
+    }
+    // the summary keys' point-query values, largest first
+    let mut values: Vec<u64> = c
+        .entries_desc()
+        .iter()
+        .map(|e| rsk_api::ErrorSensing::query_with_error(&classic, &e.key).value)
+        .collect();
+    values.sort_unstable_by(|x, y| y.cmp(x));
+    let counts: Vec<u64> = ta.entries.iter().map(|e| e.count).collect();
+    assert_eq!(counts, values[..16]);
+    assert_eq!(ta.next_count, values.get(16).copied().unwrap_or(0));
     assert_eq!(ta.miss_bound, tc.miss_bound);
-    assert_eq!(ta.next_count, tc.next_count);
     assert_eq!(
         tc.entries.len(),
         16,
         "a 60k-item Zipf stream has 16 elephants"
     );
-    for e in &tc.entries {
+    for e in ta.entries.iter().chain(&tc.entries) {
         assert!(
             e.contains(truth[&e.key]),
             "key {}: truth {} ∉ [{}, {}]",
