@@ -46,14 +46,8 @@ pub fn arithmetic_width_schedule(
         .map(|i| (total_buckets * (depth - i) / weight_sum).max(1))
         .collect();
     // thresholds: keep the paper's geometric sequence
-    let reference = LayerGeometry::derive(
-        total_buckets,
-        lambda,
-        2.0,
-        r_lambda,
-        Depth::Fixed(depth),
-        false,
-    );
+    let reference =
+        LayerGeometry::derive(total_buckets, lambda, 2.0, r_lambda, Depth::Fixed(depth));
     LayerGeometry::custom(widths, reference.lambdas().to_vec())
         .expect("arithmetic width schedule is well-formed")
 }
@@ -103,7 +97,7 @@ mod tests {
 
     #[test]
     fn geometric_beats_uniform_on_failures() {
-        let geo = LayerGeometry::derive(BUCKETS, 25, 2.0, 2.5, Depth::Fixed(8), false);
+        let geo = LayerGeometry::derive(BUCKETS, 25, 2.0, 2.5, Depth::Fixed(8));
         let uni = uniform_schedule(BUCKETS, 25, 8);
         let (g, u) = (total_failures(&geo), total_failures(&uni));
         assert!(g * 2 < u, "geometric {g} failures vs uniform {u}");
@@ -111,7 +105,7 @@ mod tests {
 
     #[test]
     fn geometric_beats_arithmetic_widths() {
-        let geo = LayerGeometry::derive(BUCKETS, 25, 2.0, 2.5, Depth::Fixed(8), false);
+        let geo = LayerGeometry::derive(BUCKETS, 25, 2.0, 2.5, Depth::Fixed(8));
         let ari = arithmetic_width_schedule(BUCKETS, 25, 2.5, 8);
         let (g, a) = (total_failures(&geo), total_failures(&ari));
         assert!(g * 2 < a, "geometric {g} failures vs arithmetic-width {a}");
@@ -119,7 +113,7 @@ mod tests {
 
     #[test]
     fn single_layer_fails_hard() {
-        let geo = LayerGeometry::derive(BUCKETS, 25, 2.0, 2.5, Depth::Fixed(8), false);
+        let geo = LayerGeometry::derive(BUCKETS, 25, 2.0, 2.5, Depth::Fixed(8));
         let single = single_layer_schedule(BUCKETS, 25);
         let (g, s) = (total_failures(&geo), total_failures(&single));
         assert!(g < s, "layered {g} failures vs single-layer {s}");

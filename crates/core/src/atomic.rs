@@ -566,7 +566,6 @@ impl<K: Key> ConcurrentReliable<K> {
             config.r_w,
             config.r_lambda,
             config.depth,
-            config.lambda_floor_one,
         );
         Self::with_geometry(config, geometry)
     }
@@ -1094,7 +1093,7 @@ mod tests {
 
     #[test]
     fn single_thread_equals_classic_sketch() {
-        let geometry = LayerGeometry::derive(2_000, 25, 2.0, 2.5, Depth::Auto, false);
+        let geometry = LayerGeometry::derive(2_000, 25, 2.0, 2.5, Depth::Auto);
         let (atomic, mut classic) = twin_pair(&geometry, 9);
         let items: Vec<(u64, u64)> = (0..40_000u64).map(|i| (i % 1_111, 1 + i % 3)).collect();
         for &(k, v) in &items {
@@ -1114,7 +1113,7 @@ mod tests {
 
     #[test]
     fn insert_batch_equals_item_loop() {
-        let geometry = LayerGeometry::derive(1_000, 25, 2.0, 2.5, Depth::Auto, false);
+        let geometry = LayerGeometry::derive(1_000, 25, 2.0, 2.5, Depth::Auto);
         let config = ReliableConfig {
             memory_bytes: geometry.total_buckets() * ATOMIC_BUCKET_BYTES,
             seed: 4,
@@ -1136,7 +1135,7 @@ mod tests {
     fn filtered_single_thread_equals_classic_sketch() {
         // the acceptance differential: the full filtered variant, one
         // producer, is query-equivalent to the filtered sequential sketch
-        let geometry = LayerGeometry::derive(2_000, 22, 2.0, 2.5, Depth::Auto, false);
+        let geometry = LayerGeometry::derive(2_000, 22, 2.0, 2.5, Depth::Auto);
         let (atomic, mut classic) = twin_pair_with(
             &geometry,
             Some(MiceFilterConfig {
@@ -1360,7 +1359,7 @@ mod tests {
             seed in 0u64..32,
             filtered in proptest::bool::ANY,
         ) {
-            let geometry = LayerGeometry::derive(256, 25, 2.0, 2.5, Depth::Fixed(5), false);
+            let geometry = LayerGeometry::derive(256, 25, 2.0, 2.5, Depth::Fixed(5));
             let filter = filtered.then(|| MiceFilterConfig {
                 counter_bits: 8,
                 ..Default::default()

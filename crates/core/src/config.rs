@@ -75,7 +75,9 @@ pub enum EmergencyPolicy {
     SpaceSaving(usize),
 }
 
-/// Full configuration of a [`crate::ReliableSketch`].
+/// Full configuration of a [`crate::ReliableSketch`]. Replication
+/// payloads carry every field, and [`Self::geometry`] floors the layer
+/// thresholds exactly as §3.2 does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReliableConfig {
     /// Total memory budget in bytes (filter + bucket layers).
@@ -93,9 +95,6 @@ pub struct ReliableConfig {
     pub mice_filter: Option<MiceFilterConfig>,
     /// Emergency store policy.
     pub emergency: EmergencyPolicy,
-    /// Clamp every `λ_i` to at least 1 (off by default: the paper floors,
-    /// letting deep layers degenerate to one-candidate buckets).
-    pub lambda_floor_one: bool,
     /// Master seed for the per-layer hash family.
     pub seed: u64,
 }
@@ -110,7 +109,6 @@ impl Default for ReliableConfig {
             depth: Depth::Auto,
             mice_filter: Some(MiceFilterConfig::default()),
             emergency: EmergencyPolicy::Disabled,
-            lambda_floor_one: false,
             seed: DEFAULT_SEED,
         }
     }
@@ -178,7 +176,6 @@ impl ReliableConfig {
             self.r_w,
             self.r_lambda,
             self.depth,
-            self.lambda_floor_one,
         )
     }
 

@@ -215,12 +215,25 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
     /// [`EpochedConcurrent`], if `Λ` exceeds the packed atomic error
     /// field (see [`ConcurrentReliable::new`]).
     pub fn new(config: ReliableConfig) -> Self {
+        Self::from_parts(config.clone(), G::empty(config, None), None, 0, None)
+    }
+
+    /// A window of already-built generations at `epoch`, whose future
+    /// generations track `top_k` slots (also how a replica restores
+    /// one). The replication cut starts unset.
+    pub(crate) fn from_parts(
+        config: ReliableConfig,
+        active: G,
+        frozen: Option<G>,
+        epoch: u64,
+        top_k: Option<usize>,
+    ) -> Self {
         Self {
-            active: G::empty(config.clone(), None),
-            frozen: None,
+            active,
+            frozen,
             config,
-            epoch: 0,
-            top_k: None,
+            epoch,
+            top_k,
             cut_epoch: None,
             key: PhantomData,
         }
@@ -274,8 +287,13 @@ impl<K: Key, G: Generation<K>> Epoched<K, G> {
     /// quiescent across the call (the borrow checker enforces it for
     /// scoped threads).
     pub fn rotate(&mut self) -> Option<G> {
-        let fresh = G::empty(self.config.clone(), self.top_k);
-        let sealed = core::mem::replace(&mut self.active, fresh);
+        self.rotate_to(G::empty(self.config.clone(), self.top_k))
+    }
+
+    /// [`Self::rotate`] with `next` as the new active generation (a
+    /// replica moves in the one a rotation delta restored).
+    pub(crate) fn rotate_to(&mut self, next: G) -> Option<G> {
+        let sealed = core::mem::replace(&mut self.active, next);
         self.epoch = self.epoch.saturating_add(1);
         self.frozen.replace(sealed)
     }
@@ -328,23 +346,6 @@ impl<K: Key> EpochedConcurrent<K> {
     /// Exclusive access to the frozen generation (replica apply).
     pub(crate) fn frozen_mut(&mut self) -> Option<&mut ConcurrentReliable<K>> {
         self.frozen.as_mut()
-    }
-
-    /// Replace the whole window state (full-snapshot restore on a
-    /// replica). Resets the replication cut: the installed state is a
-    /// fresh baseline.
-    pub(crate) fn install(
-        &mut self,
-        active: ConcurrentReliable<K>,
-        frozen: Option<ConcurrentReliable<K>>,
-        config: ReliableConfig,
-        epoch: u64,
-    ) {
-        self.active = active;
-        self.frozen = frozen;
-        self.config = config;
-        self.epoch = epoch;
-        self.cut_epoch = None;
     }
 
     /// Drop every top-K summary in the window (replica apply paths:

@@ -12,6 +12,8 @@
 //! arithmetic decay "would thoroughly undermine the complexity" (§3.2) —
 //! the ablation bench `parameter_ablation` demonstrates this empirically.
 
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::config::Depth;
 
 /// Widths and thresholds of every layer, as materialized for one sketch.
@@ -49,6 +51,8 @@ impl LayerGeometry {
 
     /// Derive the schedule for `total_buckets` buckets, error budget
     /// `lambda`, decay rates `r_w`/`r_lambda` and the given depth policy.
+    /// Thresholds are the paper's floors, so deep layers may get `λ_i = 0`
+    /// (one-candidate buckets that lock at once).
     ///
     /// Guarantees on the result:
     /// * at least one layer, every width ≥ 1;
@@ -61,7 +65,6 @@ impl LayerGeometry {
         r_w: f64,
         r_lambda: f64,
         depth: Depth,
-        lambda_floor_one: bool,
     ) -> Self {
         assert!(total_buckets >= 1, "need at least one bucket");
         assert!(r_w > 1.0 && r_lambda > 1.0);
@@ -86,17 +89,18 @@ impl LayerGeometry {
         // the deepest layer still above one bucket — both operations keep
         // the width sequence non-increasing.
         let sum: usize = widths.iter().sum();
-        if sum < total_buckets {
-            widths[0] += total_buckets - sum;
+        if let Some(spare) = total_buckets.checked_sub(sum) {
+            widths[0] = widths[0].saturating_add(spare);
         } else {
-            let mut excess = sum - total_buckets;
+            let mut excess = sum.saturating_sub(total_buckets);
             while excess > 0 {
                 match widths.iter().rposition(|&w| w > 1) {
                     Some(i) => {
-                        let take = excess.min(widths[i] - widths.get(i + 1).copied().unwrap_or(1));
-                        let take = take.max(1).min(widths[i] - 1);
-                        widths[i] -= take;
-                        excess -= take;
+                        let next = widths.get(i.saturating_add(1)).copied().unwrap_or(1);
+                        let take = excess.min(widths[i].saturating_sub(next));
+                        let take = take.max(1).min(widths[i].saturating_sub(1));
+                        widths[i] = widths[i].saturating_sub(take);
+                        excess = excess.saturating_sub(take);
                     }
                     // every layer is already at the 1-bucket floor
                     // (total_buckets < d); accept the overshoot
@@ -110,13 +114,9 @@ impl LayerGeometry {
         for i in 1..=d {
             let nominal =
                 ((lambda as f64) * (r_lambda - 1.0) / r_lambda.powi(i as i32)).floor() as u64;
-            let li = if lambda_floor_one {
-                nominal.max(1).min(budget)
-            } else {
-                nominal.min(budget)
-            };
+            let li = nominal.min(budget);
             lambdas.push(li);
-            budget -= li;
+            budget = budget.saturating_sub(li);
         }
 
         Self { widths, lambdas }
@@ -164,6 +164,7 @@ impl LayerGeometry {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -171,7 +172,7 @@ mod tests {
     #[test]
     fn paper_default_schedule() {
         // W = 83886 buckets (0.8 MB / 10 B), Λ' = 22, R_w = 2, R_λ = 2.5
-        let g = LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Auto, false);
+        let g = LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Auto);
         // widths halve: ≈ 41943, 20972, 10486, …
         assert!(g.width(0) > g.width(1) && g.width(1) > g.width(2));
         assert!((g.width(0) as f64 / g.width(1) as f64 - 2.0).abs() < 0.1);
@@ -188,33 +189,25 @@ mod tests {
 
     #[test]
     fn fixed_depth_respected() {
-        let g = LayerGeometry::derive(1000, 25, 2.0, 2.5, Depth::Fixed(7), false);
+        let g = LayerGeometry::derive(1000, 25, 2.0, 2.5, Depth::Fixed(7));
         assert_eq!(g.depth(), 7);
-        let g1 = LayerGeometry::derive(1000, 25, 2.0, 2.5, Depth::Fixed(0), false);
+        let g1 = LayerGeometry::derive(1000, 25, 2.0, 2.5, Depth::Fixed(0));
         assert_eq!(g1.depth(), 1);
     }
 
     #[test]
-    fn floored_lambdas_clamp_to_one() {
-        let g = LayerGeometry::derive(1000, 25, 2.0, 2.5, Depth::Fixed(10), true);
-        // deep layers get λ = 1 instead of 0 while budget remains
-        assert!(g.lambdas().iter().all(|&l| l >= 1) || g.total_lambda() == 25);
-        assert!(g.total_lambda() <= 25);
-    }
-
-    #[test]
     fn tiny_budgets_still_work() {
-        let g = LayerGeometry::derive(1, 1, 2.0, 2.0, Depth::Auto, false);
+        let g = LayerGeometry::derive(1, 1, 2.0, 2.0, Depth::Auto);
         assert!(g.depth() >= 1);
         assert!(g.total_buckets() >= 1);
-        let g = LayerGeometry::derive(8, 2, 8.0, 8.0, Depth::Fixed(3), false);
+        let g = LayerGeometry::derive(8, 2, 8.0, 8.0, Depth::Fixed(3));
         assert!(g.widths().iter().all(|&w| w >= 1));
     }
 
     #[test]
     fn higher_rw_concentrates_buckets_in_layer1() {
-        let g2 = LayerGeometry::derive(10_000, 25, 2.0, 2.5, Depth::Fixed(8), false);
-        let g8 = LayerGeometry::derive(10_000, 25, 8.0, 2.5, Depth::Fixed(8), false);
+        let g2 = LayerGeometry::derive(10_000, 25, 2.0, 2.5, Depth::Fixed(8));
+        let g8 = LayerGeometry::derive(10_000, 25, 8.0, 2.5, Depth::Fixed(8));
         let share = |g: &LayerGeometry| g.width(0) as f64 / g.total_buckets() as f64;
         assert!(share(&g8) > share(&g2));
         assert!(share(&g8) > 0.8); // (R_w−1)/R_w = 7/8
@@ -228,9 +221,8 @@ mod tests {
             r_w in 1.2f64..10.0,
             r_l in 1.2f64..10.0,
             d in 1usize..24,
-            floor_one in proptest::bool::ANY,
         ) {
-            let g = LayerGeometry::derive(buckets, lambda, r_w, r_l, Depth::Fixed(d), floor_one);
+            let g = LayerGeometry::derive(buckets, lambda, r_w, r_l, Depth::Fixed(d));
             prop_assert_eq!(g.depth(), d);
             prop_assert!(g.total_lambda() <= lambda);
             prop_assert!(g.widths().iter().all(|&w| w >= 1));

@@ -446,7 +446,6 @@ mod tests {
             depth: Depth::Fixed(3),
             mice_filter: None,
             emergency: EmergencyPolicy::ExactTable,
-            lambda_floor_one: true,
             seed: 9,
         };
         let geometry = LayerGeometry::custom(vec![1, 1, 1], vec![5, 3, 2]).unwrap();
@@ -648,7 +647,6 @@ mod tests {
             config.r_w,
             config.r_lambda,
             config.depth,
-            config.lambda_floor_one,
         );
         let mut seq = ReliableSketch::<u64>::with_geometry(config.clone(), geometry.clone());
         let mut conc = crate::atomic::ConcurrentReliable::<u64>::with_geometry(
@@ -698,7 +696,6 @@ mod tests {
             config.r_w,
             config.r_lambda,
             config.depth,
-            config.lambda_floor_one,
         );
         let build_conc = || {
             crate::atomic::ConcurrentReliable::<u64>::with_geometry(
@@ -846,7 +843,6 @@ mod tests {
             config.r_w,
             config.r_lambda,
             config.depth,
-            config.lambda_floor_one,
         );
         let mut collector = crate::atomic::ConcurrentReliable::<u64>::with_geometry(
             config.clone(),
@@ -961,7 +957,6 @@ mod tests {
                 depth: Depth::Fixed(3),
                 mice_filter: None,
                 emergency: EmergencyPolicy::ExactTable,
-                lambda_floor_one: true,
                 seed,
             };
             let mut a = ReliableSketch::<u64>::new(config.clone());

@@ -31,10 +31,12 @@ use rsk_api::{Key, ReplicateError};
 /// Leading magic of every replication payload.
 const MAGIC: [u8; 4] = *b"RSKB";
 /// Current format version. Version 1 encoded a tagged value tree with
-/// field names, and version 2 kept 24-bit fingerprints in every bucket
-/// of a concurrent or slim payload; versions refuse each other's
-/// payloads.
-const VERSION: u8 = 3;
+/// field names, version 2 kept 24-bit fingerprints in every bucket of a
+/// concurrent or slim payload, and version 3 carried a config flag, a
+/// lock-free failure gauge, dense sequential hints, a second live-row
+/// form and a repeated slim extras field, which version 4 drops;
+/// versions refuse each other's payloads.
+const VERSION: u8 = 4;
 
 /// What a replication payload carries — byte 6 of the frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,10 +163,10 @@ pub(crate) fn from_bytes<T: Wire>(
         pos: 0,
     };
     let value = T::get(&mut r)?;
-    if r.pos != r.bytes.len() {
+    if r.remaining() > 0 {
         return Err(ReplicateError::Corrupt(format!(
             "{} trailing bytes after the payload",
-            r.bytes.len() - r.pos
+            r.remaining()
         )));
     }
     Ok(value)
@@ -307,25 +309,13 @@ macro_rules! wire_tuple {
     };
 }
 
+wire_tuple!(A 0, B 1);
 wire_tuple!(A 0, B 1, C 2);
-
-/// A live word row: `(index, fingerprint, yes, no)`.
-impl Wire for (u32, u64, u64, u64) {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-        self.1.put(out);
-        self.2.put(out);
-        self.3.put(out);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, ReplicateError> {
-        Ok((Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?))
-    }
-}
 
 /// A sparse bucket row: `(index, fingerprint, yes, no)` with the
 /// fingerprint folded into one varint, 0 for none and otherwise the
-/// fingerprint plus one, so a row costs no more than a live word's.
-/// Fingerprints are 32-bit, so the shift never wraps for a real bucket.
+/// fingerprint plus one. Fingerprints are 32-bit, so the shift never
+/// wraps for a real bucket.
 impl Wire for (u32, Option<u64>, u64, u64) {
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
@@ -394,7 +384,6 @@ wire_struct!(ReliableConfig {
     depth,
     mice_filter,
     emergency,
-    lambda_floor_one,
     seed,
 });
 
@@ -412,8 +401,13 @@ pub(crate) struct Reader<'a> {
 impl<'a> Reader<'a> {
     pub(crate) fn byte(&mut self) -> Result<u8, ReplicateError> {
         let b = *self.bytes.get(self.pos).ok_or(ReplicateError::Truncated)?;
-        self.pos += 1;
+        self.pos = self.pos.saturating_add(1);
         Ok(b)
+    }
+
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ReplicateError> {
@@ -432,15 +426,15 @@ impl<'a> Reader<'a> {
     /// each value has exactly one accepted encoding.
     fn uleb(&mut self) -> Result<u64, ReplicateError> {
         let mut n = 0u64;
-        for i in 0..10 {
+        for shift in (0..64).step_by(7) {
             let byte = self.byte()?;
             let bits = u64::from(byte & 0x7f);
-            if i == 9 && bits > 1 {
+            if shift == 63 && bits > 1 {
                 return Err(ReplicateError::Corrupt("varint overflows u64".into()));
             }
-            n |= bits << (7 * i);
+            n |= bits << shift;
             if byte & 0x80 == 0 {
-                if byte == 0 && i > 0 {
+                if byte == 0 && shift > 0 {
                     return Err(ReplicateError::Corrupt(
                         "varint is not in its shortest form".into(),
                     ));
@@ -457,8 +451,7 @@ impl<'a> Reader<'a> {
     /// since every element occupies at least one byte.
     fn count(&mut self) -> Result<usize, ReplicateError> {
         let n = self.uleb()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if n > remaining {
+        if n > self.remaining() as u64 {
             return Err(ReplicateError::Truncated);
         }
         Ok(n as usize)
@@ -473,8 +466,8 @@ impl<'a> Reader<'a> {
         mut item: impl FnMut(&mut Self) -> Result<T, ReplicateError>,
     ) -> Result<Vec<T>, ReplicateError> {
         let n = self.count()?;
-        let remaining = self.bytes.len() - self.pos;
-        let mut out = Vec::with_capacity(n.min(remaining / std::mem::size_of::<T>().max(1)));
+        let fit = self.remaining().checked_div(std::mem::size_of::<T>());
+        let mut out = Vec::with_capacity(n.min(fit.unwrap_or(n)));
         for _ in 0..n {
             out.push(item(self)?);
         }
@@ -489,6 +482,7 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::replicate::{
@@ -542,7 +536,7 @@ mod tests {
             payload_kind(&bad_magic),
             Err(ReplicateError::Corrupt(_))
         ));
-        for version in [1, 2, 9] {
+        for version in [1, 2, 3, 9] {
             let mut foreign = good.clone();
             foreign[4] = version;
             assert_eq!(

@@ -2,8 +2,10 @@
 //! [`ConcurrentReliable`], [`EpochedConcurrent`] and [`ShardedReliable`].
 //!
 //! Snapshots mirror a sketch's complete logical state; deltas carry only
-//! the buckets whose dirty bit is set (plus changed mice-filter
-//! counters, the emergency remainder and the failure gauge). Delta
+//! the buckets whose dirty bit is set (plus changed mice-filter counters
+//! and the emergency remainder). Live words travel as
+//! [`super::SparseBucketRows`], each row with its fingerprint, and the
+//! failure gauge is rebuilt from the emergency state's failures. Delta
 //! entries hold *current* packed fields — applying one is idempotent
 //! replacement, never addition — so a re-shipped delta cannot corrupt a
 //! replica. Capture transparently widens to a full snapshot whenever a
@@ -13,19 +15,16 @@
 //! mice filter's packed lanes, and a delta lists the counters that
 //! differ from it.
 
-use super::check_shape;
 use super::codec::{self, bad_tag, wire_struct, PayloadKind, Reader, Wire};
 use super::sequential::EmergencyState;
+use super::{check_shape, check_sparse, SparseBucketRows};
 use crate::atomic::{fits_word, ConcurrentReliable, ERR_MAX};
 use crate::bucket::Layers;
 use crate::concurrent::ShardedReliable;
 use crate::config::ReliableConfig;
 use crate::epoch::EpochedConcurrent;
 use crate::geometry::LayerGeometry;
-use rsk_api::{Key, Replicate, ReplicateError};
-
-/// Occupied packed words, layer by layer: `(index, fingerprint, yes, no)`.
-type WordEntries = Vec<Vec<(u32, u64, u64, u64)>>;
+use rsk_api::{Key, Replicate, ReplicateError, TopK};
 
 /// The sealed merge overlay of a merged sketch, sparsely encoded.
 #[derive(Debug, Clone)]
@@ -33,7 +32,7 @@ pub struct OverlayState {
     /// Occupied overlay buckets, layer by layer:
     /// `(index, fingerprint, yes, no)` — the fingerprint is `None` for a
     /// bucket holding pure collision volume.
-    pub layers: super::SparseBucketRows,
+    pub layers: SparseBucketRows,
     /// Indices of merge-flagged (divert-hinted) buckets, layer by layer.
     pub hints: Vec<Vec<u32>>,
 }
@@ -50,16 +49,15 @@ pub struct ConcurrentSnapshot<K> {
     /// Materialized lock thresholds.
     pub lambdas: Vec<u64>,
     /// Occupied live packed words: `(index, fingerprint, yes, no)` per
-    /// layer, ascending by index.
-    pub words: Vec<Vec<(u32, u64, u64, u64)>>,
+    /// layer, strictly ascending by index; a live word always has a
+    /// fingerprint.
+    pub words: SparseBucketRows,
     /// The sealed merge overlay, if the sketch was merged.
     pub overlay: Option<OverlayState>,
     /// Mice-filter counter rows, if the filter exists.
     pub filter_rows: Option<Vec<Vec<u64>>>,
-    /// Emergency-store contents.
+    /// Emergency-store contents; their failures rebuild the gauge.
     pub emergency: EmergencyState<K>,
-    /// Failed insert operations.
-    pub failures: u64,
 }
 
 wire_struct!(ConcurrentSnapshot<K> {
@@ -70,28 +68,24 @@ wire_struct!(ConcurrentSnapshot<K> {
     overlay,
     filter_rows,
     emergency,
-    failures,
 });
 
-/// Buckets touched since the last replication cut, plus the
-/// off-bucket state that cannot be diffed cheaply (emergency store,
-/// failure gauge) shipped whole.
+/// Buckets touched since the last replication cut, plus the emergency
+/// store, which cannot be diffed cheaply, shipped whole.
 #[derive(Debug, Clone)]
 pub struct ConcurrentDelta<K> {
     /// The configuration of the sketch that cut the delta (the replica
     /// must match it exactly).
     pub config: ReliableConfig,
-    /// Dirty packed words with their *current* fields:
-    /// `(index, fingerprint, yes, no)` per layer — replace semantics.
-    pub words: Vec<Vec<(u32, u64, u64, u64)>>,
+    /// Dirty packed words with their *current* fields, in the form of
+    /// [`ConcurrentSnapshot::words`] — replace semantics.
+    pub words: SparseBucketRows,
     /// Mice-filter counters that changed since the cut:
     /// `(row, index, current value)`. `None` when the sketch has no
     /// filter.
     pub filter_diff: Option<Vec<(u32, u32, u64)>>,
     /// Emergency-store contents (shipped whole; replace).
     pub emergency: EmergencyState<K>,
-    /// Failed insert operations (cumulative; replace).
-    pub failures: u64,
 }
 
 wire_struct!(ConcurrentDelta<K> {
@@ -99,7 +93,6 @@ wire_struct!(ConcurrentDelta<K> {
     words,
     filter_diff,
     emergency,
-    failures,
 });
 
 /// What one generation ships at a cut: a delta when the dirty map tells
@@ -207,27 +200,15 @@ wire_struct!(ShardedDelta<K> {
     shards,
 });
 
-/// Reject word entries that do not fit the schedule or the packed
-/// bucket word, before anything is mutated.
-fn validate_entries(words: &WordEntries, geometry: &LayerGeometry) -> Result<(), ReplicateError> {
-    if words.len() != geometry.depth() {
-        return Err(ReplicateError::Corrupt(format!(
-            "payload has {} layers, schedule {}",
-            words.len(),
-            geometry.depth()
-        )));
-    }
+/// Reject live rows that break the sparse rule, lack a fingerprint or
+/// overflow their layer's packed word, before anything is mutated.
+fn check_words(words: &SparseBucketRows, geometry: &LayerGeometry) -> Result<(), ReplicateError> {
+    check_sparse(geometry.widths(), words, |r| r.0)?;
     for (i, layer) in words.iter().enumerate() {
-        let (w, lambda) = (geometry.width(i), geometry.lambda(i));
         for &(j, fp, yes, no) in layer {
-            if j as usize >= w {
+            if !fp.is_some_and(|fp| fits_word(fp, yes, no, geometry.lambda(i))) {
                 return Err(ReplicateError::Corrupt(format!(
-                    "bucket index {j} out of range for layer {i} (width {w})"
-                )));
-            }
-            if !fits_word(fp, yes, no, lambda) {
-                return Err(ReplicateError::Corrupt(format!(
-                    "bucket ({i}, {j}) fields overflow the packed word"
+                    "live bucket ({i}, {j}) lacks a fingerprint or overflows the packed word"
                 )));
             }
         }
@@ -235,26 +216,10 @@ fn validate_entries(words: &WordEntries, geometry: &LayerGeometry) -> Result<(),
     Ok(())
 }
 
-/// Reject a failure gauge below the failures its emergency state counts.
-/// No capture writes one: an insert bumps the gauge before it records its
-/// remainder, and a capture reads the remainders before the gauge, so a
-/// capture taken during ingest can only carry a gauge above its rows.
-/// Queries consult the emergency store only while the gauge is non-zero,
-/// so a lower gauge would hide recorded remainders from every answer.
-fn check_gauge<K>(failures: u64, emergency: &EmergencyState<K>) -> Result<(), ReplicateError> {
-    if failures < emergency.failures() {
-        return Err(ReplicateError::Corrupt(format!(
-            "failure gauge {failures} is below the {} failures the emergency state counts",
-            emergency.failures()
-        )));
-    }
-    Ok(())
-}
-
 impl<K: Key> ConcurrentReliable<K> {
     /// Capture a plain-data mirror of the sketch's full logical state
     /// (live packed words, sealed overlay, filter counters, emergency
-    /// remainder, failure gauge). Like the sequential
+    /// remainder). Like the sequential
     /// [`crate::ReliableSketch::snapshot`], operation statistics are not
     /// persisted.
     pub fn snapshot(&self) -> ConcurrentSnapshot<K> {
@@ -264,7 +229,7 @@ impl<K: Key> ConcurrentReliable<K> {
                 (0..array.width(i))
                     .filter_map(|j| {
                         let (fp, yes, no) = array.read(i, j);
-                        (fp != 0 || yes != 0 || no != 0).then_some((j as u32, fp, yes, no))
+                        (fp != 0 || yes != 0 || no != 0).then_some((j as u32, Some(fp), yes, no))
                     })
                     .collect()
             })
@@ -280,7 +245,6 @@ impl<K: Key> ConcurrentReliable<K> {
             }),
             filter_rows: self.filter().map(|f| f.rows_snapshot()),
             emergency: self.emergency.lock().capture(),
-            failures: self.insertion_failures(),
         }
     }
 
@@ -288,17 +252,16 @@ impl<K: Key> ConcurrentReliable<K> {
     ///
     /// # Errors
     /// [`ReplicateError::Corrupt`] for invalid configurations, malformed
-    /// schedules, out-of-range or out-of-order bucket entries,
-    /// filter-shape mismatches, exact emergency rows out of order,
-    /// SpaceSaving rows that repeat a key or outnumber the slots, or a
-    /// failure gauge below the emergency state's failures;
-    /// [`ReplicateError::Incompatible`] for an emergency policy mismatch.
+    /// schedules, out-of-range or out-of-order bucket entries, live
+    /// entries without a fingerprint, filter-shape mismatches, exact
+    /// emergency rows out of order, or SpaceSaving rows that repeat a key
+    /// or outnumber the slots; [`ReplicateError::Incompatible`] for an
+    /// emergency policy mismatch.
     pub fn restore(snapshot: ConcurrentSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
             .config
             .validate()
             .map_err(ReplicateError::Corrupt)?;
-        check_gauge(snapshot.failures, &snapshot.emergency)?;
         if let Some(&l) = snapshot.lambdas.iter().find(|&&l| l > ERR_MAX) {
             return Err(ReplicateError::Corrupt(format!(
                 "layer threshold {l} exceeds the packed error field ({ERR_MAX})"
@@ -306,7 +269,7 @@ impl<K: Key> ConcurrentReliable<K> {
         }
         let geometry = LayerGeometry::custom(snapshot.widths, snapshot.lambdas)
             .map_err(ReplicateError::Corrupt)?;
-        validate_entries(&snapshot.words, &geometry)?;
+        check_words(&snapshot.words, &geometry)?;
         let overlay = snapshot
             .overlay
             .map(|o| Layers::from_sparse(geometry.widths(), o.layers, &o.hints))
@@ -315,14 +278,22 @@ impl<K: Key> ConcurrentReliable<K> {
         let mut sk = ConcurrentReliable::with_geometry(snapshot.config, geometry);
         super::restore_filter(sk.filter.as_mut(), snapshot.filter_rows.as_deref())?;
         sk.merged = overlay;
-        for (i, layer) in snapshot.words.iter().enumerate() {
+        sk.emergency.get_mut().install(snapshot.emergency)?;
+        sk.store_words(&snapshot.words);
+        Ok(sk)
+    }
+
+    /// Write checked live rows into the words, and set the failure gauge
+    /// to the installed emergency store's failures: queries skip the
+    /// store while the gauge reads 0.
+    fn store_words(&mut self, words: &SparseBucketRows) {
+        for (i, layer) in words.iter().enumerate() {
             for &(j, fp, yes, no) in layer {
-                sk.array.store_bucket(i, j as usize, fp, yes, no);
+                self.array
+                    .store_bucket(i, j as usize, fp.unwrap_or(0), yes, no);
             }
         }
-        sk.emergency.get_mut().install(snapshot.emergency)?;
-        *sk.failures.get_mut() = snapshot.failures;
-        Ok(sk)
+        *self.failures.get_mut() = self.emergency.get_mut().failures();
     }
 
     /// Full snapshot that *also* records a replication cut, so the next
@@ -334,7 +305,7 @@ impl<K: Key> ConcurrentReliable<K> {
     }
 
     /// Cut a replication payload: the buckets dirtied since the last cut
-    /// (plus filter/emergency/failure state), or a full snapshot when no
+    /// (plus filter and emergency state), or a full snapshot when no
     /// cut exists yet or a merge has dropped it since.
     /// Exclusive (`&mut`): producers must be quiescent across the cut,
     /// as for [`rsk_api::Merge`].
@@ -357,7 +328,7 @@ impl<K: Key> ConcurrentReliable<K> {
                 idxs.iter()
                     .map(|&j| {
                         let (fp, yes, no) = self.array().read(i, j as usize);
-                        (j, fp, yes, no)
+                        (j, Some(fp), yes, no)
                     })
                     .collect()
             })
@@ -367,7 +338,6 @@ impl<K: Key> ConcurrentReliable<K> {
             words,
             filter_diff,
             emergency: self.emergency.lock().capture(),
-            failures: self.insertion_failures(),
         };
         self.set_replica_cut();
         GenPayload::Delta(delta)
@@ -382,17 +352,16 @@ impl<K: Key> ConcurrentReliable<K> {
     /// # Errors
     /// [`ReplicateError::Incompatible`] when the delta's configuration
     /// (or filter/emergency shape) does not match this sketch;
-    /// [`ReplicateError::Corrupt`] for entries that do not fit the
-    /// schedule or the packed word, exact emergency rows out of order,
-    /// or a failure gauge below the emergency state's failures.
+    /// [`ReplicateError::Corrupt`] for entries that break the sparse
+    /// rule, lack a fingerprint or do not fit the packed word, or exact
+    /// emergency rows out of order.
     pub fn apply_delta(&mut self, delta: ConcurrentDelta<K>) -> Result<(), ReplicateError> {
         if delta.config != *self.config() {
             return Err(ReplicateError::Incompatible(
                 "delta configuration does not match the replica".into(),
             ));
         }
-        validate_entries(&delta.words, self.geometry())?;
-        check_gauge(delta.failures, &delta.emergency)?;
+        check_words(&delta.words, self.geometry())?;
         if self.filter().is_some() != delta.filter_diff.is_some() {
             return Err(ReplicateError::Incompatible(
                 "delta filter presence mismatch".into(),
@@ -410,13 +379,8 @@ impl<K: Key> ConcurrentReliable<K> {
                 .overwrite_counters(diffs)
                 .map_err(ReplicateError::Corrupt)?;
         }
-        for (i, layer) in delta.words.iter().enumerate() {
-            for &(j, fp, yes, no) in layer {
-                self.array.store_bucket(i, j as usize, fp, yes, no);
-            }
-        }
         *self.emergency.get_mut() = staged;
-        *self.failures.get_mut() = delta.failures;
+        self.store_words(&delta.words);
         // Replicated counters arrive without their promotion history, so
         // any top-K summary on this replica is stale: drop it and answer
         // vacuously (mirrors full-snapshot restores, which never carry
@@ -505,21 +469,21 @@ impl<K: Key> EpochedConcurrent<K> {
     /// [`ReplicateError::Incompatible`] when the two generations were
     /// built from different configurations (a window shares one).
     pub fn restore(snapshot: EpochedSnapshot<K>) -> Result<Self, ReplicateError> {
-        let active = ConcurrentReliable::restore(snapshot.active)?;
-        let frozen = snapshot
-            .frozen
-            .map(ConcurrentReliable::restore)
-            .transpose()?;
+        Self::restore_window(snapshot, None)
+    }
+
+    /// [`Self::restore`] into a window whose future generations track
+    /// `top_k` slots: a replica keeps its own capacity.
+    fn restore_window(s: EpochedSnapshot<K>, top_k: Option<usize>) -> Result<Self, ReplicateError> {
+        let active = ConcurrentReliable::restore(s.active)?;
+        let frozen = s.frozen.map(ConcurrentReliable::restore).transpose()?;
         let config = active.config().clone();
-        if let Some(f) = &frozen {
-            if f.config() != &config {
-                return Err(ReplicateError::Incompatible(
-                    "window generations disagree on configuration".into(),
-                ));
-            }
+        if frozen.as_ref().is_some_and(|f| f.config() != &config) {
+            return Err(ReplicateError::Incompatible(
+                "window generations disagree on configuration".into(),
+            ));
         }
-        let mut window = EpochedConcurrent::new(config.clone());
-        window.install(active, frozen, config, snapshot.epoch);
+        let window = Self::from_parts(config, active, frozen, s.epoch, top_k);
         Ok(window)
     }
 
@@ -598,24 +562,19 @@ impl<K: Key> EpochedConcurrent<K> {
                 Ok(())
             }
             Some(1) => {
-                let new_active = match delta.active {
-                    GenPayload::Full(s) => {
-                        self.active().check_snapshot_shape(&s)?;
-                        ConcurrentReliable::restore(s)?
-                    }
-                    GenPayload::Delta(_) => {
-                        return Err(ReplicateError::Corrupt(
-                            "rotation delta must carry a full active generation".into(),
-                        ))
-                    }
+                let GenPayload::Full(s) = delta.active else {
+                    return Err(ReplicateError::Corrupt(
+                        "rotation delta must carry a full active generation".into(),
+                    ));
                 };
+                self.active().check_snapshot_shape(&s)?;
+                let next = ConcurrentReliable::restore(s)?;
                 if let Some(frozen_part) = delta.frozen {
                     // final changes to the generation that is rotating out
                     // of the active slot
                     self.active_mut().apply(frozen_part)?;
                 }
-                self.rotate();
-                *self.active_mut() = new_active;
+                self.rotate_to(next);
                 self.invalidate_top_k();
                 Ok(())
             }
@@ -653,7 +612,7 @@ impl<K: Key> Replicate for EpochedConcurrent<K> {
                 for generation in std::iter::once(&s.active).chain(&s.frozen) {
                     self.active().check_snapshot_shape(generation)?;
                 }
-                *self = Self::restore(s)?;
+                *self = Self::restore_window(s, self.top_k_capacity())?;
                 Ok(())
             }
             PayloadKind::EpochedDelta => {
@@ -787,6 +746,7 @@ impl<K: Key> Replicate for ShardedReliable<K> {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;
@@ -835,26 +795,68 @@ mod tests {
         answers_match(&a, &restored, 500);
     }
 
-    /// Overlay rows travel strictly ascending, as slim digest rows do;
-    /// any other order, a duplicate index included, is refused.
+    /// Overlay rows and live rows travel strictly ascending, as slim
+    /// digest rows do; any other order, a duplicate index included, is
+    /// refused, and so is a live row without a fingerprint. A refused
+    /// snapshot or delta leaves the replica untouched.
     #[test]
     fn out_of_order_overlay_rows_are_refused() {
+        // layer-0 rows swapped, duplicated and, for live rows, stripped
+        // of their first fingerprint
+        let crafted = |rows: &Vec<(u32, Option<u64>, u64, u64)>, live: bool| {
+            let (mut swapped, mut duplicated, mut bare) =
+                (rows.clone(), rows.clone(), rows.clone());
+            swapped.swap(0, 1);
+            duplicated.insert(1, rows[0]);
+            bare[0].1 = None;
+            [Some(swapped), Some(duplicated), live.then_some(bare)]
+                .into_iter()
+                .flatten()
+        };
         let mut merged = loaded(21);
         merged.merge(&loaded(21)).unwrap();
         let snapshot = merged.snapshot();
-        let rows = &snapshot.overlay.as_ref().unwrap().layers[0];
-        let (mut swapped, mut duplicated) = (rows.clone(), rows.clone());
-        swapped.swap(0, 1);
-        duplicated.insert(1, rows[0]);
-        for crafted in [swapped, duplicated] {
+        for rows in crafted(&snapshot.overlay.as_ref().unwrap().layers[0], false) {
             let mut s = snapshot.clone();
-            s.overlay.as_mut().unwrap().layers[0] = crafted;
+            s.overlay.as_mut().unwrap().layers[0] = rows;
             assert!(matches!(
                 ConcurrentReliable::restore(s),
                 Err(ReplicateError::Corrupt(_))
             ));
         }
         assert!(ConcurrentReliable::restore(snapshot).unwrap().is_merged());
+
+        let mut primary = loaded(22);
+        let mut replica = ConcurrentReliable::<u64>::new(config(22));
+        replica
+            .apply_bytes(&primary.delta_bytes().unwrap())
+            .unwrap();
+        for i in 0..2_000u64 {
+            primary.insert_concurrent(&(i % 400), 1);
+        }
+        let GenPayload::Delta(delta) = primary.delta() else {
+            panic!("a cut exists, so the second ship is a delta");
+        };
+        let (snapshot, before) = (primary.snapshot(), replica.snapshot_bytes().unwrap());
+        for rows in crafted(&snapshot.words[0], true) {
+            let mut s = snapshot.clone();
+            s.words[0] = rows;
+            let refused =
+                replica.apply_bytes(&codec::to_bytes(PayloadKind::ConcurrentSnapshot, &s));
+            assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
+        }
+        for rows in crafted(&delta.words[0], true) {
+            let mut d = delta.clone();
+            d.words[0] = rows;
+            let refused = replica.apply_bytes(&codec::to_bytes(PayloadKind::ConcurrentDelta, &d));
+            assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
+        }
+        assert!(
+            replica.snapshot_bytes().unwrap() == before,
+            "a refusal mutated"
+        );
+        replica.apply_delta(delta).unwrap();
+        answers_match(&primary, &replica, 500);
     }
 
     #[test]
@@ -965,13 +967,12 @@ mod tests {
         // out-of-range bucket index
         let corrupt = ConcurrentDelta::<u64> {
             config: replica.config().clone(),
-            words: vec![vec![(u32::MAX, 1, 1, 0)]; replica.geometry().depth()],
+            words: vec![vec![(u32::MAX, Some(1), 1, 0)]; replica.geometry().depth()],
             filter_diff: replica.filter().map(|_| Vec::new()),
             emergency: EmergencyState::Exact {
                 entries: vec![],
                 failures: 0,
             },
-            failures: 0,
         };
         assert!(matches!(
             replica.apply_delta(corrupt),
@@ -1042,6 +1043,36 @@ mod tests {
         for k in 0..300u64 {
             assert_eq!(replica.query_with_error(&k), primary.query_with_error(&k));
         }
+    }
+
+    /// A full window apply keeps the replica's top-K capacity, so the
+    /// generations it rotates in afterwards track their elephants and
+    /// certify entries again.
+    #[test]
+    fn window_applies_keep_the_top_k_capacity() {
+        let cfg = ReliableConfig {
+            memory_bytes: 64 * 1024,
+            ..config(23)
+        };
+        let mut primary = EpochedConcurrent::<u64>::new(cfg.clone());
+        for i in 0..10_000u64 {
+            primary.insert_shared(&(i % 300), 1);
+        }
+        let mut replica = EpochedConcurrent::<u64>::new(cfg).with_top_k(16);
+        // the first cut ships the full window, as a snapshot does
+        for payload in [primary.delta_bytes(), primary.snapshot_bytes()] {
+            replica.apply_bytes(&payload.unwrap()).unwrap();
+            assert_eq!(replica.top_k_capacity(), Some(16));
+        }
+        for _ in 0..2 {
+            replica.rotate();
+            for i in 0..5_000u64 {
+                replica.insert_shared(&(i % 50), 1 + i % 3);
+            }
+        }
+        let top = replica.certified_top_k(4);
+        assert_eq!(top.entries.len(), 4);
+        assert!(top.miss_bound < u64::MAX, "{top:?}");
     }
 
     #[test]
@@ -1177,7 +1208,6 @@ mod tests {
             depth: crate::config::Depth::Fixed(2),
             mice_filter: None,
             emergency: EmergencyPolicy::ExactTable,
-            lambda_floor_one: true,
             seed: 10,
             ..Default::default()
         };

@@ -12,12 +12,13 @@
 //!   [`crate::ReliableSketch`]; [`ConcurrentSnapshot`],
 //!   [`EpochedSnapshot`] and [`ShardedSnapshot`] cover the lock-free
 //!   types (packed live words and the sealed merge overlay are captured
-//!   separately, so `is_merged()` round-trips faithfully). The merge
-//!   overlay and the slim digest ship a bucket grid in one sparse form,
-//!   written and checked in this module: occupied buckets and hinted
-//!   indices, strictly ascending per layer; decoding refuses any other
-//!   order. Counters inside a payload are unbounded (merged state has
-//!   no fixed ceiling), so every read over them saturates.
+//!   separately, so `is_merged()` round-trips faithfully). Live words,
+//!   the merge overlay and the slim digest ship fingerprint grids as
+//!   [`SparseBucketRows`], and divert hints travel as index lists, both
+//!   written and checked in this module: strictly ascending per layer,
+//!   and decoding refuses any other order. Counters inside a payload are
+//!   unbounded (merged state has no fixed ceiling), so every read over
+//!   them saturates.
 //! * **Deltas** — only what changed since the previous cut.
 //!   [`crate::atomic::AtomicBucketArray`] keeps a one-bit-per-bucket
 //!   dirty map set on CAS commit, so a [`ConcurrentDelta`] serializes
@@ -77,6 +78,8 @@
 //! assert_eq!(replica.query_with_error(&3), primary.query_with_error(&3));
 //! ```
 
+#![deny(clippy::arithmetic_side_effects)]
+
 mod codec;
 mod concurrent;
 mod sequential;
@@ -94,18 +97,47 @@ use crate::bucket::{EsBucket, Layers};
 use crate::config::ReliableConfig;
 use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
-use rsk_api::ReplicateError;
+use rsk_api::{Key, ReplicateError};
 
 /// Sparse occupied-bucket rows, layer by layer:
 /// `(index, fingerprint, yes, no)` — the fingerprint is `None` for a
 /// bucket holding pure collision volume.
 pub type SparseBucketRows = Vec<Vec<(u32, Option<u64>, u64, u64)>>;
 
+impl<K: Key> Layers<K> {
+    /// The divert hints as ascending index lists: one per layer of a
+    /// merged grid, none for a grid no merge has touched.
+    pub(crate) fn hint_lists(&self) -> Vec<Vec<u32>> {
+        self.hints
+            .iter()
+            .map(|layer| {
+                (0..)
+                    .zip(layer)
+                    .filter_map(|(j, &h)| h.then_some(j))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Set the hints from lists [`check_sparse`] accepted: an empty
+    /// outer list leaves the grid unmerged.
+    pub(crate) fn set_hint_lists(&mut self, lists: &[Vec<u32>]) {
+        self.hints = lists
+            .iter()
+            .zip(&self.buckets)
+            .map(|(list, layer)| {
+                let mut hinted = vec![false; layer.len()];
+                list.iter().for_each(|&j| hinted[j as usize] = true);
+                hinted
+            })
+            .collect();
+    }
+}
+
 impl Layers<u64> {
     /// The sparse wire form of a fingerprint-space grid, as the merge
     /// overlay and the slim digest ship it: occupied buckets and hinted
-    /// indices, one strictly ascending list per layer each (empty hint
-    /// lists for a grid no merge has touched).
+    /// indices, one strictly ascending list per layer each.
     pub(crate) fn to_sparse(&self) -> (SparseBucketRows, Vec<Vec<u32>>) {
         let rows = self
             .iter()
@@ -118,63 +150,50 @@ impl Layers<u64> {
                     .collect()
             })
             .collect();
-        let hints = (0..self.buckets.len())
-            .map(|i| {
-                self.hints.get(i).map_or_else(Vec::new, |layer| {
-                    (0..layer.len() as u32)
-                        .filter(|&j| layer[j as usize])
-                        .collect()
-                })
-            })
-            .collect();
+        let mut hints = self.hint_lists();
+        hints.resize(self.buckets.len(), Vec::new());
         (rows, hints)
     }
 
     /// Rebuild a grid of `widths` from its sparse wire form, refusing
-    /// rows that [`check_sparse`] refuses. The grid comes back hinted
-    /// (possibly with no flag set): only merged grids travel this way.
+    /// rows and hints that [`check_sparse`] refuses. The grid comes back
+    /// hinted (possibly with no flag set): only merged grids travel this
+    /// way.
     pub(crate) fn from_sparse(
         widths: &[usize],
         rows: SparseBucketRows,
         hints: &[Vec<u32>],
     ) -> Result<Self, ReplicateError> {
-        check_sparse(widths, &rows, hints)?;
+        check_sparse(widths, &rows, |r| r.0)?;
+        check_sparse(widths, hints, |&j| j)?;
         let mut grid = Layers::new(widths);
-        grid.hints = widths.iter().map(|&w| vec![false; w]).collect();
+        grid.set_hint_lists(hints);
         for (i, layer) in rows.into_iter().enumerate() {
             for (j, id, yes, no) in layer {
                 grid.buckets[i][j as usize] = EsBucket::from_parts(id, yes, no);
-            }
-        }
-        for (i, layer) in hints.iter().enumerate() {
-            for &j in layer {
-                grid.hints[i][j as usize] = true;
             }
         }
         Ok(grid)
     }
 }
 
-/// The rule every sparse grid decoder applies: one row list and one
-/// hint list per layer of `widths`, each strictly ascending (readers
-/// binary-search them, and the encoder never writes another order) and
-/// in range.
-pub(crate) fn check_sparse(
+/// The rule every sparse decoder applies to bucket rows and hint lists:
+/// one list per layer of `widths`, each strictly ascending by the bucket
+/// `index` (readers binary-search them, and the encoder never writes
+/// another order) and in range.
+pub(crate) fn check_sparse<T>(
     widths: &[usize],
-    rows: &SparseBucketRows,
-    hints: &[Vec<u32>],
+    lists: &[Vec<T>],
+    index: impl Fn(&T) -> u32,
 ) -> Result<(), ReplicateError> {
-    if rows.len() != widths.len() || hints.len() != widths.len() {
+    if lists.len() != widths.len() {
         return Err(ReplicateError::Corrupt(
-            "sparse bucket rows disagree with the layer schedule".into(),
+            "sparse bucket lists disagree with the layer schedule".into(),
         ));
     }
-    for (i, ((layer, hinted), &w)) in rows.iter().zip(hints).zip(widths).enumerate() {
-        let ascending =
-            layer.windows(2).all(|p| p[0].0 < p[1].0) && hinted.windows(2).all(|p| p[0] < p[1]);
-        let in_range = layer.last().is_none_or(|e| (e.0 as usize) < w)
-            && hinted.last().is_none_or(|&j| (j as usize) < w);
-        if !(ascending && in_range) {
+    for (i, (list, &w)) in lists.iter().zip(widths).enumerate() {
+        let ascending = list.windows(2).all(|p| index(&p[0]) < index(&p[1]));
+        if !ascending || list.last().is_some_and(|e| index(e) as usize >= w) {
             return Err(ReplicateError::Corrupt(format!(
                 "layer {i} bucket indices are out of range or not strictly ascending"
             )));

@@ -81,17 +81,6 @@ pub enum EmergencyState<K> {
     },
 }
 
-impl<K> EmergencyState<K> {
-    /// The failed insert operations the state counts.
-    pub(crate) fn failures(&self) -> u64 {
-        match self {
-            EmergencyState::Disabled { failures, .. }
-            | EmergencyState::Exact { failures, .. }
-            | EmergencyState::SpaceSaving { failures, .. } => *failures,
-        }
-    }
-}
-
 impl<K: Key> Wire for EmergencyState<K> {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
@@ -157,8 +146,9 @@ pub struct SketchSnapshot<K: Key> {
     pub filter_rows: Option<Vec<Vec<u64>>>,
     /// Emergency-store contents.
     pub emergency: EmergencyState<K>,
-    /// Per-bucket merge hints (empty unless the sketch was merged).
-    pub divert_hints: Vec<Vec<bool>>,
+    /// Merge-hinted bucket indices, one strictly ascending list per
+    /// layer once the sketch was merged, none before.
+    pub divert_hints: Vec<Vec<u32>>,
 }
 
 wire_struct!(SketchSnapshot<K> {
@@ -197,7 +187,7 @@ impl<K: Key> ReliableSketch<K> {
             layers: self.layers.buckets.clone(),
             filter_rows: self.filter.as_ref().map(|f| f.rows_snapshot()),
             emergency: self.emergency.capture(),
-            divert_hints: self.layers.hints.clone(),
+            divert_hints: self.layers.hint_lists(),
         }
     }
 
@@ -207,9 +197,10 @@ impl<K: Key> ReliableSketch<K> {
     /// Returns [`ReplicateError::Corrupt`] for snapshots whose
     /// configuration fails validation, whose schedule is malformed, or
     /// whose contents do not match the schedule (wrong layer count or
-    /// width, filter shape mismatch, exact emergency rows out of order,
-    /// SpaceSaving rows that repeat a key or outnumber the slots), and
-    /// [`ReplicateError::Incompatible`] for an emergency policy mismatch.
+    /// width, hints out of range or order, filter shape mismatch, exact
+    /// emergency rows out of order, SpaceSaving rows that repeat a key or
+    /// outnumber the slots), and [`ReplicateError::Incompatible`] for an
+    /// emergency policy mismatch.
     pub fn restore(snapshot: SketchSnapshot<K>) -> Result<Self, ReplicateError> {
         snapshot
             .config
@@ -233,15 +224,8 @@ impl<K: Key> ReliableSketch<K> {
                 )));
             }
         }
-        if !snapshot.divert_hints.is_empty()
-            && (snapshot.divert_hints.len() != geometry.depth()
-                || snapshot
-                    .divert_hints
-                    .iter()
-                    .zip(geometry.widths())
-                    .any(|(h, &w)| h.len() != w))
-        {
-            return Err(ReplicateError::Corrupt("divert hint shape mismatch".into()));
+        if !snapshot.divert_hints.is_empty() {
+            super::check_sparse(geometry.widths(), &snapshot.divert_hints, |&j| j)?;
         }
 
         let mut sketch = ReliableSketch::with_geometry(snapshot.config, geometry);
@@ -249,8 +233,9 @@ impl<K: Key> ReliableSketch<K> {
         sketch.emergency.install(snapshot.emergency)?;
         sketch.layers = Layers {
             buckets: snapshot.layers,
-            hints: snapshot.divert_hints,
+            hints: Vec::new(),
         };
+        sketch.layers.set_hint_lists(&snapshot.divert_hints);
         Ok(sketch)
     }
 }
@@ -286,6 +271,7 @@ impl<K: Key> Replicate for ReliableSketch<K> {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;
@@ -389,7 +375,6 @@ mod tests {
             depth: Depth::Fixed(2),
             mice_filter: None,
             emergency: EmergencyPolicy::SpaceSaving(8),
-            lambda_floor_one: true,
             seed: 5,
             ..Default::default()
         };
@@ -413,7 +398,6 @@ mod tests {
                 depth: Depth::Fixed(3),
                 mice_filter: None,
                 emergency: EmergencyPolicy::ExactTable,
-                lambda_floor_one: true,
                 seed: 11,
                 ..Default::default()
             },
@@ -425,7 +409,6 @@ mod tests {
                 depth: Depth::Fixed(2),
                 mice_filter: None,
                 emergency: EmergencyPolicy::SpaceSaving(6),
-                lambda_floor_one: true,
                 seed: u64::MAX,
             },
             ReliableConfig {
@@ -531,7 +514,7 @@ mod tests {
         assert!(ReliableSketch::restore(s).is_err(), "invalid config");
 
         let mut s = sk.snapshot();
-        s.divert_hints = vec![vec![true; 3]];
+        s.divert_hints = vec![vec![0, 1, 2]];
         assert!(ReliableSketch::restore(s).is_err(), "bad hint shape");
     }
 }

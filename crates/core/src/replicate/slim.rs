@@ -17,11 +17,11 @@
 //! the source's words keep up to 32.
 //!
 //! The emergency store travels in two parts. Its tracked rows become
-//! *extras* keyed by fingerprint, and each raises only the upper end of
-//! an answer (value and MPE alike): a key that shares a row's
-//! fingerprint reads an upper bound, never another key's remainder as
-//! exact. The bound on every untracked key (a SpaceSaving store's miss
-//! bound) joins `filter_slack`, which every answer already carries.
+//! *extras*, `(fingerprint, value)` pairs, and each raises only the
+//! upper end of an answer (value and MPE alike): a key that shares a
+//! row's fingerprint reads an upper bound, never another key's remainder
+//! as exact. The bound on every untracked key (a SpaceSaving store's
+//! miss bound) joins `filter_slack`, which every answer already carries.
 //!
 //! Every source reduces to the fingerprint-space bucket grid a merge
 //! builds (a window unions its generations), shipped in the replication
@@ -60,10 +60,10 @@ pub struct SlimSummary {
     pub layers: super::SparseBucketRows,
     /// Divert-hinted bucket indices per layer, ascending.
     pub hints: Vec<Vec<u32>>,
-    /// Emergency remainders as `(fingerprint, value, overestimate)`
-    /// rows, ascending; a digest distills every row with
-    /// `overestimate = value`, so rows raise only the upper end.
-    pub extras: Vec<(u64, u64, u64)>,
+    /// Emergency remainders as `(fingerprint, value)` pairs, ascending.
+    /// An answer adds `value` to its estimate and to its MPE alike, so a
+    /// pair raises only the upper end.
+    pub extras: Vec<(u64, u64)>,
     /// Σ of the source generations' observed filter counter ceilings,
     /// substituted for the unknown per-key filter contributions, plus
     /// each generation's emergency untracked ceiling (a SpaceSaving
@@ -181,10 +181,10 @@ impl SlimSummary {
         });
         let mut est = self.filter_slack.saturating_add(walked);
         let mut mpe = self.filter_slack.saturating_add(walked_mpe);
-        for &(efp, value, over) in &self.extras {
+        for &(efp, value) in &self.extras {
             if efp == fp {
                 est = est.saturating_add(value);
-                mpe = mpe.saturating_add(over);
+                mpe = mpe.saturating_add(value);
             }
         }
         Estimate {
@@ -244,7 +244,8 @@ impl SlimSummary {
                 "slim summary lock thresholds disagree with the schedule".into(),
             ));
         }
-        super::check_sparse(&self.widths, &self.layers, &self.hints)
+        super::check_sparse(&self.widths, &self.layers, |r| r.0)?;
+        super::check_sparse(&self.widths, &self.hints, |&j| j)
     }
 }
 
@@ -336,9 +337,9 @@ fn digest_fp(fp: u64) -> u64 {
 }
 
 /// Build the digest. `extras` are the sources' tracked emergency rows;
-/// each travels as `(fingerprint, value, value)`, charged to the value
-/// and the MPE alike: the digest cannot tell keys that share a
-/// fingerprint apart, so a row only ever raises the upper end.
+/// each travels as `(fingerprint, value)`, charged to the value and the
+/// MPE alike: the digest cannot tell keys that share a fingerprint
+/// apart, so a row only ever raises the upper end.
 fn distill<K: Key>(
     config: &ReliableConfig,
     geometry: &LayerGeometry,
@@ -353,9 +354,9 @@ fn distill<K: Key>(
         row.1 = row.1.map(digest_fp);
     }
     let fp_seed = fp_seed_for(config.seed);
-    let mut extras: Vec<(u64, u64, u64)> = extras
+    let mut extras: Vec<(u64, u64)> = extras
         .into_iter()
-        .map(|(k, value, _)| (digest_fp(fingerprint(&k, fp_seed)), value, value))
+        .map(|(k, value, _)| (digest_fp(fingerprint(&k, fp_seed)), value))
         .collect();
     // a deterministic payload, whatever the stores' iteration order
     extras.sort_unstable();
@@ -369,11 +370,12 @@ fn distill<K: Key>(
         extras,
         filter_slack,
         dropped,
-        slack: filter_slack.saturating_add(gens * geometry.total_lambda()),
+        slack: filter_slack.saturating_add(gens.saturating_mul(geometry.total_lambda())),
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)] // small fixed test data
 mod tests {
     use super::*;
     use crate::config::EmergencyPolicy;
@@ -545,7 +547,6 @@ mod tests {
             depth: crate::config::Depth::Fixed(2),
             mice_filter: None,
             emergency: EmergencyPolicy::ExactTable,
-            lambda_floor_one: true,
             seed: 16,
             ..Default::default()
         };

@@ -659,7 +659,6 @@ mod tests {
             depth: Depth::Fixed(2),
             mice_filter: None,
             emergency: EmergencyPolicy::Disabled,
-            lambda_floor_one: true,
             seed: 4,
         };
         let colliding: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 3, 1)).collect();
@@ -687,7 +686,6 @@ mod tests {
             depth: Depth::Fixed(2),
             mice_filter: None,
             emergency: EmergencyPolicy::ExactTable,
-            lambda_floor_one: true,
             seed: 4,
         };
         let mut sk: ReliableSketch<u64> = ReliableSketch::new(cfg);
@@ -899,7 +897,6 @@ mod tests {
             depth: Depth::Fixed(2),
             mice_filter: None,
             emergency: EmergencyPolicy::Disabled,
-            lambda_floor_one: true,
             seed: 4,
         };
         let mut sk: ReliableSketch<u64> = ReliableSketch::new(cfg);
@@ -960,7 +957,6 @@ mod tests {
                 depth: Depth::Fixed(3),
                 mice_filter: None,
                 emergency: EmergencyPolicy::ExactTable,
-                lambda_floor_one: false,
                 seed,
             };
             let mut sk: ReliableSketch<u64> = ReliableSketch::new(cfg);

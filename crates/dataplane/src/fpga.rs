@@ -159,7 +159,7 @@ mod tests {
     /// The paper's default 1 MB configuration (after the 20 % mice filter:
     /// ≈839 KB of buckets = 83 886 buckets) reproduces Table 3.
     fn paper_geometry() -> LayerGeometry {
-        LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Fixed(16), false)
+        LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Fixed(16))
     }
 
     #[test]
@@ -208,7 +208,6 @@ mod tests {
             2.0,
             2.5,
             Depth::Fixed(16),
-            false,
         ));
         let big = FpgaModel::synthesize(&paper_geometry());
         assert!(big.module("ESbucket").unwrap().bram > small.module("ESbucket").unwrap().bram);

@@ -64,7 +64,7 @@ struct Txn<K: Key> {
 /// use rsk_core::{Depth, LayerGeometry};
 /// use rsk_dataplane::FpgaPipeline;
 ///
-/// let geometry = LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Fixed(16), false);
+/// let geometry = LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Fixed(16));
 /// let mut pipe = FpgaPipeline::<u64>::new(&geometry, 7);
 /// assert_eq!(pipe.depth(), 41); // the paper's insertion latency
 ///
@@ -341,7 +341,6 @@ mod tests {
             depth: Depth::Fixed(geometry.depth()),
             mice_filter: None,
             emergency: EmergencyPolicy::ExactTable,
-            lambda_floor_one: false,
             seed,
             ..Default::default()
         };
@@ -369,14 +368,14 @@ mod tests {
 
     #[test]
     fn paper_configuration_has_41_stages() {
-        let geometry = LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Fixed(16), false);
+        let geometry = LayerGeometry::derive(83_886, 22, 2.0, 2.5, Depth::Fixed(16));
         let p = FpgaPipeline::<u64>::new(&geometry, 1);
         assert_eq!(p.depth(), 41, "8 hash + 2·16 layer + 1 emergency");
     }
 
     #[test]
     fn line_rate_cycle_accounting() {
-        let geometry = LayerGeometry::derive(1_000, 22, 2.0, 2.5, Depth::Fixed(8), false);
+        let geometry = LayerGeometry::derive(1_000, 22, 2.0, 2.5, Depth::Fixed(8));
         let mut p = FpgaPipeline::<u64>::new(&geometry, 1);
         let items: Vec<(u64, u64)> = (0..10_000u64).map(|i| (i % 37, 1)).collect();
         p.run(&items);
@@ -408,7 +407,7 @@ mod tests {
 
     #[test]
     fn equivalent_to_software_on_real_trace_shape() {
-        let geometry = LayerGeometry::derive(2_000, 25, 2.0, 2.5, Depth::Auto, false);
+        let geometry = LayerGeometry::derive(2_000, 25, 2.0, 2.5, Depth::Auto);
         let items: Vec<(u64, u64)> = (0..60_000u64)
             .map(|i| (rsk_hash::splitmix64(i % 1_500), 1 + i % 3))
             .collect();
@@ -417,7 +416,7 @@ mod tests {
 
     #[test]
     fn run_batched_is_identical_to_run() {
-        let geometry = LayerGeometry::derive(1_500, 25, 2.0, 2.5, Depth::Auto, false);
+        let geometry = LayerGeometry::derive(1_500, 25, 2.0, 2.5, Depth::Auto);
         let items: Vec<(u64, u64)> = (0..20_000u64)
             .map(|i| (rsk_hash::splitmix64(i % 700), 1 + i % 4))
             .collect();
@@ -438,7 +437,7 @@ mod tests {
     #[test]
     fn five_tuple_keys_flow_through_the_pipeline() {
         // the generic-key path on the hardware model: 13-byte 5-tuples
-        let geometry = LayerGeometry::derive(512, 25, 2.0, 2.5, Depth::Fixed(4), false);
+        let geometry = LayerGeometry::derive(512, 25, 2.0, 2.5, Depth::Fixed(4));
         let mut hw = FpgaPipeline::<[u8; 13]>::new(&geometry, 3);
         let mut tuple = [0u8; 13];
         let items: Vec<([u8; 13], u64)> = (0..5_000u64)

@@ -38,7 +38,7 @@ pub fn ablation(ctx: &ExpContext) -> Vec<Table> {
         let schedules: Vec<(&str, LayerGeometry)> = vec![
             (
                 "geometric (paper)",
-                LayerGeometry::derive(buckets, 25, 2.0, 2.5, Depth::Fixed(depth), false),
+                LayerGeometry::derive(buckets, 25, 2.0, 2.5, Depth::Fixed(depth)),
             ),
             ("uniform", uniform_schedule(buckets, 25, depth)),
             (

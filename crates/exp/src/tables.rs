@@ -59,7 +59,7 @@ pub fn table1(_ctx: &ExpContext) -> Vec<Table> {
 pub fn table3(_ctx: &ExpContext) -> Vec<Table> {
     // 1 MB total, 20 % mice filter → ≈ 839 KB of buckets = 83 886 buckets
     let geometry =
-        rsk_core::LayerGeometry::derive(83_886, 22, 2.0, 2.5, rsk_core::Depth::Fixed(16), false);
+        rsk_core::LayerGeometry::derive(83_886, 22, 2.0, 2.5, rsk_core::Depth::Fixed(16));
     let model = FpgaModel::synthesize(&geometry);
     let mut t = Table::new(
         "Table 3: FPGA implementation results (xc7vx690tffg1761-2)",

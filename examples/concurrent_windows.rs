@@ -94,7 +94,6 @@ fn main() {
         config().r_w,
         config().r_lambda,
         config().depth,
-        config().lambda_floor_one,
     );
     let mut edge = ReliableSketch::<u64>::with_geometry(config(), geometry);
     let stream = Dataset::DataCenter.generate(ITEMS_PER_EPOCH, 99);

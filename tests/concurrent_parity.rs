@@ -48,7 +48,6 @@ fn atomic_geometry(config: &ReliableConfig) -> LayerGeometry {
         config.r_w,
         config.r_lambda,
         config.depth,
-        config.lambda_floor_one,
     )
 }
 

@@ -98,7 +98,7 @@ fn batched_pipeline_matches_batched_software() {
     use reliablesketch::core::{EmergencyPolicy, LayerGeometry, BUCKET_BYTES};
     use reliablesketch::dataplane::FpgaPipeline;
 
-    let geometry = LayerGeometry::derive(3_000, 22, 2.0, 2.5, Depth::Fixed(8), false);
+    let geometry = LayerGeometry::derive(3_000, 22, 2.0, 2.5, Depth::Fixed(8));
     let items: Vec<(u64, u64)> = Dataset::IpTrace
         .generate(80_000, 15)
         .iter()

@@ -105,7 +105,6 @@ fn production(widths: &[usize], lambdas: &[u64], seed: u64) -> ReliableSketch<u6
         depth: Depth::Fixed(widths.len()),
         mice_filter: None,
         emergency: EmergencyPolicy::ExactTable,
-        lambda_floor_one: false,
         seed,
         ..Default::default()
     };

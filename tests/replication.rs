@@ -63,9 +63,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Codec round-trip: decode∘encode ≡ identity on the bytes, and the
-    /// restored sketch is answer-for-answer identical.
+    /// restored sketch is answer-for-answer identical. The lock-free
+    /// inputs (a merged sketch with overlay and live rows, a window after
+    /// one rotation, and a delta) decode by applying them to a replica,
+    /// whose own snapshot then re-encodes the source's bytes.
     #[test]
     fn prop_binary_codec_roundtrips_identity(seed in 1u64..1 << 48, items in 400usize..2_000) {
+        use reliablesketch::core::replicate::{payload_kind, PayloadKind};
+
         let stream = zipfish_stream(items, seed);
         let mut sk = ReliableSketch::<u64>::new(config(seed));
         for (k, v) in &stream {
@@ -81,6 +86,55 @@ proptest! {
             let b = restored.query_with_error(k);
             prop_assert_eq!(a.value, b.value);
             prop_assert_eq!(a.max_possible_error, b.max_possible_error);
+        }
+
+        let (first, second) = stream.split_at(stream.len() / 2);
+        let fed = |items: &[(u64, u64)]| {
+            let sk = ConcurrentReliable::<u64>::new(config(seed));
+            for (k, v) in items {
+                sk.insert_concurrent(k, *v);
+            }
+            sk
+        };
+        // live words keep absorbing after the merge seals the overlay
+        let mut merged = fed(first);
+        merged.merge(&fed(second)).expect("identical configuration");
+        for (k, v) in second {
+            merged.insert_concurrent(k, *v);
+        }
+        let bytes = merged.snapshot_bytes().expect("in-process snapshot");
+        let mut replica = ConcurrentReliable::<u64>::new(config(seed));
+        replica.apply_bytes(&bytes).expect("own bytes apply");
+        prop_assert!(replica.snapshot_bytes().unwrap() == bytes, "merged snapshot");
+
+        let mut window = EpochedConcurrent::<u64>::new(config(seed));
+        for (k, v) in first {
+            window.insert_shared(k, *v);
+        }
+        window.rotate();
+        for (k, v) in second {
+            window.insert_shared(k, *v);
+        }
+        let bytes = window.snapshot_bytes().expect("in-process snapshot");
+        let mut window_replica = EpochedConcurrent::<u64>::new(config(seed));
+        window_replica.apply_bytes(&bytes).expect("own bytes apply");
+        prop_assert!(window_replica.snapshot_bytes().unwrap() == bytes, "window snapshot");
+
+        let mut source = fed(first);
+        let mut mirror = ConcurrentReliable::<u64>::new(config(seed));
+        mirror.apply_bytes(&source.delta_bytes().unwrap()).expect("baseline applies");
+        for (k, v) in second {
+            source.insert_concurrent(k, *v);
+        }
+        let delta = source.delta_bytes().expect("delta cut");
+        prop_assert_eq!(payload_kind(&delta), Ok(PayloadKind::ConcurrentDelta));
+        mirror.apply_bytes(&delta).expect("own delta applies");
+        prop_assert!(mirror.snapshot_bytes().unwrap() == source.snapshot_bytes().unwrap());
+
+        for (k, _) in stream.iter().take(300) {
+            prop_assert_eq!(replica.query_with_error(k), merged.query_with_error(k));
+            prop_assert_eq!(window_replica.query_with_error(k), window.query_with_error(k));
+            prop_assert_eq!(mirror.query_with_error(k), source.query_with_error(k));
         }
     }
 
@@ -361,12 +415,10 @@ fn crafted_counters_saturate_instead_of_overflowing() {
         depth: Depth::Fixed(2),
         mice_filter: None,
         emergency: EmergencyPolicy::ExactTable,
-        lambda_floor_one: true,
         seed: 10,
         ..Default::default()
     };
     let mut snapshot = ConcurrentReliable::<u64>::new(tight.clone()).snapshot();
-    snapshot.failures = u64::MAX;
     snapshot.emergency = EmergencyState::Exact {
         entries: (0..7u64).map(|k| (k, HUGE)).collect(),
         failures: u64::MAX,
@@ -411,11 +463,14 @@ fn crafted_counters_saturate_instead_of_overflowing() {
     let est = replica.query_with_error(&3);
     assert!(est.value >= 25, "key 3: {est:?}");
 
-    // Failure gauges sum saturating across a window's generations and
-    // across shards.
+    // Failure gauges, rebuilt from the emergency states' failures, sum
+    // saturating across a window's generations and across shards.
     let gauged = |failures| {
         let mut snapshot = ConcurrentReliable::<u64>::new(cfg.clone()).snapshot();
-        snapshot.failures = failures;
+        snapshot.emergency = EmergencyState::Exact {
+            entries: Vec::new(),
+            failures,
+        };
         snapshot
     };
     let window = EpochedConcurrent::restore(EpochedSnapshot {
@@ -526,64 +581,6 @@ fn exact_table_payloads_are_canonical() {
         edit(&mut snapshot.emergency);
         let refused = ConcurrentReliable::restore(snapshot);
         assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
-    }
-}
-
-/// A failure gauge below the failures its emergency rows count comes from
-/// no capture, and it would hide those rows from every query: snapshots
-/// and deltas that carry one are refused. A gauge above its rows, as a
-/// capture taken during ingest may carry, still applies.
-#[test]
-fn a_failure_gauge_below_its_emergency_rows_is_refused() {
-    use reliablesketch::core::replicate::GenPayload;
-
-    let cfg = overloaded_exact_config();
-    let stream = zipfish_stream(60_000, 4);
-    let (first, second) = stream.split_at(stream.len() / 2);
-    let mut primary = ConcurrentReliable::<u64>::new(cfg.clone());
-    let mut replica = ConcurrentReliable::<u64>::new(cfg.clone());
-    for (k, v) in first {
-        primary.insert_concurrent(k, *v);
-    }
-    let rows = primary.insertion_failures();
-    assert!(rows > 0);
-    let snapshot = primary.snapshot();
-    for gauge in [0, rows - 1] {
-        let mut low = snapshot.clone();
-        low.failures = gauge;
-        let refused = ConcurrentReliable::restore(low);
-        assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
-    }
-    let mut high = snapshot;
-    high.failures = rows + 1;
-    assert_eq!(
-        ConcurrentReliable::restore(high)
-            .unwrap()
-            .insertion_failures(),
-        rows + 1
-    );
-
-    replica
-        .apply_bytes(&primary.delta_bytes().unwrap())
-        .unwrap();
-    for (k, v) in second {
-        primary.insert_concurrent(k, *v);
-    }
-    let GenPayload::Delta(delta) = primary.delta() else {
-        panic!("a cut exists, so the second ship is a delta");
-    };
-    let before = replica.snapshot_bytes().unwrap();
-    let mut low = delta.clone();
-    low.failures = 0;
-    let refused = replica.apply_delta(low);
-    assert!(matches!(refused, Err(ReplicateError::Corrupt(_))));
-    assert!(
-        replica.snapshot_bytes().unwrap() == before,
-        "refusal mutated"
-    );
-    replica.apply_delta(delta).unwrap();
-    for (k, _) in &stream {
-        assert_eq!(replica.query_with_error(k), primary.query_with_error(k));
     }
 }
 
