@@ -317,27 +317,57 @@ impl MiceFilter {
         (min, min >= self.threshold)
     }
 
-    /// All counters as plain rows (snapshots, merges and diagnostics),
-    /// unpacked lane by lane.
+    /// All counters as plain rows (snapshots, merges and tests).
     pub(crate) fn rows_snapshot(&self) -> Vec<Vec<u64>> {
-        let (bits, mask) = (self.lane_bits, self.lane_mask());
-        let per_lane = (64 / bits) as usize;
         self.lanes
             .chunks(self.lanes_per_row)
             .map(|lanes| {
                 let mut row = Vec::with_capacity(self.width);
-                for lane in lanes {
-                    let mut word = lane.load(Ordering::Acquire);
-                    let n = per_lane.min(self.width - row.len());
-                    row.extend((0..n).map(|_| {
-                        let c = word & mask;
-                        word = word.checked_shr(bits).unwrap_or(0);
-                        c
-                    }));
+                for (word, n) in self.row_lanes(lanes) {
+                    row.extend(self.lane_counters(word, n));
                 }
                 row
             })
             .collect()
+    }
+
+    /// One row's lane words, each with the number of counters it holds:
+    /// a whole lane, but for the padding slots past `width` in the row's
+    /// last lane.
+    fn row_lanes<'a>(&'a self, lanes: &'a [AtomicU64]) -> impl Iterator<Item = (u64, usize)> + 'a {
+        let per_lane = (64 / self.lane_bits) as usize;
+        lanes
+            .iter()
+            .zip((0..self.width).step_by(per_lane))
+            .map(move |(lane, first)| {
+                let n = per_lane.min(self.width.saturating_sub(first));
+                (lane.load(Ordering::Acquire), n)
+            })
+    }
+
+    /// The first `n` counters packed in lane `word`, lowest bits first.
+    fn lane_counters(&self, mut word: u64, n: usize) -> impl Iterator<Item = u64> {
+        let (bits, mask) = (self.lane_bits, self.lane_mask());
+        (0..n).map(move |_| {
+            let c = word & mask;
+            word = word.checked_shr(bits).unwrap_or(0);
+            c
+        })
+    }
+
+    /// Every counter, row by row, read off the packed lanes.
+    fn counters(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lanes
+            .chunks(self.lanes_per_row)
+            .flat_map(|lanes| self.row_lanes(lanes))
+            .flat_map(|(word, n)| self.lane_counters(word, n))
+    }
+
+    /// The largest counter: what any one key's filter contribution can
+    /// reach, since a key's query is a minimum over its counters. At
+    /// most the threshold for an unmerged filter.
+    pub(crate) fn max_counter(&self) -> u64 {
+        self.counters().max().unwrap_or(0)
     }
 
     /// The counters that differ from `base`, a clone of this filter at
@@ -483,12 +513,7 @@ impl MiceFilter {
 
     /// Fraction of counters at saturation (diagnostics).
     pub fn saturation_ratio(&self) -> f64 {
-        let sat: usize = self
-            .rows_snapshot()
-            .iter()
-            .flatten()
-            .filter(|&&c| c >= self.threshold)
-            .count();
+        let sat = self.counters().filter(|&c| c >= self.threshold).count();
         sat as f64 / (self.arrays * self.width) as f64
     }
 }
@@ -830,6 +855,41 @@ mod tests {
                     f.insert(k, *v);
                 }
                 prop_assert_eq!(f.changed_since(&base), row_diff(&before, &f.rows_snapshot()));
+            }
+        }
+
+        /// The scans of the packed lanes read what the unpacked rows of
+        /// the plain reference filter hold, and so does `rows_snapshot`:
+        /// at every lane width, on a fresh filter and after each of up to
+        /// 69 self-merges (which double every counter, widen the lanes to
+        /// 64 bits and then saturate), whether or not a row fills its last
+        /// lane.
+        #[test]
+        fn prop_lane_scans_equal_the_row_fold(
+            ops in proptest::collection::vec((0u64..64, 1u64..6), 0..300),
+            width in 1usize..100,
+            bits in 1u32..9,
+            merges in 0usize..70,
+        ) {
+            let memory = (width * 2 * bits as usize).div_ceil(8);
+            let threshold = (1u64 << bits) - 1;
+            let mut f = MiceFilter::new(memory, 2, bits, threshold, 7).unwrap();
+            let mut reference = ReferenceFilter::new(memory, 2, bits, threshold, 7).unwrap();
+            for (k, v) in &ops {
+                prop_assert_eq!(f.insert(k, *v), reference.insert(k, *v));
+            }
+            for round in 0..=merges {
+                if round > 0 {
+                    let twin = f.clone();
+                    f.merge_from(&twin).unwrap();
+                    for c in reference.counters.iter_mut().flatten() {
+                        *c = c.saturating_mul(2);
+                    }
+                }
+                let max = reference.counters.iter().flatten().copied().max();
+                prop_assert_eq!(f.max_counter(), max.unwrap_or(0), "round {}", round);
+                prop_assert_eq!(f.saturation_ratio(), reference.saturation_ratio(), "round {}", round);
+                prop_assert_eq!(&f.rows_snapshot(), &reference.counters, "round {}", round);
             }
         }
 

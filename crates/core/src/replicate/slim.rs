@@ -35,6 +35,7 @@ use crate::bucket::Layers;
 use crate::concurrent::{route, ShardedReliable};
 use crate::config::ReliableConfig;
 use crate::epoch::EpochedConcurrent;
+use crate::filter::MiceFilter;
 use crate::geometry::LayerGeometry;
 use crate::sketch::{walk, ReliableSketch};
 use rsk_api::{Estimate, Key, ReplicateError};
@@ -109,7 +110,7 @@ impl SlimSummary {
             sketch
                 .filter
                 .as_ref()
-                .map_or(0, filter_ceiling)
+                .map_or(0, MiceFilter::max_counter)
                 .saturating_add(sketch.emergency.untracked_ceiling()),
             sketch.dropped_value(),
             1,
@@ -145,7 +146,7 @@ impl SlimSummary {
             let emergency = generation.emergency.lock();
             extras.extend(emergency.tracked());
             filter_slack = filter_slack
-                .saturating_add(generation.filter().map_or(0, filter_ceiling))
+                .saturating_add(generation.filter().map_or(0, MiceFilter::max_counter))
                 .saturating_add(emergency.untracked_ceiling());
             dropped = dropped.saturating_add(emergency.dropped_value());
         }
@@ -315,18 +316,6 @@ impl SlimShards {
         }
         Ok(shards)
     }
-}
-
-/// The largest value any one key's filter contribution can reach: the
-/// maximum counter across all rows (a key's query is a min over its
-/// lanes). At most the configured threshold for an unmerged filter.
-fn filter_ceiling(filter: &crate::filter::MiceFilter) -> u64 {
-    filter
-        .rows_snapshot()
-        .into_iter()
-        .flatten()
-        .max()
-        .unwrap_or(0)
 }
 
 /// The fingerprint a digest keeps of a key's (or a bucket's): its low 24
